@@ -8,8 +8,10 @@
 package repro_test
 
 import (
+	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"testing"
 	"time"
@@ -710,6 +712,65 @@ func BenchmarkSnapshotDeltaEncode(b *testing.B) {
 	b.ReportMetric(deltaSz, "delta_bytes/op")
 	b.ReportMetric(fullSz/deltaSz, "bytes_x")
 	b.ReportMetric(fullCutNs/(float64(deltaNs)/float64(b.N)), "time_x")
+}
+
+// fcmGrowthEvents returns n events over 8192 PCs whose values are mostly
+// fresh: nearly every event brings new order-1..3 contexts at its PC.
+func fcmGrowthEvents(rng *rand.Rand, n int) (pcs, vals []uint64) {
+	pcs, vals = make([]uint64, n), make([]uint64, n)
+	for i := range pcs {
+		pcs[i] = uint64(rng.Intn(8192)) * 4
+		vals[i] = rng.Uint64() >> uint(rng.Intn(64))
+	}
+	return pcs, vals
+}
+
+// BenchmarkFCMSaveGrowth measures an FCM(3) save whose table grew since
+// the previous save, the case every checkpoint cut of a growing workload
+// hits. Per op, untimed: restore a ~1M-context state, save once (the
+// previous cut), then add ~10% new contexts; timed: one SaveStateChunks
+// that encodes every record. CI ratchets ns/op here, so a save that goes
+// back to sorting every context, rather than only those added since the
+// previous save, fails the build.
+func BenchmarkFCMSaveGrowth(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	p := core.NewFCM(3)
+	basePCs, baseVals := fcmGrowthEvents(rng, 340_000)
+	for i := range basePCs {
+		p.Update(basePCs[i], baseVals[i])
+	}
+	var base bytes.Buffer
+	if err := p.SaveState(&base); err != nil {
+		b.Fatal(err)
+	}
+	_, baseCtxs := p.TableEntries()
+	growPCs, growVals := fcmGrowthEvents(rng, 34_000)
+	discard := &core.ChunkSaver{
+		Header: func([]byte) error { return nil },
+		Emit:   func(uint64, int, []byte) error { return nil },
+	}
+	var ctxs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := p.LoadState(bytes.NewReader(base.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.SaveStateChunks(discard); err != nil {
+			b.Fatal(err)
+		}
+		for j := range growPCs {
+			p.Update(growPCs[j], growVals[j])
+		}
+		_, ctxs = p.TableEntries()
+		b.StartTimer()
+		if err := p.SaveStateChunks(discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(ctxs), "contexts")
+	b.ReportMetric(float64(ctxs-baseCtxs), "new_contexts")
 }
 
 // BenchmarkFullPass measures the all-collector analysis pass used by the

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/arena"
 	"repro/internal/core/kernel"
@@ -36,32 +37,22 @@ const MaxFCMOrder = 16
 // order per event — instead of re-concatenating the history, and each
 // signature hit is verified against the stored full context before it
 // counts as a match.
+//
+// Saves (SaveState, SaveStateChunks) bring each order's canonical-order
+// index up to date, so like Update they mutate the predictor and must
+// run on the goroutine that owns it.
 type FCM struct {
 	order int
 	blend bool
 	fcmStore
-	// saveOrder caches the ascending-PC handle order between chunked
-	// saves; revalidated against the current pcs slab on every use, so
+	// saveOrder caches the ascending-PC handle order between saves;
+	// revalidated against the current pcs slab on every use, so
 	// LoadState's store swap and Reset invalidate it naturally.
 	saveOrder []int32
-	// groupCache caches each order's ctx→PC bucketing between chunked
-	// saves. A context's owning PC never changes and the ctx slabs are
-	// append-only between resets, so the bucketing (and any canonical
-	// sorting already done on its buckets) stays valid while the PC and
-	// context counts are unchanged — which is exactly the steady state
-	// delta checkpoints cut in. Reset and LoadState discard it
-	// explicitly: counts alone could alias across a store swap.
-	groupCache []fcmGroupCache
-}
-
-// fcmGroupCache is one order's cached ctx→PC bucketing. Bucket h is
-// grouped[starts[h]:starts[h+1]]; sorted[h] records that the bucket is
-// already in canonical key order.
-type fcmGroupCache struct {
-	nctx    int
-	grouped []int32
-	starts  []int32
-	sorted  []bool
+	// addBuf and endsBuf are syncCanon's reused scratch, shared by
+	// every order: the contexts appended since the previous save,
+	// grouped by owning PC, and each PC's group end.
+	addBuf, endsBuf []int32
 }
 
 // fcmStore is the FCM's entire mutable storage, grouped so LoadState can
@@ -105,6 +96,23 @@ type fcmOrderStore struct {
 	ctxs  []fcmCtxEnt  // context slab; handle order = insertion order
 	keys  []uint64     // exact context values, order per context
 	arena *arena.Arena // shared with the owning fcmStore; nil = heap
+	canon fcmCanon     // canonical save order, kept across saves
+}
+
+// fcmCanon is one order's canonical-order index: the handles of the
+// contexts indexed so far, bucketed by owning PC handle, each bucket in
+// canonical key order — bucket h is hs[starts[h]:starts[h+1]]. Context
+// handles only append between resets and a context never changes owner,
+// so the index stays valid as the table grows; syncCanon merges in just
+// the contexts appended since the previous save.
+type fcmCanon struct {
+	hs     []int32
+	starts []int32
+	// loaded is the number of leading handles LoadState appended in
+	// canonical order that are not indexed yet: their index is the
+	// identity permutation, so the first save after a restore sorts only
+	// what was added since.
+	loaded int
 }
 
 // fcmCtxEnt is one context's entry: its signature and owner (for probing
@@ -653,7 +661,6 @@ func (s *fcmPCState) pushValue(v uint64, order int) {
 // Reset implements Resetter: every slab and table is emptied in place,
 // keeping capacity.
 func (p *FCM) Reset() {
-	p.groupCache = nil
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
 	p.vals = p.vals[:0]
@@ -663,6 +670,7 @@ func (p *FCM) Reset() {
 		clear(st.slots)
 		st.ctxs = st.ctxs[:0]
 		st.keys = st.keys[:0]
+		st.canon = fcmCanon{hs: st.canon.hs[:0], starts: st.canon.starts[:0]}
 	}
 }
 
@@ -682,62 +690,110 @@ func (p *FCM) sortedPCHandles() []int32 {
 	for i := range hs {
 		hs[i] = int32(i)
 	}
-	sort.Slice(hs, func(i, j int) bool { return p.pcs[hs[i]].pc < p.pcs[hs[j]].pc })
+	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(p.pcs[a].pc, p.pcs[b].pc) })
 	return hs
 }
 
-// ctxKeyLess orders two contexts of the same order by their canonical
-// wire form: the lexicographic order of the little-endian concatenation
-// of their values, which per value is the numeric order of the
-// byte-reversed value.
-func (st *fcmOrderStore) ctxKeyLess(o int, a, b int32) bool {
+// keyCmp orders two contexts of order o by their canonical wire form:
+// the lexicographic order of the little-endian concatenation of their
+// values, which per value is the numeric order of the byte-reversed
+// value.
+func (st *fcmOrderStore) keyCmp(o int, a, b int32) int {
 	ka := st.keys[int(a)*o : (int(a)+1)*o]
 	kb := st.keys[int(b)*o : (int(b)+1)*o]
 	for j := range ka {
-		x, y := bits.ReverseBytes64(ka[j]), bits.ReverseBytes64(kb[j])
-		if x != y {
-			return x < y
+		if x, y := bits.ReverseBytes64(ka[j]), bits.ReverseBytes64(kb[j]); x != y {
+			return cmp.Compare(x, y)
 		}
 	}
-	return false
+	return 0
 }
 
-// bucketCtxsByPC buckets one order's context handles by owning PC handle
-// (counting sort only, buckets unsorted). Bucket i is
-// out[starts[i]:starts[i+1]].
-func (st *fcmOrderStore) bucketCtxsByPC(npc int) (out []int32, starts []int32) {
-	starts = make([]int32, npc+1)
-	for i := range st.ctxs {
-		starts[st.ctxs[i].pcIdx+1]++
+// syncCanon brings order o's canonical index up to date: the contexts
+// appended since the previous save are counting-sorted by owning PC
+// handle, each PC's group is sorted by canonical key, and the groups are
+// merged into their buckets in one backward pass that rewrites hs in
+// place. A save therefore sorts only what was added since the last one;
+// the rest of its cost is linear.
+func (p *FCM) syncCanon(o int) {
+	st := &p.ords[o]
+	c := &st.canon
+	npc := len(p.pcs)
+	if c.loaded > 0 {
+		// LoadState inserted PCs in ascending order and each PC's
+		// contexts in key order: the index is the identity.
+		c.hs = slices.Grow(c.hs[:0], c.loaded)[:c.loaded]
+		for h := range c.hs {
+			c.hs[h] = int32(h)
+		}
+		c.starts = append(c.starts[:0], make([]int32, npc+1)...)
+		for i := range st.ctxs[:c.loaded] {
+			c.starts[st.ctxs[i].pcIdx+1]++
+		}
+		for h := 1; h <= npc; h++ {
+			c.starts[h] += c.starts[h-1]
+		}
+		c.loaded = 0
 	}
-	for i := 1; i <= npc; i++ {
-		starts[i] += starts[i-1]
+	n, nctx := len(c.hs), len(st.ctxs)
+	for len(c.starts) <= npc {
+		c.starts = append(c.starts, int32(n)) // PCs added since: empty buckets
 	}
-	out = make([]int32, len(st.ctxs))
-	fill := make([]int32, npc)
-	copy(fill, starts[:npc])
-	for i := range st.ctxs {
-		pcIdx := st.ctxs[i].pcIdx
-		out[fill[pcIdx]] = int32(i)
-		fill[pcIdx]++
+	if n == nctx {
+		return
 	}
-	return out, starts
-}
-
-// sortBucket puts one PC's bucket into canonical key order.
-func (st *fcmOrderStore) sortBucket(o int, bucket []int32) {
-	sort.Slice(bucket, func(a, b int) bool { return st.ctxKeyLess(o, bucket[a], bucket[b]) })
-}
-
-// groupCtxsByPC buckets one order's context handles by owning PC handle
-// (counting sort), each bucket sorted in canonical key order. Bucket i is
-// out[starts[i]:starts[i+1]].
-func (st *fcmOrderStore) groupCtxsByPC(o, npc int) (out []int32, starts []int32) {
-	out, starts = st.bucketCtxsByPC(npc)
-	for i := 0; i < npc; i++ {
-		st.sortBucket(o, out[starts[i]:starts[i+1]])
+	// Group the new handles by owning PC: PC h's group is
+	// add[ends[h-1]:ends[h]] (ends[-1] = 0), each in key order.
+	ends := append(p.endsBuf[:0], make([]int32, npc)...)
+	for i := range st.ctxs[n:] {
+		ends[st.ctxs[n+i].pcIdx]++
 	}
-	return out, starts
+	for h := 1; h < npc; h++ {
+		ends[h] += ends[h-1]
+	}
+	add := append(p.addBuf[:0], make([]int32, nctx-n)...)
+	for h := nctx - 1; h >= n; h-- {
+		pcIdx := st.ctxs[h].pcIdx
+		ends[pcIdx]--
+		add[ends[pcIdx]] = int32(h)
+	}
+	// The scatter left ends[h] at the start of group h; shift it to the end.
+	copy(ends, ends[1:])
+	ends[npc-1] = int32(len(add))
+	byKey := func(a, b int32) int { return st.keyCmp(o, a, b) }
+	for h, lo := 0, int32(0); h < npc; h++ {
+		if ends[h]-lo > 1 {
+			slices.SortFunc(add[lo:ends[h]], byKey)
+		}
+		lo = ends[h]
+	}
+	p.addBuf, p.endsBuf = add, ends
+	c.hs = append(c.hs, add...) // final length; the merge rewrites the tail
+	// Walk the buckets from the last PC down. j counts the new contexts
+	// not yet placed, all owned by PCs <= h, so bucket h moves up by j:
+	// its old range [lo, hi) merges with add[k:j] into [lo+k, hi+j).
+	// Writes land at or above every unread old slot. Once j is 0 the
+	// lower buckets are already in place.
+	j := len(add)
+	for h := npc - 1; j > 0; h-- {
+		lo, hi := int(c.starts[h]), int(c.starts[h+1])
+		k := 0
+		if h > 0 {
+			k = int(ends[h-1])
+		}
+		c.starts[h+1] = int32(hi + j)
+		r := hi // old entries [lo, r) unplaced; the next write goes to r+j-1
+		for j > k {
+			if r > lo && st.keyCmp(o, c.hs[r-1], add[j-1]) > 0 {
+				r--
+				c.hs[r+j] = c.hs[r]
+			} else {
+				j--
+				c.hs[r+j] = add[j]
+			}
+		}
+		copy(c.hs[lo+k:r+k], c.hs[lo:r])
+	}
 }
 
 // encodeCtx emits one context: value-list length, best ordinal, then the
@@ -757,52 +813,9 @@ func (p *FCM) encodeCtx(e *stateEncoder, c *fcmCtxEnt) {
 // records: history, update count, and for each order 0..k the context
 // table with full-concatenation keys in lexicographic order, streamed
 // straight from the key slab with no intermediate string. The encoding is
-// byte-identical to the original map-backed implementation's.
-func (p *FCM) SaveState(w io.Writer) error {
-	var e stateEncoder
-	e.uvarint(uint64(p.order))
-	blend := uint64(0)
-	if p.blend {
-		blend = 1
-	}
-	e.uvarint(blend)
-	e.uvarint(uint64(len(p.pcs)))
-	npc := len(p.pcs)
-	grouped := make([][]int32, p.order+1)
-	starts := make([][]int32, p.order+1)
-	for o := 1; o <= p.order; o++ {
-		grouped[o], starts[o] = p.ords[o].groupCtxsByPC(o, npc)
-	}
-	var prev uint64
-	for _, h := range p.sortedPCHandles() {
-		s := &p.pcs[h]
-		e.uvarint(s.pc - prev)
-		prev = s.pc
-		e.uvarint(uint64(s.n))
-		for i := 0; i < int(s.n); i++ {
-			e.uvarint(s.hist[i])
-		}
-		e.uvarint(s.updates)
-		if s.ctx0 >= 0 {
-			e.uvarint(1)
-			p.encodeCtx(&e, &p.ords[0].ctxs[s.ctx0])
-		} else {
-			e.uvarint(0)
-		}
-		for o := 1; o <= p.order; o++ {
-			st := &p.ords[o]
-			bucket := grouped[o][starts[o][h]:starts[o][h+1]]
-			e.uvarint(uint64(len(bucket)))
-			for _, ch := range bucket {
-				for _, kv := range st.keys[int(ch)*o : (int(ch)+1)*o] {
-					e.le64(kv) // full concatenation: exactly 8*o bytes
-				}
-				p.encodeCtx(&e, &st.ctxs[ch])
-			}
-		}
-	}
-	return e.flushTo(w)
-}
+// byte-identical to the original map-backed implementation's. It is the
+// chunked save written out whole.
+func (p *FCM) SaveState(w io.Writer) error { return WriteChunks(p, w) }
 
 // cachedPCHandles is sortedPCHandles with the saveOrder cache: a cached
 // permutation of matching length that is still strictly ascending over
@@ -831,12 +844,11 @@ func (p *FCM) cachedPCHandles() []int32 {
 }
 
 // SaveStateChunks implements ChunkedStateful: the exact SaveState stream
-// split at per-PC record boundaries. Context handles are counting-sorted
-// into per-PC buckets through groupCache — rebuilt only when contexts or
-// PCs were added since the previous save — and each bucket's canonical
-// key sort runs lazily, only when its PC's record is actually encoded. A
-// steady-state delta save therefore skips the record encode of every
-// clean chunk and pays no per-save bucketing at all.
+// split at per-PC record boundaries. Each order's canonical index is
+// brought up to date first (syncCanon), after which every PC's contexts
+// are one bucket read, so a delta save that skips clean chunks pays
+// only for the contexts added since the previous save and the records
+// it encodes.
 func (p *FCM) SaveStateChunks(cs *ChunkSaver) error {
 	var hdr stateEncoder
 	hdr.uvarint(uint64(p.order))
@@ -846,20 +858,10 @@ func (p *FCM) SaveStateChunks(cs *ChunkSaver) error {
 	}
 	hdr.uvarint(blend)
 	hdr.uvarint(uint64(len(p.pcs)))
-	npc := len(p.pcs)
-	if p.groupCache == nil {
-		p.groupCache = make([]fcmGroupCache, p.order+1)
-	}
 	for o := 1; o <= p.order; o++ {
-		c := &p.groupCache[o]
-		if c.nctx != len(p.ords[o].ctxs) || len(c.starts) != npc+1 {
-			c.grouped, c.starts = p.ords[o].bucketCtxsByPC(npc)
-			c.sorted = make([]bool, npc)
-			c.nctx = len(p.ords[o].ctxs)
-		}
+		p.syncCanon(o)
 	}
-	hs := p.cachedPCHandles()
-	return chunkedSave(cs, hs, func(h int32) uint64 { return p.pcs[h].pc }, &hdr,
+	return chunkedSave(cs, p.cachedPCHandles(), func(h int32) uint64 { return p.pcs[h].pc }, &hdr,
 		func(e *stateEncoder, h int32) {
 			s := &p.pcs[h]
 			e.uvarint(uint64(s.n))
@@ -875,16 +877,11 @@ func (p *FCM) SaveStateChunks(cs *ChunkSaver) error {
 			}
 			for o := 1; o <= p.order; o++ {
 				st := &p.ords[o]
-				c := &p.groupCache[o]
-				bucket := c.grouped[c.starts[h]:c.starts[h+1]]
-				if !c.sorted[h] {
-					st.sortBucket(o, bucket)
-					c.sorted[h] = true
-				}
+				bucket := st.canon.hs[st.canon.starts[h]:st.canon.starts[h+1]]
 				e.uvarint(uint64(len(bucket)))
 				for _, ch := range bucket {
 					for _, kv := range st.keys[int(ch)*o : (int(ch)+1)*o] {
-						e.le64(kv)
+						e.le64(kv) // full concatenation: exactly 8*o bytes
 					}
 					p.encodeCtx(e, &st.ctxs[ch])
 				}
@@ -895,7 +892,10 @@ func (p *FCM) SaveStateChunks(cs *ChunkSaver) error {
 // LoadState implements Stateful. The stream is decoded into a fresh store
 // (swapped in only on success, so a failed load leaves the receiver
 // untouched) and the rolling signatures are rebuilt from each restored
-// history.
+// history. Each context key is compared with its predecessor at the same
+// PC: an order whose input arrived in canonical order seeds its save
+// index as the identity, and any other valid input is re-sorted in full
+// by the next save, so SaveState stays canonical either way.
 func (p *FCM) LoadState(r io.Reader) error {
 	d := newStateDecoder(r)
 	order := d.count(MaxFCMOrder)
@@ -907,6 +907,7 @@ func (p *FCM) LoadState(r io.Reader) error {
 	}
 	npc := d.uvarint()
 	store := newFCMStore(p.order)
+	var unsorted [MaxFCMOrder + 1]bool
 	var pc uint64
 	for i := uint64(0); i < npc && d.err == nil; i++ {
 		pc += d.uvarint()
@@ -951,6 +952,10 @@ func (p *FCM) LoadState(r io.Reader) error {
 						return errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, pc))
 					}
 					hnd = st.insert(pcIdx, sig, key[:o])
+					// A PC's contexts of one order get consecutive handles.
+					if k > 0 && st.keyCmp(o, hnd-1, hnd) > 0 {
+						unsorted[o] = true
+					}
 				}
 				nv := d.uvarint()
 				best := d.uvarint()
@@ -980,9 +985,13 @@ func (p *FCM) LoadState(r io.Reader) error {
 	if err := d.expectEOF(); err != nil {
 		return errState(p.Name(), err)
 	}
+	for o := 1; o <= p.order; o++ {
+		if !unsorted[o] {
+			store.ords[o].canon.loaded = len(store.ords[o].ctxs)
+		}
+	}
 	p.fcmStore.arena.Release()
 	p.fcmStore = store
-	p.groupCache = nil
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -178,6 +180,12 @@ func (p *refFCM) PCEntries() map[uint64]int {
 }
 
 func (p *refFCM) SaveState(w io.Writer) error {
+	return p.saveState(w, func(_ uint64, _ int, keys []string) { sort.Strings(keys) })
+}
+
+// saveState is SaveState with each (PC, order) context list laid out by
+// arrange, so tests can build valid states that are not canonical.
+func (p *refFCM) saveState(w io.Writer, arrange func(pc uint64, o int, keys []string)) error {
 	var e stateEncoder
 	e.uvarint(uint64(p.order))
 	blend := uint64(0)
@@ -208,7 +216,7 @@ func (p *refFCM) SaveState(w io.Writer) error {
 			for k := range t {
 				keys = append(keys, k)
 			}
-			sort.Strings(keys)
+			arrange(pc, o, keys)
 			for _, key := range keys {
 				e.bytes([]byte(key))
 				c := t[key]
@@ -343,6 +351,164 @@ func TestFCMFlatLoadsReferenceState(t *testing.T) {
 			}
 			if got, want := saveBytes(t, flat), refSaveBytes(t, ref); !bytes.Equal(got, want) {
 				t.Fatal("states diverged after restored replay")
+			}
+		})
+	}
+}
+
+// growthPhase is phase ph of a trace whose PC set widens every phase and
+// whose values drift between phases, so each phase adds contexts both on
+// PCs seen before and on new ones. PCs are scrambled, so new PCs land
+// between old ones in ascending order. Values vary in their low and high
+// bytes, which the canonical (byte-reversed) key order weighs differently.
+func growthPhase(ph int, rng *rand.Rand) []struct{ PC, Value uint64 } {
+	evs := make([]struct{ PC, Value uint64 }, 600)
+	npc := 8 * (ph + 1)
+	for i := range evs {
+		pc := (uint64(rng.Intn(npc)) * sigMult) >> 40
+		var v uint64
+		switch rng.Intn(4) {
+		case 0:
+			v = uint64(rng.Intn(4 + ph))
+		case 1:
+			v = uint64(rng.Intn(4+ph)) << 56
+		case 2:
+			v = rng.Uint64() >> uint(rng.Intn(64))
+		default:
+			v = uint64(i % 5)
+		}
+		evs[i] = struct{ PC, Value uint64 }{pc, v}
+	}
+	return evs
+}
+
+// TestFCMSaveWithGrowth saves one FCM again and again while its tables
+// grow: traffic that adds contexts on old and new PCs alternates with
+// SaveState and WriteChunks calls in random order, with a LoadState
+// round trip midway and a Reset later. Every save must equal, byte for
+// byte, the save of a fresh FCM that replayed the same events since the
+// last Reset — the order index kept across saves must be
+// indistinguishable from one built from scratch.
+func TestFCMSaveWithGrowth(t *testing.T) {
+	for _, order := range []int{1, 2, 3, 8} {
+		for _, blend := range []bool{true, false} {
+			t.Run(fmt.Sprintf("order%d_blend%v", order, blend), func(t *testing.T) {
+				newFCM := func() *FCM {
+					if blend {
+						return NewFCM(order)
+					}
+					return NewFCMNoBlend(order)
+				}
+				rng := rand.New(rand.NewSource(int64(order)))
+				p := newFCM()
+				var prefix []struct{ PC, Value uint64 } // events since the last Reset
+				saves := 0
+				save := func() []byte {
+					t.Helper()
+					var buf bytes.Buffer
+					var err error
+					if rng.Intn(2) == 0 {
+						err = p.SaveState(&buf)
+					} else {
+						err = WriteChunks(p, &buf)
+					}
+					if err != nil {
+						t.Fatalf("save %d: %v", saves, err)
+					}
+					fresh := newFCM()
+					for _, ev := range prefix {
+						fresh.Update(ev.PC, ev.Value)
+					}
+					if want := saveBytes(t, fresh); !bytes.Equal(buf.Bytes(), want) {
+						t.Fatalf("save %d after %d events differs from a fresh replay (%d vs %d bytes)",
+							saves, len(prefix), buf.Len(), len(want))
+					}
+					saves++
+					return buf.Bytes()
+				}
+				const phases = 12
+				for ph := 0; ph < phases; ph++ {
+					switch ph {
+					case phases / 2:
+						if err := p.LoadState(bytes.NewReader(save())); err != nil {
+							t.Fatalf("LoadState: %v", err)
+						}
+					case phases * 3 / 4:
+						p.Reset()
+						prefix = prefix[:0]
+					}
+					for _, ev := range growthPhase(ph, rng) {
+						p.Update(ev.PC, ev.Value)
+						prefix = append(prefix, ev)
+					}
+					for n := rng.Intn(3); n > 0; n-- {
+						save()
+					}
+				}
+				save()
+				if _, total := p.TableEntries(); total < 500 {
+					t.Fatalf("trace too small to exercise the index: %d contexts", total)
+				}
+			})
+		}
+	}
+}
+
+// TestFCMLoadsNonCanonicalState loads a valid state in which one PC's
+// top-order contexts arrive in reverse key order. The load must succeed,
+// and the next save — and every save after further growth — must come
+// out canonical.
+func TestFCMLoadsNonCanonicalState(t *testing.T) {
+	evs := parityStream(6000)
+	for _, order := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("order%d", order), func(t *testing.T) {
+			ref := newRefFCM(order, true)
+			for _, ev := range evs[:3000] {
+				ref.Update(ev.PC, ev.Value)
+			}
+			target, found := uint64(0), false
+			for pc, s := range ref.table {
+				if len(s.ctxs[order]) >= 2 && (!found || pc < target) {
+					target, found = pc, true
+				}
+			}
+			if !found {
+				t.Fatal("no PC with two top-order contexts")
+			}
+			var state bytes.Buffer
+			err := ref.saveState(&state, func(pc uint64, o int, keys []string) {
+				sort.Strings(keys)
+				if pc == target && o == order {
+					slices.Reverse(keys)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			canonical := refSaveBytes(t, ref)
+			if bytes.Equal(state.Bytes(), canonical) {
+				t.Fatal("test state is already canonical")
+			}
+			flat := NewFCM(order)
+			if err := flat.LoadState(bytes.NewReader(state.Bytes())); err != nil {
+				t.Fatalf("LoadState of a valid non-canonical state: %v", err)
+			}
+			if got := saveBytes(t, flat); !bytes.Equal(got, canonical) {
+				t.Fatalf("first save after a non-canonical load is not canonical (%d vs %d bytes)",
+					len(got), len(canonical))
+			}
+			for i, ev := range evs[3000:] {
+				ref.Update(ev.PC, ev.Value)
+				flat.Update(ev.PC, ev.Value)
+				if i%1000 == 999 {
+					var got bytes.Buffer
+					if err := WriteChunks(flat, &got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), refSaveBytes(t, ref)) {
+						t.Fatalf("save after %d more events diverged from the reference", i+1)
+					}
+				}
 			}
 		})
 	}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/arena"
 )
@@ -120,7 +121,7 @@ func sortedHandles(pcs []uint64) []int32 {
 	for i := range hs {
 		hs[i] = int32(i)
 	}
-	sort.Slice(hs, func(i, j int) bool { return pcs[hs[i]] < pcs[hs[j]] })
+	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(pcs[a], pcs[b]) })
 	return hs
 }
 
@@ -191,8 +192,7 @@ func (s *PCSet) AppendSorted(dst []uint64) []uint64 {
 			dst = append(dst, sl.pc)
 		}
 	}
-	tail := dst[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
+	slices.Sort(dst[start:])
 	return dst
 }
 

@@ -46,8 +46,20 @@ func (s *Server) handleConn(conn net.Conn) {
 		// reader never blocks on a full response queue. Every pending is
 		// recycled here: once its done signal has been consumed, no shard
 		// references its buffers anymore.
+		//
+		// The writer flushes before every wait — on a result that is not
+		// done yet, or on an empty queue — so a finished result never
+		// sits in the buffer behind a slower one, while results that are
+		// already done coalesce into one write.
 		for p := range resp {
-			<-p.done
+			select {
+			case <-p.done:
+			default:
+				if werr == nil {
+					werr = bw.Flush()
+				}
+				<-p.done
+			}
 			// The request is complete: observe whole-request latency (the
 			// adaptive slow threshold's input) and, for traced requests,
 			// record the root span and make the tail-sampling decision.
@@ -73,9 +85,6 @@ func (s *Server) handleConn(conn net.Conn) {
 				s.metrics.framesOut.Inc()
 				s.metrics.bytesOut.Add(uint64(4 + len(buf)))
 				if werr = writeFrame(bw, buf); werr == nil && len(resp) == 0 {
-					// Flush only when no further result is immediately
-					// ready, so back-to-back pipelined responses coalesce
-					// into one write.
 					werr = bw.Flush()
 				}
 			}
