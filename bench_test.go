@@ -536,9 +536,11 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 }
 
 // BenchmarkSnapshotRestore measures the full warm-restart path: decode,
-// verify and load every predictor table into fresh instances. events/op
-// is the events-to-warm equivalent — the stream length a cold server
-// would have to re-serve to reach the same state.
+// verify and load every predictor table into fresh instances, the four
+// shards in parallel through the same loader Server.Restore uses.
+// events/op is the events-to-warm equivalent — the stream length a cold
+// server would have to re-serve to reach the same state. CI ratchets
+// its ns/op.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	_, data := trainedSnapshot(b)
 	b.SetBytes(int64(len(data)))

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // TestPredictorsSteadyStateZeroAlloc pins the flat storage layer's core
 // property: once every PC, context and value has been seen, the
@@ -162,5 +165,33 @@ func TestBankObserverZeroAlloc(t *testing.T) {
 				t.Fatal("observer saw no events")
 			}
 		})
+	}
+}
+
+// TestFCMLoadStateAllocs gates the restore path's allocations: loading an
+// FCM(3) state learned from 300K events (about 450K contexts) must cost a
+// number of allocations that grows with the number of slab doublings,
+// not with the number of contexts or key words. A decoder that allocated
+// per key word made about 900,000 here.
+func TestFCMLoadStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	src := NewFCM(3)
+	for _, ev := range trainStream(300_000) {
+		src.Update(ev.PC, ev.Value)
+	}
+	state := saveBytes(t, src)
+	p := NewFCM(3)
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := p.LoadState(bytes.NewReader(state)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if _, ctxs := p.TableEntries(); ctxs < 300_000 {
+		t.Fatalf("state too small to gate: %d contexts", ctxs)
+	}
+	if allocs >= 1000 {
+		t.Fatalf("loading %d bytes of FCM(3) state made %.0f allocations, want < 1000", len(state), allocs)
 	}
 }

@@ -627,14 +627,25 @@ func (st *fcmStore) relocateRun(c *fcmCtxEnt) {
 	c.valOff, c.valCap = off, newCap
 }
 
-// appendVal tail-appends a value with an explicit count (LoadState path;
-// the cached prediction is derived afterwards from the loaded ordinal).
-func (st *fcmStore) appendVal(c *fcmCtxEnt, value uint64, count uint32) {
-	if c.nvals == c.valCap {
-		st.relocateRun(c)
+// loadRun installs a decoded (value, count) list as c's run with the
+// prediction at ordinal best. The run is reserved once, at the next power
+// of two: the capacity appendNewValue's doublings reach from empty, so
+// the loaded table keeps growing exactly as the saved one would have,
+// and the reservation stays within twice the values the input held.
+func (st *fcmStore) loadRun(c *fcmCtxEnt, run []fcmVal, best int32) {
+	c.best = best
+	if len(run) == 0 {
+		return
 	}
-	st.vals[c.valOff+c.nvals] = fcmVal{value: value, count: count}
-	c.nvals++
+	capRun := 1 << bits.Len32(uint32(len(run)-1))
+	st.vals = arena.Grow(st.arena, st.vals, capRun)
+	c.valOff, c.valCap, c.nvals = int32(len(st.vals)), int32(capRun), int32(len(run))
+	st.vals = append(st.vals, run...)
+	st.vals = append(st.vals, make([]fcmVal, capRun-len(run))...)
+	c.bestVal, c.bestCnt = run[best].value, run[best].count
+	if c.nvals >= fcmHashThreshold {
+		st.promote(c)
+	}
 }
 
 // pushValue appends v to the value history and rolls every order's
@@ -694,13 +705,16 @@ func (p *FCM) sortedPCHandles() []int32 {
 	return hs
 }
 
-// keyCmp orders two contexts of order o by their canonical wire form:
-// the lexicographic order of the little-endian concatenation of their
-// values, which per value is the numeric order of the byte-reversed
-// value.
-func (st *fcmOrderStore) keyCmp(o int, a, b int32) int {
-	ka := st.keys[int(a)*o : (int(a)+1)*o]
-	kb := st.keys[int(b)*o : (int(b)+1)*o]
+// key returns the values of context h of order o.
+func (st *fcmOrderStore) key(o int, h int32) []uint64 {
+	return st.keys[int(h)*o : (int(h)+1)*o]
+}
+
+// canonCmp orders two equal-length context keys by their canonical wire
+// form: the lexicographic order of the little-endian concatenation of
+// their values, which per value is the numeric order of the
+// byte-reversed value.
+func canonCmp(ka, kb []uint64) int {
 	for j := range ka {
 		if x, y := bits.ReverseBytes64(ka[j]), bits.ReverseBytes64(kb[j]); x != y {
 			return cmp.Compare(x, y)
@@ -760,7 +774,7 @@ func (p *FCM) syncCanon(o int) {
 	// The scatter left ends[h] at the start of group h; shift it to the end.
 	copy(ends, ends[1:])
 	ends[npc-1] = int32(len(add))
-	byKey := func(a, b int32) int { return st.keyCmp(o, a, b) }
+	byKey := func(a, b int32) int { return canonCmp(st.key(o, a), st.key(o, b)) }
 	for h, lo := 0, int32(0); h < npc; h++ {
 		if ends[h]-lo > 1 {
 			slices.SortFunc(add[lo:ends[h]], byKey)
@@ -784,7 +798,7 @@ func (p *FCM) syncCanon(o int) {
 		c.starts[h+1] = int32(hi + j)
 		r := hi // old entries [lo, r) unplaced; the next write goes to r+j-1
 		for j > k {
-			if r > lo && st.keyCmp(o, c.hs[r-1], add[j-1]) > 0 {
+			if r > lo && canonCmp(st.key(o, c.hs[r-1]), st.key(o, add[j-1])) > 0 {
 				r--
 				c.hs[r+j] = c.hs[r]
 			} else {
@@ -893,9 +907,14 @@ func (p *FCM) SaveStateChunks(cs *ChunkSaver) error {
 // (swapped in only on success, so a failed load leaves the receiver
 // untouched) and the rolling signatures are rebuilt from each restored
 // history. Each context key is compared with its predecessor at the same
-// PC: an order whose input arrived in canonical order seeds its save
-// index as the identity, and any other valid input is re-sorted in full
-// by the next save, so SaveState stays canonical either way.
+// PC and order before it is inserted: an equal key is a duplicate, and
+// while a PC's keys keep ascending a greater key cannot be one, so the
+// table is probed for duplicates only after an out-of-order key. An
+// order whose input arrived in canonical order seeds its save index as
+// the identity; any other valid input is re-sorted in full by the next
+// save, so SaveState stays canonical either way. Each value list is
+// decoded into reused scratch and reserved once (loadRun), so a
+// canonical load is one linear pass.
 func (p *FCM) LoadState(r io.Reader) error {
 	d := newStateDecoder(r)
 	order := d.count(MaxFCMOrder)
@@ -908,6 +927,7 @@ func (p *FCM) LoadState(r io.Reader) error {
 	npc := d.uvarint()
 	store := newFCMStore(p.order)
 	var unsorted [MaxFCMOrder + 1]bool
+	var run []fcmVal // one context's value list; grows only with decoded input
 	var pc uint64
 	for i := uint64(0); i < npc && d.err == nil; i++ {
 		pc += d.uvarint()
@@ -931,6 +951,7 @@ func (p *FCM) LoadState(r io.Reader) error {
 		var key [MaxFCMOrder]uint64
 		for o := 0; o <= p.order && d.err == nil; o++ {
 			nctx := d.uvarint()
+			ascending := true // this PC's order-o keys so far are strictly ascending
 			for k := uint64(0); k < nctx && d.err == nil; k++ {
 				var hnd int32
 				if o == 0 {
@@ -948,36 +969,34 @@ func (p *FCM) LoadState(r io.Reader) error {
 					}
 					sig := sigOf(key[:o])
 					st := &store.ords[o]
-					if st.find(pcIdx, sig, key[:o]) >= 0 {
+					dup := false
+					if k > 0 {
+						// A PC's contexts of one order get consecutive
+						// handles, so the previous key is the last one stored.
+						c := canonCmp(st.keys[len(st.keys)-o:], key[:o])
+						dup = c == 0
+						if c > 0 {
+							ascending, unsorted[o] = false, true
+						}
+					}
+					if dup || (!ascending && st.find(pcIdx, sig, key[:o]) >= 0) {
 						return errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, pc))
 					}
 					hnd = st.insert(pcIdx, sig, key[:o])
-					// A PC's contexts of one order get consecutive handles.
-					if k > 0 && st.keyCmp(o, hnd-1, hnd) > 0 {
-						unsorted[o] = true
-					}
 				}
 				nv := d.uvarint()
 				best := d.uvarint()
 				if d.err == nil && best >= max(nv, 1) {
 					return errState(p.Name(), fmt.Errorf("best index %d out of range for %d values", best, nv))
 				}
-				c := &store.ords[o].ctxs[hnd]
-				c.best = int32(best)
+				run = run[:0]
 				for vi := uint64(0); vi < nv && d.err == nil; vi++ {
 					value := d.uvarint()
 					count := d.count(1<<32 - 1)
-					if d.err != nil {
-						break
-					}
-					store.appendVal(c, value, uint32(count))
+					run = append(run, fcmVal{value: value, count: uint32(count)})
 				}
-				if d.err == nil && c.nvals > 0 {
-					bv := store.vals[c.valOff+c.best]
-					c.bestVal, c.bestCnt = bv.value, bv.count
-				}
-				if d.err == nil && c.nvals >= fcmHashThreshold {
-					store.promote(c)
+				if d.err == nil {
+					store.loadRun(&store.ords[o].ctxs[hnd], run, int32(best))
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -511,5 +512,57 @@ func TestFCMLoadsNonCanonicalState(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fcm1State hand-builds a blended FCM(1) state holding one PC whose
+// order-1 contexts have the given keys, written in the given order;
+// context k predicts 100+k. With ascending keys it is exactly what
+// SaveState writes for that table.
+func fcm1State(keys ...uint64) []byte {
+	var e stateEncoder
+	e.uvarint(1)    // order
+	e.uvarint(1)    // blend
+	e.uvarint(1)    // PCs
+	e.uvarint(0x40) // first PC delta
+	e.uvarint(1)    // history length
+	e.uvarint(7)
+	e.uvarint(uint64(len(keys) + 1)) // updates
+	e.uvarint(1)                     // order-0 context: one value, best 0
+	e.uvarint(1)
+	e.uvarint(0)
+	e.uvarint(7)
+	e.uvarint(uint64(len(keys)))
+	e.uvarint(uint64(len(keys))) // order-1 contexts
+	for _, k := range keys {
+		e.le64(k)
+		e.uvarint(1) // one value, best 0, count 1
+		e.uvarint(0)
+		e.uvarint(100 + k)
+		e.uvarint(1)
+	}
+	return e.buf
+}
+
+// TestFCMLoadStateRejectsDuplicateContexts: a state that lists one
+// context twice at the same PC and order is corrupt, wherever the repeat
+// falls relative to the keys between. [3,5,3] repeats a key after an
+// ascending step and [5,3,5] after a descending one, so a load that
+// checks only the previous key, or stops checking after the keys turn
+// out of order, accepts one of them. Distinct keys out of order ([5,3,4])
+// are valid and must save back in canonical order.
+func TestFCMLoadStateRejectsDuplicateContexts(t *testing.T) {
+	for _, keys := range [][]uint64{{1, 1}, {3, 5, 3}, {5, 3, 5}} {
+		err := NewFCM(1).LoadState(bytes.NewReader(fcm1State(keys...)))
+		if err == nil || !strings.Contains(err.Error(), "duplicate order-1 context") {
+			t.Errorf("keys %v: LoadState = %v, want a duplicate-context error", keys, err)
+		}
+	}
+	p := NewFCM(1)
+	if err := p.LoadState(bytes.NewReader(fcm1State(5, 3, 4))); err != nil {
+		t.Fatalf("keys [5 3 4]: %v", err)
+	}
+	if got, want := saveBytes(t, p), fcm1State(3, 4, 5); !bytes.Equal(got, want) {
+		t.Fatalf("save after loading keys [5 3 4] is not canonical:\n got %x\nwant %x", got, want)
 	}
 }

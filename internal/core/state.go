@@ -180,20 +180,24 @@ func (d *stateDecoder) blob() []byte {
 }
 
 // le64 reads one fixed-width little-endian uint64 (the inverse of
-// stateEncoder.le64), with no per-value allocation.
+// stateEncoder.le64) straight from the reader's buffer, so it never
+// allocates: a local array handed to io.ReadFull would escape through
+// the io.Reader interface once per key word.
 func (d *stateDecoder) le64() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	var b [8]byte
-	if _, err := io.ReadFull(d.r, b[:]); err != nil {
+	b, err := d.r.Peek(8)
+	if err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		d.err = err
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b[:])
+	v := binary.LittleEndian.Uint64(b)
+	d.r.Discard(8) // cannot fail: Peek just buffered these 8 bytes
+	return v
 }
 
 // expectEOF fails unless the stream is fully consumed.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -186,7 +187,10 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, pl
 // yet, replacing every shard's predictors, tallies, PC sets and event
 // counts. The server must be configured with the snapshot's exact shard
 // count and predictor bank; after Start it continues bit-identically to
-// the server that wrote the checkpoint.
+// the server that wrote the checkpoint. The shards load in parallel, one
+// goroutine each, and the restore is all-or-nothing: the loaded state is
+// swapped in only once every shard has loaded, so on error the server
+// keeps its cold state and RestoredFrom stays "".
 func (s *Server) Restore(snap *snapshot.Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -201,21 +205,74 @@ func (s *Server) Restore(snap *snapshot.Snapshot) error {
 		return fmt.Errorf("serve: snapshot %s predictor bank %v does not match server bank %v",
 			snap.Meta.ID, snap.Meta.Predictors, s.predNames)
 	}
-	var events uint64
-	for i, sh := range s.shards {
-		if err := sh.restore(snap.Shards[i], s.cfg.Predictors, len(s.shards)); err != nil {
+	t0 := time.Now()
+	pcs := make([]core.PCSet, len(s.shards))
+	for i := range s.shards {
+		var err error
+		if pcs[i], err = shardPCs(i, snap.Shards[i].PCs, len(s.shards)); err != nil {
 			return err
 		}
+	}
+	banks, err := loadShards(s.cfg.Predictors, snap.Shards)
+	if err != nil {
+		return err
+	}
+	var events uint64
+	for i, sh := range s.shards {
+		sh.install(snap.Shards[i], banks[i], pcs[i])
 		events += snap.Shards[i].Events
 	}
+	dur := time.Since(t0)
 	s.eventsServed.Store(events)
 	s.restoredID = snap.Meta.ID
 	s.restoredAt = time.Now()
 	s.metrics.restoreTotal.Inc()
 	s.metrics.restoredEvents.Set(int64(events))
-	s.ring.Add(obs.StageEvent{Kind: evRestore, Shard: -1, N: events, Detail: snap.Meta.ID})
-	s.log.Info("warm restore", "id", snap.Meta.ID, "events", events, "shards", len(s.shards))
+	s.ring.Add(obs.StageEvent{Kind: evRestore, Shard: -1, DurNs: dur.Nanoseconds(), N: events, Detail: snap.Meta.ID})
+	s.log.Info("warm restore", "id", snap.Meta.ID, "events", events, "shards", len(s.shards), "load", dur)
 	return nil
+}
+
+// loadShards loads every shard section's predictors concurrently, one
+// goroutine per shard, and returns once all of them have finished: the
+// predictor banks in shard order, or the error of the lowest failing
+// shard.
+func loadShards(facs []core.NamedFactory, shards []snapshot.ShardState) ([][]core.Predictor, error) {
+	banks := make([][]core.Predictor, len(shards))
+	errs := make([]error, len(shards))
+	var wg sync.WaitGroup
+	for i := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			banks[i], errs[i] = loadPredictors(facs, i, shards[i])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return banks, nil
+}
+
+// loadPredictors builds shard si's predictors from their factories and
+// loads each from its saved state.
+func loadPredictors(facs []core.NamedFactory, si int, st snapshot.ShardState) ([]core.Predictor, error) {
+	preds := make([]core.Predictor, len(facs))
+	for i, f := range facs {
+		p := f.New()
+		stateful, ok := p.(core.Stateful)
+		if !ok {
+			return nil, fmt.Errorf("serve: predictor %q does not implement core.Stateful", f.Name)
+		}
+		if err := stateful.LoadState(bytes.NewReader(st.Preds[i].State)); err != nil {
+			return nil, fmt.Errorf("serve: shard %d: restoring %q: %w", si, f.Name, err)
+		}
+		preds[i] = p
+	}
+	return preds, nil
 }
 
 // RestoredFrom returns the snapshot ID this server was warm-started
@@ -248,7 +305,8 @@ type WarmBank struct {
 const warmChunk = 4096
 
 // NewWarmBank builds the per-shard banks from a snapshot, resolving
-// predictors through the registry.
+// predictors through the registry; the shards load in parallel through
+// the same loader Server.Restore uses.
 func NewWarmBank(snap *snapshot.Snapshot) (*WarmBank, error) {
 	facs := make([]core.NamedFactory, len(snap.Meta.Predictors))
 	for i, name := range snap.Meta.Predictors {
@@ -258,25 +316,17 @@ func NewWarmBank(snap *snapshot.Snapshot) (*WarmBank, error) {
 		}
 		facs[i] = fac
 	}
+	banks, err := loadShards(facs, snap.Shards)
+	if err != nil {
+		return nil, err
+	}
 	b := &WarmBank{
 		names:  append([]string(nil), snap.Meta.Predictors...),
-		shards: make([]*core.Bank, snap.Meta.Shards),
-		cnt:    make([]int, snap.Meta.Shards),
-		pos:    make([]int, snap.Meta.Shards),
+		shards: make([]*core.Bank, len(banks)),
+		cnt:    make([]int, len(banks)),
+		pos:    make([]int, len(banks)),
 	}
-	for si := range b.shards {
-		preds := make([]core.Predictor, len(facs))
-		for pi, fac := range facs {
-			p := fac.New()
-			st, ok := p.(core.Stateful)
-			if !ok {
-				return nil, fmt.Errorf("serve: predictor %q does not implement core.Stateful", fac.Name)
-			}
-			if err := st.LoadState(bytes.NewReader(snap.Shards[si].Preds[pi].State)); err != nil {
-				return nil, fmt.Errorf("serve: shard %d predictor %q: %w", si, fac.Name, err)
-			}
-			preds[pi] = p
-		}
+	for si, preds := range banks {
 		b.shards[si] = core.NewBank(preds...)
 	}
 	return b, nil

@@ -6,9 +6,11 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -251,6 +253,61 @@ func TestRestoreValidation(t *testing.T) {
 	}
 }
 
+// TestRestoreAllOrNothing: a snapshot whose shard 1 fcm3 state is
+// truncated must fail to restore without touching any shard, even though
+// shard 0's section is intact. After Start the server is cold: every
+// shard reports 0 events and there is no restore provenance.
+func TestRestoreAllOrNothing(t *testing.T) {
+	evs, _ := capturedStream(t)
+	dir := t.TempDir()
+	s, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	driveAll(t, s, evs[:8000], 2)
+	ck, err := s.WriteCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	snap, err := snapshot.ReadFile(ck.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Shards[0].Events == 0 {
+		t.Fatal("shard 0 captured no events; the test needs one to restore")
+	}
+	fi := slices.Index(snap.Meta.Predictors, "fcm3")
+	if fi < 0 {
+		t.Fatalf("no fcm3 in bank %v", snap.Meta.Predictors)
+	}
+	st := &snap.Shards[1].Preds[fi].State
+	*st = (*st)[:len(*st)/2]
+
+	r, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(snap); err == nil {
+		t.Fatal("restore of a snapshot with a truncated shard succeeded")
+	}
+	if err := r.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if id := r.RestoredFrom(); id != "" {
+		t.Errorf("failed restore left RestoredFrom = %q", id)
+	}
+	for _, sh := range r.Stats().PerShard {
+		if sh.Events != 0 {
+			t.Errorf("shard %d reports %d events after a failed restore, want 0", sh.Shard, sh.Events)
+		}
+	}
+}
+
 // TestStatsReportsRestoreProvenance: /stats must expose state size and,
 // after a restore, the snapshot ID and restore timestamp, so a driver
 // can tell warm-from-snapshot apart from warm-from-traffic.
@@ -307,6 +364,15 @@ func TestStatsReportsRestoreProvenance(t *testing.T) {
 	}
 	if err := r.Restore(snap); err != nil {
 		t.Fatal(err)
+	}
+	var restored []obs.StageEvent
+	for _, ev := range r.EventRing().Events() {
+		if ev.Kind == evRestore {
+			restored = append(restored, ev)
+		}
+	}
+	if len(restored) != 1 || restored[0].Detail != snap.Meta.ID || restored[0].N != 8000 || restored[0].DurNs <= 0 {
+		t.Fatalf("restore ring events = %+v, want one for %s with 8000 events and its load duration", restored, snap.Meta.ID)
 	}
 	if err := r.Start("127.0.0.1:0", ""); err != nil {
 		t.Fatal(err)

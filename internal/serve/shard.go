@@ -330,32 +330,26 @@ func (sh *shard) captureState() shardStateMsg {
 	return shardStateMsg{st: st}
 }
 
-// restore replaces the shard's state from a decoded snapshot section.
-// Only legal before the shard goroutine starts. Fresh predictor
-// instances are built first, so a failed load leaves the shard's
-// previous (empty) state intact.
-func (sh *shard) restore(st snapshot.ShardState, facs []core.NamedFactory, nshards int) error {
-	preds := make([]core.Predictor, len(facs))
-	acc := make([]core.Accuracy, len(facs))
-	for i, f := range facs {
-		p := f.New()
-		stateful, ok := p.(core.Stateful)
-		if !ok {
-			return fmt.Errorf("serve: predictor %q does not implement core.Stateful", f.Name)
-		}
-		if err := stateful.LoadState(bytes.NewReader(st.Preds[i].State)); err != nil {
-			return fmt.Errorf("serve: shard %d: restoring %q: %w", sh.id, f.Name, err)
-		}
-		preds[i] = p
-		acc[i] = core.Accuracy{Correct: st.Preds[i].Correct, Total: st.Preds[i].Total}
-	}
+// shardPCs rebuilds shard id's PC set from a snapshot section, checking
+// that every PC belongs to that shard under an nshards layout.
+func shardPCs(id int, list []uint64, nshards int) (core.PCSet, error) {
 	var pcs core.PCSet
-	for _, pc := range st.PCs {
-		if nshards > 1 && ShardOf(pc, nshards) != sh.id {
-			return fmt.Errorf("serve: shard %d: snapshot PC %#x belongs to shard %d (snapshot from a different shard layout?)",
-				sh.id, pc, ShardOf(pc, nshards))
+	for _, pc := range list {
+		if nshards > 1 && ShardOf(pc, nshards) != id {
+			return core.PCSet{}, fmt.Errorf("serve: shard %d: snapshot PC %#x belongs to shard %d (snapshot from a different shard layout?)",
+				id, pc, ShardOf(pc, nshards))
 		}
 		pcs.Add(pc)
+	}
+	return pcs, nil
+}
+
+// install replaces the shard's state with predictors and a PC set loaded
+// from snapshot section st. Only legal before the shard goroutine starts.
+func (sh *shard) install(st snapshot.ShardState, preds []core.Predictor, pcs core.PCSet) {
+	acc := make([]core.Accuracy, len(preds))
+	for i := range acc {
+		acc[i] = core.Accuracy{Correct: st.Preds[i].Correct, Total: st.Preds[i].Total}
 	}
 	sh.preds, sh.acc, sh.pcs, sh.events = preds, acc, pcs, st.Events
 	sh.bank = core.NewBank(preds...)
@@ -373,7 +367,6 @@ func (sh *shard) restore(st snapshot.ShardState, facs []core.NamedFactory, nshar
 	if sh.met != nil {
 		sh.met.uniquePCs.Set(int64(sh.pcs.Len()))
 	}
-	return nil
 }
 
 // PredStat is one predictor's live tally, per shard or aggregated.

@@ -120,6 +120,39 @@ func trainedStateSeed(events int) []byte {
 	return b
 }
 
+// nonCanonicalFCMSeed builds fuzz input whose fcm3 blob is a valid FCM(3)
+// state with one PC whose order-1 and order-2 contexts are listed in
+// descending key order: the mutator starts from the LoadState path that
+// must re-sort its input, one byte away from duplicate contexts.
+func nonCanonicalFCMSeed() []byte {
+	u := binary.AppendUvarint
+	ctx := func(b []byte, keys ...uint64) []byte {
+		for _, k := range keys {
+			b = binary.LittleEndian.AppendUint64(b, k)
+		}
+		return u(u(u(u(b, 1), 0), 3), 1) // one value (3), best 0, count 1
+	}
+	st := u(u(u(u(nil, 3), 1), 1), 0x40)  // order 3, blend, one PC at 0x40
+	st = u(u(u(u(u(st, 3), 1), 2), 3), 5) // history 1 2 3, 5 updates
+	st = ctx(u(st, 1))                    // order 0
+	st = ctx(ctx(u(st, 2), 2), 1)         // order 1: keys 2, 1
+	st = ctx(ctx(u(st, 2), 2, 3), 1, 2)   // order 2: keys (2 3), (1 2)
+	st = ctx(u(st, 1), 1, 2, 3)           // order 3
+	p := core.NewFCM(3)
+	var canon bytes.Buffer
+	if err := p.LoadState(bytes.NewReader(st)); err != nil {
+		panic(err)
+	}
+	if err := p.SaveState(&canon); err != nil || bytes.Equal(canon.Bytes(), st) {
+		panic("non-canonical FCM seed does not load as non-canonical")
+	}
+	b := []byte{0 /* 1 shard */, 2 /* l, s2, fcm3 */, 1, 2, 3, 4, 9 /* events */, 0 /* npc */}
+	b = append(b, 0, 0, 1, 2) // l: empty state, correct, total
+	b = append(b, 0, 0, 1, 2) // s2: likewise
+	b = append(b, byte(len(st)), byte(len(st)>>8), 1, 2)
+	return append(b, st...)
+}
+
 // FuzzSnapshotRoundTrip: any structurally valid snapshot must encode,
 // decode to an equal value, and re-encode byte-identically; every State
 // blob the matching predictor's LoadState accepts must restore to a state
@@ -130,9 +163,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 200))
 	// Genuine trained states — order-8 FCM included — at two table
 	// shapes, so the slab-backed LoadState is fuzzed from realistic
-	// corpora rather than only from garbage.
+	// corpora rather than only from garbage, plus a valid FCM state in
+	// non-canonical context order.
 	f.Add(trainedStateSeed(120))
 	f.Add(trainedStateSeed(400))
+	f.Add(nonCanonicalFCMSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := snapshotFromBytes(data)
 		var buf bytes.Buffer
