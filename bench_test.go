@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -539,10 +540,12 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 // verify and load every predictor table into fresh instances, the four
 // shards in parallel through the same loader Server.Restore uses.
 // events/op is the events-to-warm equivalent — the stream length a cold
-// server would have to re-serve to reach the same state. CI ratchets
-// its ns/op.
+// server would have to re-serve to reach the same state. heap-B/ctx is
+// the live heap one restored bank set retains per table entry (FCM
+// contexts, almost all of them), measured once after the timed loop.
+// CI ratchets its ns/op.
 func BenchmarkSnapshotRestore(b *testing.B) {
-	_, data := trainedSnapshot(b)
+	trained, data := trainedSnapshot(b)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -555,7 +558,20 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(len(serveBenchStream())), "events/op")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	wb, err := serve.NewWarmBank(trained)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	_, entries := wb.TableEntries()
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(entries), "heap-B/ctx")
+	runtime.KeepAlive(wb)
 }
 
 // BenchmarkServeCheckpoint measures an online checkpoint of a loaded

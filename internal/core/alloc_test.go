@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+
+	"repro/internal/arena"
 )
 
 // TestPredictorsSteadyStateZeroAlloc pins the flat storage layer's core
@@ -193,5 +196,40 @@ func TestFCMLoadStateAllocs(t *testing.T) {
 	}
 	if allocs >= 1000 {
 		t.Fatalf("loading %d bytes of FCM(3) state made %.0f allocations, want < 1000", len(state), allocs)
+	}
+}
+
+// TestFCMBytesPerContext gates the FCM's retained memory: an FCM(3)
+// loaded on the heap from the state 300K events teach it (about 450K
+// contexts) must hold under 110 bytes of live heap per context, slabs,
+// slot tables and growth slack included. 20-byte context entries retain
+// about 96 here; a 48-byte entry that also caches the prediction's value
+// and count, the run capacity and a 64-bit signature retains about 138.
+func TestFCMBytesPerContext(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is not meaningful under the race detector")
+	}
+	defer func(k arena.Kind) { slabArenaKind = k }(slabArenaKind)
+	slabArenaKind = arena.Heap
+	src := NewFCM(3)
+	for _, ev := range trainStream(300_000) {
+		src.Update(ev.PC, ev.Value)
+	}
+	state := saveBytes(t, src)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := NewFCM(3)
+	if err := p.LoadState(bytes.NewReader(state)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	_, ctxs := p.TableEntries()
+	perCtx := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(ctxs)
+	runtime.KeepAlive(p)
+	t.Logf("%d contexts, %.1f B retained per context", ctxs, perCtx)
+	if perCtx >= 110 {
+		t.Fatalf("FCM(3) retains %.1f B of heap per context, want < 110", perCtx)
 	}
 }

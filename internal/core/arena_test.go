@@ -11,7 +11,7 @@ import (
 // lockstep with a heap-backed twin: every per-event hit and the final
 // SaveState bytes must be identical. The threshold is lowered so even the
 // test-sized slabs go through real mappings, and the workload is shaped to
-// cross every growth path — pcTable and signature-table rehashes, context
+// cross every growth path — pcTable and context slot-table rehashes, context
 // and key slab appends, value-run relocation, and index promotion.
 func TestFCMArenaParity(t *testing.T) {
 	defer func(old int) { arena.MmapThreshold = old }(arena.MmapThreshold)

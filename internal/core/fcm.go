@@ -31,12 +31,15 @@ const MaxFCMOrder = 16
 //
 // Storage is flat and allocation-free in steady state: per-PC state lives
 // in a slab indexed by one open-addressed pc→handle table, contexts live
-// in per-order slabs indexed by open-addressed signature tables, and the
-// (value, count) lists are handle-linked nodes in a shared slab. The
-// context signature of every order is maintained incrementally — O(1) per
-// order per event — instead of re-concatenating the history, and each
-// signature hit is verified against the stored full context before it
-// counts as a match.
+// in per-order slabs indexed by open-addressed fingerprint tables, and
+// each context's (value, count) list is one contiguous run of a shared
+// slab. The context signature of every order is maintained incrementally
+// — O(1) per order per event — instead of re-concatenating the history;
+// a probe skips every slot whose fingerprint differs without touching the
+// context slab, and a fingerprint hit is verified against the owning PC
+// and the stored full context before it counts as a match. Each value and
+// count is stored once, in the run: a context holds only the ordinal of
+// its prediction.
 //
 // Saves (SaveState, SaveStateChunks) bring each order's canonical-order
 // index up to date, so like Update they mutate the predictor and must
@@ -82,8 +85,12 @@ type fcmPCState struct {
 }
 
 // fcmOrderStore holds every context of one order across all PCs: an
-// open-addressed signature table over a context slab, plus the exact
-// context values (order values per context) for alias-free verification.
+// open-addressed slot table over a context slab, plus the exact context
+// values (order values per context) for alias-free verification. Each
+// slot word packs the upper 32 bits of the context's probe hash (its
+// fingerprint) above handle+1, and a probe starts at the hash's top
+// log2(len(slots)) bits. A probe therefore reads the context slab only
+// on a fingerprint match, and grow rehashes from the slot words alone.
 // Order 0 uses only the slab (its single per-PC context is addressed
 // directly through fcmPCState.ctx0).
 //
@@ -92,7 +99,8 @@ type fcmPCState struct {
 // learned them — so the ctxs and keys slab offsets a run walks are
 // monotonically increasing, which the hardware prefetcher follows.
 type fcmOrderStore struct {
-	slots []int32      // context handle+1; 0 = empty
+	slots []uint64     // fingerprint<<32 | context handle+1; 0 = empty
+	shift uint8        // 64 - log2(len(slots)): a probe starts at hash>>shift
 	ctxs  []fcmCtxEnt  // context slab; handle order = insertion order
 	keys  []uint64     // exact context values, order per context
 	arena *arena.Arena // shared with the owning fcmStore; nil = heap
@@ -115,20 +123,17 @@ type fcmCanon struct {
 	loaded int
 }
 
-// fcmCtxEnt is one context's entry: its signature and owner (for probing
-// and rehash), the bounds of its value run in the shared slab, and the
-// cached prediction (best value, its list ordinal and count) so Predict
-// is one read.
+// fcmCtxEnt is one context's 20-byte entry: its owner (which a
+// fingerprint hit is verified against), its value run in the shared slab
+// and the run ordinal of its prediction. The prediction's value and count
+// are read from vals[valOff+best], and the run's reserved length is
+// always nvals rounded up to a power of two, so neither is stored here.
 type fcmCtxEnt struct {
-	sig     uint64 // rolling signature of the context values
-	bestVal uint64 // value at ordinal best (the current prediction)
-	pcIdx   int32  // owning PC handle
-	valOff  int32  // start of this context's run in the value slab
-	valCap  int32  // reserved run length (doubled by relocation when full)
-	nvals   int32  // live values in the run
-	best    int32  // run ordinal of the prediction
-	vh      int32  // value-index handle+1 once promoted; 0 = scan the run
-	bestCnt uint32 // count of the prediction's value
+	pcIdx  int32 // owning PC handle
+	valOff int32 // start of this context's run in the value slab
+	nvals  int32 // live values in the run
+	best   int32 // run ordinal of the prediction
+	vh     int32 // value-index handle+1 once promoted; 0 = scan the run
 }
 
 // fcmVal is one (value, count) pair. Contexts typically see very few
@@ -239,7 +244,9 @@ func sigOf(vals []uint64) uint64 {
 }
 
 // ctxSlotHash folds a context signature and its owning PC handle into the
-// probe start, so equal contexts of different PCs spread apart.
+// probe hash, so equal contexts of different PCs spread apart. Its top
+// bits pick the probe start and its upper 32 bits are the slot
+// fingerprint.
 func ctxSlotHash(sig uint64, pcIdx int32) uint64 {
 	return mix64(sig ^ uint64(pcIdx)*sigMult)
 }
@@ -304,23 +311,29 @@ func itoa(n int) string {
 }
 
 // find returns the handle of the context with the given exact values, or
-// -1. The signature narrows the probe; the stored values decide.
+// -1. The fingerprint narrows the probe; the owning PC and the stored
+// values decide.
 func (st *fcmOrderStore) find(pcIdx int32, sig uint64, key []uint64) int32 {
 	if len(st.slots) == 0 {
 		return -1
 	}
+	h := ctxSlotHash(sig, pcIdx)
+	fp := h >> 32
 	mask := uint64(len(st.slots) - 1)
 	o := len(key)
-	for i := ctxSlotHash(sig, pcIdx) & mask; ; i = (i + 1) & mask {
-		ref := st.slots[i]
-		if ref == 0 {
+	for i := h >> st.shift; ; i = (i + 1) & mask {
+		w := st.slots[i]
+		if w == 0 {
 			return -1
 		}
-		c := &st.ctxs[ref-1]
-		if c.pcIdx != pcIdx || c.sig != sig {
+		if w>>32 != fp {
 			continue
 		}
-		k := st.keys[int(ref-1)*o : int(ref)*o]
+		ref := int32(uint32(w)) - 1
+		if st.ctxs[ref].pcIdx != pcIdx {
+			continue
+		}
+		k := st.keys[int(ref)*o : int(ref+1)*o]
 		match := true
 		for j := range k {
 			if k[j] != key[j] {
@@ -329,7 +342,7 @@ func (st *fcmOrderStore) find(pcIdx int32, sig uint64, key []uint64) int32 {
 			}
 		}
 		if match {
-			return ref - 1
+			return ref
 		}
 	}
 }
@@ -341,13 +354,20 @@ func (st *fcmOrderStore) insert(pcIdx int32, sig uint64, key []uint64) int32 {
 		st.grow()
 	}
 	h := int32(len(st.ctxs))
-	st.ctxs = append(arena.Grow(st.arena, st.ctxs, 1), fcmCtxEnt{sig: sig, pcIdx: pcIdx})
+	st.ctxs = append(arena.Grow(st.arena, st.ctxs, 1), fcmCtxEnt{pcIdx: pcIdx})
 	st.keys = append(arena.Grow(st.arena, st.keys, len(key)), key...)
+	st.place(ctxSlotHash(sig, pcIdx)>>32<<32 | uint64(h+1))
+	return h
+}
+
+// place stores slot word w in the first empty slot of its probe sequence.
+// The word's top bits are its probe hash's, so it carries its own start.
+func (st *fcmOrderStore) place(w uint64) {
 	mask := uint64(len(st.slots) - 1)
-	for i := ctxSlotHash(sig, pcIdx) & mask; ; i = (i + 1) & mask {
+	for i := w >> st.shift; ; i = (i + 1) & mask {
 		if st.slots[i] == 0 {
-			st.slots[i] = h + 1
-			return h
+			st.slots[i] = w
+			return
 		}
 	}
 }
@@ -360,21 +380,21 @@ func (st *fcmOrderStore) insertPlain(pcIdx int32) int32 {
 	return h
 }
 
+// grow doubles the slot table, rehashing from the slot words alone: a
+// probe start is at most 32 bits of hash (handles are int32, so the
+// table never needs more than 2^32 slots), all of them in the word's
+// fingerprint.
 func (st *fcmOrderStore) grow() {
 	size := pcTableMinSize
 	if len(st.slots) > 0 {
 		size = 2 * len(st.slots)
 	}
 	old := st.slots
-	st.slots = arena.Make[int32](st.arena, size)
-	mask := uint64(size - 1)
-	for h := range st.ctxs {
-		c := &st.ctxs[h]
-		for i := ctxSlotHash(c.sig, c.pcIdx) & mask; ; i = (i + 1) & mask {
-			if st.slots[i] == 0 {
-				st.slots[i] = int32(h) + 1
-				break
-			}
+	st.slots = arena.Make[uint64](st.arena, size)
+	st.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	for _, w := range old {
+		if w != 0 {
+			st.place(w)
 		}
 	}
 	arena.Free(st.arena, old)
@@ -418,7 +438,7 @@ func (p *FCM) lookupCtx(s *fcmPCState, pcIdx int32) (value uint64, matched int, 
 			}
 		}
 		if c := &p.ords[o].ctxs[h]; c.nvals > 0 {
-			return c.bestVal, o, h, true
+			return p.vals[c.valOff+c.best].value, o, h, true
 		}
 	}
 	return 0, -1, -1, false
@@ -506,17 +526,15 @@ func (p *FCM) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 		// history is full), every history value equals v, and the
 		// prediction is v. Each scalar step would then (a) hit, (b)
 		// update only the matched top-order context under lazy
-		// exclusion, (c) bump exactly its cached best value — runs
-		// hold distinct values, so the scan lands on ordinal best —
+		// exclusion, (c) bump exactly its best value — runs hold
+		// distinct values, so the scan lands on ordinal best —
 		// and (d) push v into a history already saturated with v,
 		// which leaves hist and every rolling signature bit-identical.
 		// The whole constant prefix is therefore one count addition.
 		if okc && pred == v && matched == order && histConst(s, v, order) {
 			m := kernel.ConstPrefixLen(values[k:], v)
 			c := &p.ords[order].ctxs[mhnd]
-			e := &p.vals[c.valOff+c.best]
-			e.count += uint32(m)
-			c.bestCnt = e.count
+			p.vals[c.valOff+c.best].count += uint32(m)
 			s.updates += uint64(m)
 			kernel.SetOnes(hits[k : k+m])
 			n += uint64(m)
@@ -546,8 +564,8 @@ func histConst(s *fcmPCState, v uint64, order int) bool {
 }
 
 // addValue increments the count for v in c's run (appending on first
-// sight) and maintains the cached max-count prediction; a just-updated
-// value wins ties, giving most-recently-seen tie-breaks. Small runs are
+// sight) and maintains the max-count prediction; a just-updated value
+// wins ties, giving most-recently-seen tie-breaks. Small runs are
 // scanned; promoted contexts go through their value index.
 func (st *fcmStore) addValue(c *fcmCtxEnt, v uint64) {
 	if c.vh != 0 {
@@ -572,25 +590,27 @@ func (st *fcmStore) addValue(c *fcmCtxEnt, v uint64) {
 	}
 }
 
-// bumpValue increments the count at run ordinal ord and refreshes the
-// cached prediction under the most-recently-updated tie-break.
+// bumpValue increments the count at run ordinal ord and moves the
+// prediction there when it now reaches the predicted value's count (the
+// most-recently-updated tie-break).
 func (st *fcmStore) bumpValue(c *fcmCtxEnt, ord int32) {
 	e := &st.vals[c.valOff+ord]
 	e.count++
-	if e.count >= c.bestCnt {
-		c.best, c.bestVal, c.bestCnt = ord, e.value, e.count
+	if e.count >= st.vals[c.valOff+c.best].count {
+		c.best = ord
 	}
 }
 
-// appendNewValue appends a first-sighting (count 1) value to c's run.
+// appendNewValue appends a first-sighting (count 1) value to c's run. A
+// run is full exactly when nvals is 0 or a power of two.
 func (st *fcmStore) appendNewValue(c *fcmCtxEnt, v uint64) {
-	if c.nvals == c.valCap {
+	if c.nvals&(c.nvals-1) == 0 {
 		st.relocateRun(c)
 	}
 	st.vals[c.valOff+c.nvals] = fcmVal{value: v, count: 1}
 	c.nvals++
-	if c.nvals == 1 || c.bestCnt <= 1 {
-		c.best, c.bestVal, c.bestCnt = c.nvals-1, v, 1
+	if c.nvals == 1 || st.vals[c.valOff+c.best].count <= 1 {
+		c.best = c.nvals - 1
 	}
 }
 
@@ -606,15 +626,12 @@ func (st *fcmStore) promote(c *fcmCtxEnt) {
 	c.vh = h + 1
 }
 
-// relocateRun moves c's value run to a doubled reservation at the slab's
-// end. The old run becomes a dead hole; total slab size stays within a
-// small constant factor of the live values, the standard doubling
-// amortization.
+// relocateRun moves c's full value run (nvals is 0 or a power of two,
+// its reserved length) to a doubled reservation at the slab's end. The
+// old run becomes a dead hole; total slab size stays within a small
+// constant factor of the live values, the standard doubling amortization.
 func (st *fcmStore) relocateRun(c *fcmCtxEnt) {
-	newCap := int32(1)
-	if c.valCap > 0 {
-		newCap = 2 * c.valCap
-	}
+	newCap := max(2*c.nvals, 1)
 	// Grow first, then copy within the (possibly relocated) slab: the
 	// source run must be re-sliced from the grown slab, because Grow
 	// unmaps a replaced arena backing as soon as it has copied it.
@@ -624,14 +641,14 @@ func (st *fcmStore) relocateRun(c *fcmCtxEnt) {
 	for i := c.nvals; i < newCap; i++ {
 		st.vals = append(st.vals, fcmVal{})
 	}
-	c.valOff, c.valCap = off, newCap
+	c.valOff = off
 }
 
 // loadRun installs a decoded (value, count) list as c's run with the
 // prediction at ordinal best. The run is reserved once, at the next power
-// of two: the capacity appendNewValue's doublings reach from empty, so
-// the loaded table keeps growing exactly as the saved one would have,
-// and the reservation stays within twice the values the input held.
+// of two: the capacity appendNewValue's doublings reach from empty, which
+// is the reservation appendNewValue assumes when it decides a run is
+// full, and stays within twice the values the input held.
 func (st *fcmStore) loadRun(c *fcmCtxEnt, run []fcmVal, best int32) {
 	c.best = best
 	if len(run) == 0 {
@@ -639,10 +656,9 @@ func (st *fcmStore) loadRun(c *fcmCtxEnt, run []fcmVal, best int32) {
 	}
 	capRun := 1 << bits.Len32(uint32(len(run)-1))
 	st.vals = arena.Grow(st.arena, st.vals, capRun)
-	c.valOff, c.valCap, c.nvals = int32(len(st.vals)), int32(capRun), int32(len(run))
+	c.valOff, c.nvals = int32(len(st.vals)), int32(len(run))
 	st.vals = append(st.vals, run...)
 	st.vals = append(st.vals, make([]fcmVal, capRun-len(run))...)
-	c.bestVal, c.bestCnt = run[best].value, run[best].count
 	if c.nvals >= fcmHashThreshold {
 		st.promote(c)
 	}

@@ -566,3 +566,45 @@ func TestFCMLoadStateRejectsDuplicateContexts(t *testing.T) {
 		t.Fatalf("save after loading keys [5 3 4] is not canonical:\n got %x\nwant %x", got, want)
 	}
 }
+
+// TestFCMFingerprintCollisionIsNotAHit: two order-1 contexts of one PC
+// whose probe hashes share their upper 32 bits carry the same slot
+// fingerprint and start their probes at the same slot, so looking up the
+// second walks over the first's slot on a fingerprint match. Only the
+// full key may decide: each key finds its own handle, and a key never
+// inserted finds nothing.
+func TestFCMFingerprintCollisionIsNotAHit(t *testing.T) {
+	const pcIdx = 0
+	hash := func(k uint64) uint64 { return ctxSlotHash(sigOf([]uint64{k}), pcIdx) }
+	// Birthday search over 32-bit fingerprints: a pair is all but certain
+	// within ~300K candidates, and the search is deterministic.
+	seen := make(map[uint64]uint64, 1<<19)
+	a, b := uint64(0), uint64(0)
+	for k := uint64(1); k <= 1<<19; k++ {
+		fp := hash(k) >> 32
+		if j, ok := seen[fp]; ok {
+			a, b = j, k
+			break
+		}
+		seen[fp] = k
+	}
+	if b == 0 {
+		t.Fatal("no fingerprint collision among the candidates")
+	}
+	var st fcmOrderStore
+	ha := st.insert(pcIdx, sigOf([]uint64{a}), []uint64{a})
+	hb := st.insert(pcIdx, sigOf([]uint64{b}), []uint64{b})
+	if hash(a)>>st.shift != hash(b)>>st.shift {
+		t.Fatalf("keys %d and %d share a fingerprint but not a probe start", a, b)
+	}
+	if got := st.find(pcIdx, sigOf([]uint64{a}), []uint64{a}); got != ha {
+		t.Errorf("find(%d) = %d, want %d", a, got, ha)
+	}
+	if got := st.find(pcIdx, sigOf([]uint64{b}), []uint64{b}); got != hb {
+		t.Errorf("find(%d) = %d, want %d", b, got, hb)
+	}
+	c := b + 1
+	if got := st.find(pcIdx, sigOf([]uint64{c}), []uint64{c}); got != -1 {
+		t.Errorf("find(%d) of a key never inserted = %d, want -1", c, got)
+	}
+}

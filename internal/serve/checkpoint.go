@@ -411,3 +411,18 @@ func (b *WarmBank) Correct() []uint64 {
 
 // Events returns how many events have been stepped.
 func (b *WarmBank) Events() uint64 { return b.events }
+
+// TableEntries sums the table occupancy of every core.Sized predictor
+// over all shards: static instructions tracked and total table entries
+// (contexts, for an FCM).
+func (b *WarmBank) TableEntries() (static, total int) {
+	for _, bank := range b.shards {
+		for _, p := range bank.Predictors() {
+			if sz, ok := p.(core.Sized); ok {
+				s, t := sz.TableEntries()
+				static, total = static+s, total+t
+			}
+		}
+	}
+	return static, total
+}

@@ -48,6 +48,10 @@ const (
 	// maxFrame bounds a single frame payload (64 MiB) so a corrupt or
 	// hostile length prefix cannot trigger an absurd allocation.
 	maxFrame = 1 << 26
+
+	// frameChunk is the first growth step of a frame buffer that is too
+	// small for the declared length; later steps double it.
+	frameChunk = 64 << 10
 )
 
 // writeFrame emits one length-prefixed frame. Oversized payloads are
@@ -73,6 +77,9 @@ func writeFrame(w *bufio.Writer, payload []byte) error {
 // payload. A clean io.EOF before the length prefix means the peer is done.
 // The prefix is peeked out of the bufio buffer rather than ReadFull'd
 // into a scratch array, for the same no-allocation reason as writeFrame.
+// The buffer grows only as payload arrives — doubling from frameChunk up
+// to the declared length — so a peer that declares a large frame and
+// stalls pins no more memory than it has sent.
 func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	hdr, err := r.Peek(4)
 	if err != nil {
@@ -89,15 +96,19 @@ func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("serve: bad frame length %d", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.ErrUnexpectedEOF
+	buf = buf[:0]
+	for len(buf) < int(n) {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(max(2*cap(buf), frameChunk), int(n))), buf...)
 		}
-		return nil, err
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), int(n))])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return buf, nil
 }

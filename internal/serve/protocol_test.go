@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"runtime"
 	"testing"
 
 	otrace "repro/internal/obs/trace"
@@ -170,6 +173,57 @@ func TestFrameRoundTripAndLimits(t *testing.T) {
 	trunc := []byte{8, 0, 0, 0, 1, 2}
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(trunc)), nil); err == nil {
 		t.Fatal("truncated frame accepted")
+	}
+}
+
+// patternReader yields n bytes, byte i being i mod 251, without holding
+// them in memory.
+type patternReader struct{ off, n int }
+
+func (r *patternReader) Read(p []byte) (int, error) {
+	if r.off == r.n {
+		return 0, io.EOF
+	}
+	k := min(len(p), r.n-r.off)
+	for i := range p[:k] {
+		p[i] = byte((r.off + i) % 251)
+	}
+	r.off += k
+	return k, nil
+}
+
+// TestReadFrameAllocatesWhatArrives: a length prefix is a claim, not
+// payload. A prefix that declares the largest legal frame, followed by 16
+// bytes and EOF, must fail with io.ErrUnexpectedEOF having allocated
+// about what arrived rather than the 64 MiB declared, or an idle peer
+// could pin that much per connection. A frame of exactly maxFrame bytes
+// must still decode.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	hdr := binary.LittleEndian.AppendUint32(nil, maxFrame)
+	short := append(bytes.Clone(hdr), make([]byte, 16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(short)), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("stalled %d-byte frame: err = %v, want io.ErrUnexpectedEOF", maxFrame, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("reading 16 bytes of a declared %d-byte frame allocated %d bytes, want < 1 MiB", maxFrame, got)
+	}
+
+	full := io.MultiReader(bytes.NewReader(hdr), &patternReader{n: maxFrame})
+	got, err := readFrame(bufio.NewReader(full), nil)
+	if err != nil {
+		t.Fatalf("frame of maxFrame bytes: %v", err)
+	}
+	if len(got) != maxFrame {
+		t.Fatalf("frame of maxFrame bytes decoded to %d bytes", len(got))
+	}
+	for i, b := range got {
+		if b != byte(i%251) {
+			t.Fatalf("frame byte %d = %d, want %d", i, b, byte(i%251))
+		}
 	}
 }
 
