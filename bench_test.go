@@ -20,7 +20,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/core/kernel"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/predstat"
@@ -103,8 +102,7 @@ func BenchmarkPredictFCM3(b *testing.B)      { benchPredictor(b, core.NewFCM(3))
 // BenchmarkPredictFCM8 is the high-order row: Figure 11 sweeps orders up
 // to 8, where the per-event context work (one rolling-signature table per
 // order) is at its deepest.
-func BenchmarkPredictFCM8(b *testing.B)   { benchPredictor(b, core.NewFCM(8)) }
-func BenchmarkPredictHybrid(b *testing.B) { benchPredictor(b, core.NewStrideFCMHybrid(3)) }
+func BenchmarkPredictFCM8(b *testing.B) { benchPredictor(b, core.NewFCM(8)) }
 
 // BenchmarkPredictFCM3Steady measures the steady state the online service
 // lives in: strictly periodic values over a fixed PC set, fully warmed
@@ -244,34 +242,6 @@ func BenchmarkBankStepEvents(b *testing.B) {
 		}
 	}
 	b.ReportMetric(bankBenchBatch, "events/op")
-}
-
-// BenchmarkKernelCompareCount measures the raw compare+count kernel the
-// predictor StepRun paths are built on: one 4096-lane constant-equality
-// pass (hit bytes out, popcount back). Under -tags vpasmkernel on amd64
-// this exercises the AVX2 variant; otherwise the portable SWAR path. CI
-// ratchets ns/op here under both tag sets, so neither implementation can
-// silently regress.
-func BenchmarkKernelCompareCount(b *testing.B) {
-	const lanes = 4096
-	values := make([]uint64, lanes)
-	hits := make([]byte, lanes)
-	for i := range values {
-		if i%3 == 0 {
-			values[i] = 7
-		} else {
-			values[i] = uint64(i)
-		}
-	}
-	b.SetBytes(lanes * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var n uint64
-	for i := 0; i < b.N; i++ {
-		n += kernel.CompareConstCount(values, 7, hits)
-	}
-	_ = n
-	b.ReportMetric(lanes, "events/op")
 }
 
 // BenchmarkSimulator measures raw simulation speed (instructions/op).

@@ -77,11 +77,7 @@ func main() {
 
 	if *list {
 		for _, e := range core.KnownFactories() {
-			shardable := "shardable"
-			if !e.PCLocal {
-				shardable = "single-shard only"
-			}
-			fmt.Printf("  %-8s %s (%s)\n", e.Name, e.Desc, shardable)
+			fmt.Printf("  %-8s %s\n", e.Name, e.Desc)
 		}
 		return
 	}

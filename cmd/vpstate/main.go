@@ -78,7 +78,7 @@ type predAgg struct {
 	StateBytes   int            `json:"state_bytes"`
 	StaticPCs    int            `json:"static_pcs"`
 	TableEntries int            `json:"table_entries"`
-	PerPC        map[uint64]int `json:"-"` // nil when the predictor aliases across PCs
+	PerPC        map[uint64]int `json:"-"`
 }
 
 // aggregate decodes every predictor blob in the snapshot. Each blob is
@@ -100,25 +100,17 @@ func aggregate(snap *snapshot.Snapshot) ([]*predAgg, error) {
 				return nil, fmt.Errorf("predictor %q not in local registry", agg.Name)
 			}
 			p := fac.New()
-			stateful, ok := p.(core.Stateful)
-			if !ok {
-				return nil, fmt.Errorf("predictor %q is not Stateful", agg.Name)
-			}
-			if err := stateful.LoadState(bytes.NewReader(ps.State)); err != nil {
+			if err := p.LoadState(bytes.NewReader(ps.State)); err != nil {
 				return nil, fmt.Errorf("shard %d predictor %q: %w", sh.Shard, agg.Name, err)
 			}
-			if sized, ok := p.(core.Sized); ok {
-				static, total := sized.TableEntries()
-				agg.StaticPCs += static
-				agg.TableEntries += total
+			static, total := p.TableEntries()
+			agg.StaticPCs += static
+			agg.TableEntries += total
+			if agg.PerPC == nil {
+				agg.PerPC = make(map[uint64]int)
 			}
-			if pp, ok := p.(core.PerPC); ok {
-				if agg.PerPC == nil {
-					agg.PerPC = make(map[uint64]int)
-				}
-				for pc, n := range pp.PCEntries() {
-					agg.PerPC[pc] += n // shards own disjoint PCs
-				}
+			for pc, n := range p.PCEntries() {
+				agg.PerPC[pc] += n // shards own disjoint PCs
 			}
 		}
 	}

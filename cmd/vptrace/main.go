@@ -452,17 +452,6 @@ func drive(args []string) {
 		if err != nil {
 			fatal(fmt.Errorf("server predictors not all known locally: %w", err))
 		}
-		if *clients > 1 {
-			// Parity at client concurrency relies on per-PC state: the
-			// driver keeps each PC on one connection, but cross-PC
-			// predictors still see a nondeterministic global interleaving.
-			for _, fac := range facs {
-				if !fac.PCLocal {
-					fatal(fmt.Errorf(
-						"verify: predictor %q keeps cross-PC state, so parity with offline replay requires -clients 1", fac.Name))
-				}
-			}
-		}
 		var correct []uint64
 		var mode string
 		if *warm != "" {

@@ -29,10 +29,9 @@ func main() {
 	}
 
 	predictors := []core.Predictor{
-		core.NewLastValue(),        // computational: identity
-		core.NewStride2Delta(),     // computational: last + stride (2-delta)
-		core.NewFCM(3),             // context based: order-3 fcm
-		core.NewStrideFCMHybrid(3), // chooser hybrid of the two families
+		core.NewLastValue(),    // computational: identity
+		core.NewStride2Delta(), // computational: last + stride (2-delta)
+		core.NewFCM(3),         // context based: order-3 fcm
 	}
 
 	fmt.Println("predictor  accuracy")
@@ -49,6 +48,5 @@ func main() {
 	fmt.Println()
 	fmt.Println("Expected shape: last value only gets the constant (~33%); stride adds the")
 	fmt.Println("induction variable and a bit of the ring (~75%); fcm gets constant + ring")
-	fmt.Println("but not the unbounded stride (~67%); the hybrid combines both (~100%) —")
-	fmt.Println("the complementarity that motivates the paper's Section 4.2 hybrid.")
+	fmt.Println("but not the unbounded stride (~67%).")
 }

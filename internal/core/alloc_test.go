@@ -24,7 +24,6 @@ func TestPredictorsSteadyStateZeroAlloc(t *testing.T) {
 		NewFCM(1),
 		NewFCM(3),
 		NewFCM(8),
-		NewStrideFCMHybrid(3),
 	}
 	for _, p := range preds {
 		t.Run(p.Name(), func(t *testing.T) {
@@ -66,13 +65,12 @@ func TestBankSteadyStateZeroAlloc(t *testing.T) {
 		NewLastValue(),
 		NewStride2Delta(),
 		NewFCM(3),
-		NewStrideFCMHybrid(3),
 	)
 	const batch = 1024
 	pcs := make([]uint64, batch)
 	vals := make([]uint64, batch)
-	counts := make([]uint64, 4)
-	bits := [][]uint64{nil, nil, make([]uint64, (batch+63)/64), nil}
+	counts := make([]uint64, 3)
+	bits := [][]uint64{nil, nil, make([]uint64, (batch+63)/64)}
 	fill := func(base int) {
 		for j := 0; j < batch; j++ {
 			i := base + j
@@ -116,9 +114,7 @@ func (o *countingObserver) ObserveRun(pc uint64, values []uint64, hits [][]byte)
 // TestBankObserverZeroAlloc is the CI gate for the observer hook: in
 // steady state Bank.StepBatch must allocate nothing both with a nil
 // observer (the default hot path) and with one attached (the grouped hit
-// rows and fallback scatter buffers are reused across batches). The bank
-// includes a fallback-only predictor so the original-order scratch path
-// is covered too.
+// rows are reused across batches).
 func TestBankObserverZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -134,7 +130,6 @@ func TestBankObserverZeroAlloc(t *testing.T) {
 				NewLastValue(),
 				NewStride2Delta(),
 				NewFCM(3),
-				NewBoundedFCM(3, 12, 18), // per-event fallback: scatter path
 			)
 			obs := &countingObserver{}
 			if attached {

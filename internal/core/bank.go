@@ -9,36 +9,14 @@ package core
 //
 // The batch is grouped by PC before any predictor sees it: one probe of
 // the bank's pc table per event builds contiguous same-PC value runs, and
-// each predictor with a native batch kernel (BatchPredictor) then pays a
-// single probe of its own table per distinct PC per batch instead of one
-// per event, with a fused predict/compare/update inner loop over the run.
-// Grouping reorders events across PCs — never within one — which is
-// exactly the transformation PC-local predictors are invariant under (the
-// same property that lets the serving tier shard by hash(pc)). Predictors
-// without a kernel are fed per event in original stream order, so
-// cross-PC (aliasing) predictors like the bounded FCM stay bit-exact too.
+// each predictor's StepRun kernel then pays a single probe of its own
+// table per distinct PC per batch instead of one per event, with a fused
+// predict/compare/update inner loop over the run. Grouping reorders
+// events across PCs — never within one — which is exactly the
+// transformation the Predictor contract's per-PC state is invariant under
+// (the same property that lets the serving tier shard by hash(pc)).
 
 import "repro/internal/core/kernel"
-
-// BatchPredictor is implemented by predictors with a native fused batch
-// kernel over a same-PC run of values.
-//
-// StepRun applies the paper's per-event protocol — predict, compare,
-// update — to every value in order, for the single static instruction at
-// pc. hits must have len(values) slots; hits[k] is set to 1 when the
-// prediction for values[k] was correct and 0 otherwise, and the return
-// value is the total number of correct predictions.
-//
-// Implementing this interface asserts that the predictor's state is
-// strictly per-PC (NamedFactory.PCLocal): a Bank may reorder events
-// across PCs between kernels, never within one PC. A predictor whose
-// safety is conditional (e.g. a hybrid over arbitrary components) may
-// additionally implement BatchSafe() bool; when it reports false the bank
-// falls back to the per-event path.
-type BatchPredictor interface {
-	Predictor
-	StepRun(pc uint64, values []uint64, hits []byte) uint64
-}
 
 // RunObserver is an optional tap on the bank's batch execution: after a
 // batch's predictors have all stepped, ObserveRun is called once per
@@ -70,19 +48,6 @@ func (b *Bank) SetObserver(o RunObserver) {
 // Observer returns the attached run observer, nil when none.
 func (b *Bank) Observer() RunObserver { return b.obs }
 
-// batchOf returns p's native batch kernel when it has one and its batched
-// execution is currently safe, nil otherwise.
-func batchOf(p Predictor) BatchPredictor {
-	bp, ok := p.(BatchPredictor)
-	if !ok {
-		return nil
-	}
-	if g, ok := p.(interface{ BatchSafe() bool }); ok && !g.BatchSafe() {
-		return nil
-	}
-	return bp
-}
-
 // b2u8 is the branch-free bool→{0,1} conversion the kernels' inner
 // compare/count loops are written around.
 func b2u8(b bool) byte {
@@ -100,9 +65,9 @@ func roundUp8(n int) int {
 }
 
 // stepOne applies the per-event protocol for one predictor and returns 1
-// on a correct prediction. It is the per-event reference the batch
-// kernels are parity-tested against (bank_parity_test.go) and the
-// fallback path for predictors without a native kernel.
+// on a correct prediction. It is the per-event reference the StepRun
+// kernels are parity-tested against (bank_parity_test.go); no step path
+// calls it.
 func stepOne(p Predictor, pc, value uint64) uint64 {
 	pred, ok := p.Predict(pc)
 	p.Update(pc, value)
@@ -113,12 +78,13 @@ func stepOne(p Predictor, pc, value uint64) uint64 {
 }
 
 // Bank executes a predictor set over batched (pc, value) streams,
-// accumulating per-predictor correct counts. All scratch is owned by the
-// bank and reused, so StepBatch is allocation-free in steady state. A
-// Bank is not safe for concurrent use; give each goroutine its own.
+// accumulating per-predictor correct counts: each batch is grouped into
+// same-PC runs once, and every predictor steps every run through its
+// StepRun kernel. All scratch is owned by the bank and reused, so
+// StepBatch is allocation-free in steady state. A Bank is not safe for
+// concurrent use; give each goroutine its own.
 type Bank struct {
 	preds   []Predictor
-	runs    []BatchPredictor // per predictor; nil = per-event fallback
 	correct []uint64
 	events  uint64
 
@@ -144,7 +110,6 @@ type Bank struct {
 	obs     RunObserver
 	obsHits [][]byte // per predictor: grouped-order hit row, reused
 	obsRows [][]byte // per-run hits argument, refilled per run
-	obsTmp  []byte   // original-order scratch for fallback predictors
 
 	// Dirty tracking for delta checkpoints: one bit per pc-table handle,
 	// set the first time a batch touches that PC (the same once-per-
@@ -158,15 +123,10 @@ type Bank struct {
 
 // NewBank builds a bank over the given predictors. The slice is retained.
 func NewBank(preds ...Predictor) *Bank {
-	b := &Bank{
+	return &Bank{
 		preds:   preds,
-		runs:    make([]BatchPredictor, len(preds)),
 		correct: make([]uint64, len(preds)),
 	}
-	for i, p := range preds {
-		b.runs[i] = batchOf(p)
-	}
-	return b
 }
 
 // Predictors returns the bank's predictors in counter order. The returned
@@ -202,87 +162,37 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 		return
 	}
 	b.events += uint64(n)
+	needOrder := false
+	for _, bs := range bits {
+		if bs != nil {
+			needOrder = true
+			break
+		}
+	}
+	b.group(pcs[:n], values[:n], needOrder)
 	observing := b.obs != nil
-	native := false
-	anyFallback := false
-	for _, r := range b.runs {
-		if r != nil {
-			native = true
-		} else {
-			anyFallback = true
-		}
-	}
-	needOrder := observing && anyFallback
-	if bits != nil && !needOrder {
-		for i, r := range b.runs {
-			if r != nil && bits[i] != nil {
-				needOrder = true
-				break
-			}
-		}
-	}
-	// The observer needs the grouped runs even when every predictor takes
-	// the per-event fallback, so grouping is forced while one is attached;
-	// dirty tracking rides on grouping's per-distinct-PC stamp point, so
-	// it forces grouping the same way.
-	if native || observing || b.dirtyOn {
-		b.group(pcs[:n], values[:n], needOrder)
-	}
 	if observing {
 		for i := range b.obsHits {
 			if cap(b.obsHits[i]) < n {
 				b.obsHits[i] = make([]byte, roundUp8(n))
 			}
 		}
-		if anyFallback && cap(b.obsTmp) < n {
-			b.obsTmp = make([]byte, roundUp8(n))
-		}
 	}
 	nw := (n + 63) / 64
 	for i, p := range b.preds {
-		var bs []uint64
-		if bits != nil && bits[i] != nil {
-			bs = bits[i][:nw]
-			clear(bs)
+		hits := b.hits[:n]
+		if observing {
+			hits = b.obsHits[i][:n]
 		}
 		var hit uint64
-		if r := b.runs[i]; r != nil {
-			hits := b.hits[:n]
-			if observing {
-				hits = b.obsHits[i][:n]
-			}
-			for g := 0; g+1 < len(b.starts); g++ {
-				lo, hi := b.starts[g], b.starts[g+1]
-				hit += r.StepRun(b.gpc[g], b.gvals[lo:hi], hits[lo:hi])
-			}
-			if bs != nil {
-				kernel.Scatter(hits, b.order[:n], bs)
-			}
-		} else {
-			// Fallback predictors must see the stream in original order
-			// (cross-PC state); when observing, their per-event hits are
-			// recorded in stream order first and scattered into grouped
-			// order afterwards through the same order map the bitsets use.
-			var tmp []byte
-			if observing {
-				tmp = b.obsTmp[:n]
-			}
-			for j := 0; j < n; j++ {
-				h := stepOne(p, pcs[j], values[j])
-				hit += h
-				if tmp != nil {
-					tmp[j] = byte(h)
-				}
-				if bs != nil && h != 0 {
-					bs[j>>6] |= 1 << (uint(j) & 63)
-				}
-			}
-			if observing {
-				row := b.obsHits[i][:n]
-				for at, idx := range b.order[:n] {
-					row[at] = tmp[idx]
-				}
-			}
+		for g := 0; g+1 < len(b.starts); g++ {
+			lo, hi := b.starts[g], b.starts[g+1]
+			hit += p.StepRun(b.gpc[g], b.gvals[lo:hi], hits[lo:hi])
+		}
+		if bits != nil && bits[i] != nil {
+			bs := bits[i][:nw]
+			clear(bs)
+			kernel.Scatter(hits, b.order[:n], bs)
 		}
 		b.correct[i] += hit
 		if counts != nil {
@@ -377,17 +287,10 @@ func (b *Bank) group(pcs, values []uint64, needOrder bool) {
 }
 
 // Reset clears the correct counters, the event count and the grouping
-// index (keeping all capacity), and resets every predictor that supports
-// in-place reset. It reports whether every predictor was reset; when
-// false the caller must rebuild the non-Resetter predictors itself.
-func (b *Bank) Reset() bool {
-	ok := true
+// index (keeping all capacity), and resets every predictor in place.
+func (b *Bank) Reset() {
 	for _, p := range b.preds {
-		if r, can := p.(Resetter); can {
-			r.Reset()
-		} else {
-			ok = false
-		}
+		p.Reset()
 	}
 	clear(b.correct)
 	b.events = 0
@@ -396,7 +299,6 @@ func (b *Bank) Reset() bool {
 	b.gid = b.gid[:0]
 	b.stamp = 0
 	b.dirty = b.dirty[:0]
-	return ok
 }
 
 // SetDirtyTracking turns per-PC dirty tracking on or off. While on, every

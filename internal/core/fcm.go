@@ -495,7 +495,7 @@ func (p *FCM) Update(pc uint64, value uint64) {
 	p.updateCtxs(s, pcIdx, value, matched, mhnd, hit)
 }
 
-// StepRun implements BatchPredictor. Beyond the single pc-table probe per
+// StepRun implements Predictor. Beyond the single pc-table probe per
 // run, the fused loop walks the context orders once per event — the walk
 // serves both the prediction and the update's matched-order/lazy-
 // exclusion decision — where the Predict/Update pair walks them twice.

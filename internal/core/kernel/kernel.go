@@ -1,41 +1,16 @@
-// Package kernel holds the word-parallel primitives under core.Bank's
-// StepRun path: branch-free SWAR compare+count over []uint64 value
-// runs, prefix scanners for bulk fast paths, and the hit-bitset
-// scatter. Every kernel has a scalar reference twin (the *Ref
-// functions) that is the parity oracle for the property tests and the
-// fuzzer; kernels must be bit-identical to their reference — same
+// Package kernel holds the word-parallel primitives under the predictors'
+// StepRun kernels and core.Bank: branch-free SWAR compare+count over
+// []uint64 value runs (8-unrolled uint64 lanes, equality via the xor /
+// subtract-borrow / mask-msb trick), prefix scanners for bulk fast paths,
+// and the hit-bitset scatter. Every kernel has a scalar reference twin
+// (the *Ref functions) that is the parity oracle for the property tests
+// and the fuzzer; kernels must be bit-identical to their reference — same
 // hits bytes, same counts — on every input.
 //
-// Two implementations exist:
-//
-//   - portable SWAR (swar.go): 8-unrolled uint64 lanes, equality via
-//     the xor / subtract-borrow / mask-msb trick, hit masks folded
-//     with popcount. This is the default on every platform.
-//   - amd64 assembly (compare_amd64.s, build tag "vpasmkernel"):
-//     AVX2 4-lane VPCMPEQQ compare+count selected at runtime by CPUID
-//     feature detection, falling back to the portable SWAR path on
-//     CPUs without AVX2. Impl() reports which variant is live.
-//
-// Kernels never read or write past len() of their arguments, so
-// callers do not need tail padding; core.Bank still rounds its run
-// buffers up to a multiple of 8 so future wide variants can drop the
-// tail loop entirely.
+// Kernels never read or write past len() of their arguments, so callers
+// do not need tail padding; core.Bank still rounds its run buffers up to
+// a multiple of 8, the SWAR block width.
 package kernel
-
-// CompareConstCount compares every element of values against the
-// single prediction pred, writes hits[k] = 1 where values[k] == pred
-// and 0 elsewhere, and returns the number of hits. hits must be at
-// least len(values) long.
-func CompareConstCount(values []uint64, pred uint64, hits []byte) uint64 {
-	return compareConstCount(values, pred, hits)
-}
-
-// CompareConstCountLast is the fused variant of CompareConstCount: it
-// additionally returns the index of the last mismatch, or -1 when the
-// whole run matched pred.
-func CompareConstCountLast(values []uint64, pred uint64, hits []byte) (uint64, int) {
-	return compareConstCountLastSWAR(values, pred, hits)
-}
 
 // ConstPrefixLen returns the length of the longest prefix of values
 // whose elements all equal v.

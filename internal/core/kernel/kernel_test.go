@@ -28,31 +28,6 @@ func randRun(rng *rand.Rand, n int) []uint64 {
 	return values
 }
 
-func TestCompareConstCountParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range runLengths {
-		for trial := 0; trial < 50; trial++ {
-			values := randRun(rng, n)
-			pred := uint64(rng.Intn(4))
-			if trial%5 == 0 && n > 0 {
-				pred = values[rng.Intn(n)]
-			}
-			got := make([]byte, n)
-			want := make([]byte, n)
-			gc := CompareConstCount(values, pred, got)
-			wc := CompareConstCountRef(values, pred, want)
-			if gc != wc || !bytes.Equal(got, want) {
-				t.Fatalf("n=%d pred=%d: count %d vs ref %d, hits %v vs %v", n, pred, gc, wc, got, want)
-			}
-			gc2, gl := CompareConstCountLast(values, pred, got)
-			wc2, wl := CompareConstCountLastRef(values, pred, want)
-			if gc2 != wc2 || gl != wl || !bytes.Equal(got, want) {
-				t.Fatalf("fused n=%d pred=%d: (%d,%d) vs ref (%d,%d)", n, pred, gc2, gl, wc2, wl)
-			}
-		}
-	}
-}
-
 func TestConstPrefixLenParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range runLengths {
@@ -163,8 +138,9 @@ func TestScatterParity(t *testing.T) {
 	}
 }
 
-// FuzzKernelCompareCount fuzzes the dispatched compare+count kernels
-// against the scalar references over arbitrary runs and predictions.
+// FuzzKernelCompareCount fuzzes the compare+count and prefix kernels the
+// predictors' StepRun paths call against the scalar references over
+// arbitrary runs and predictions.
 func FuzzKernelCompareCount(f *testing.F) {
 	f.Add([]byte{}, uint64(0))
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0}, uint64(1))
@@ -184,14 +160,6 @@ func FuzzKernelCompareCount(f *testing.F) {
 		}
 		got := make([]byte, n)
 		want := make([]byte, n)
-		if gc, wc := CompareConstCount(values, pred, got), CompareConstCountRef(values, pred, want); gc != wc || !bytes.Equal(got, want) {
-			t.Fatalf("CompareConstCount: count %d vs ref %d", gc, wc)
-		}
-		gc, gl := CompareConstCountLast(values, pred, got)
-		wc, wl := CompareConstCountLastRef(values, pred, want)
-		if gc != wc || gl != wl || !bytes.Equal(got, want) {
-			t.Fatalf("CompareConstCountLast: (%d,%d) vs ref (%d,%d)", gc, gl, wc, wl)
-		}
 		if gp, wp := ConstPrefixLen(values, pred), ConstPrefixLenRef(values, pred); gp != wp {
 			t.Fatalf("ConstPrefixLen: %d vs ref %d", gp, wp)
 		}
@@ -224,9 +192,6 @@ func TestKernelZeroAlloc(t *testing.T) {
 	}
 	var sink uint64
 	allocs := testing.AllocsPerRun(100, func() {
-		sink += CompareConstCount(values, 2, hits)
-		c, _ := CompareConstCountLast(values, 2, hits)
-		sink += c
 		sink += uint64(ConstPrefixLen(values, 0))
 		sink += CompareAdjacentCount(0, values, hits)
 		sink += CompareStrideCount(0, 1, values, hits)
@@ -234,45 +199,7 @@ func TestKernelZeroAlloc(t *testing.T) {
 		Scatter(hits, idx, bits)
 	})
 	if allocs != 0 {
-		t.Fatalf("kernel hot path allocated %.1f times per run (impl=%s)", allocs, Impl())
-	}
-	_ = sink
-}
-
-func TestImplReported(t *testing.T) {
-	switch Impl() {
-	case "swar", "avx2":
-	default:
-		t.Fatalf("unexpected kernel impl %q", Impl())
-	}
-}
-
-func BenchmarkKernelCompareCount(b *testing.B) {
-	values := make([]uint64, 4096)
-	hits := make([]byte, 4096)
-	for i := range values {
-		values[i] = uint64(i % 4)
-	}
-	b.SetBytes(4096 * 8)
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += CompareConstCount(values, 2, hits)
-	}
-	_ = sink
-}
-
-func BenchmarkKernelCompareCountRef(b *testing.B) {
-	values := make([]uint64, 4096)
-	hits := make([]byte, 4096)
-	for i := range values {
-		values[i] = uint64(i % 4)
-	}
-	b.SetBytes(4096 * 8)
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += CompareConstCountRef(values, 2, hits)
+		t.Fatalf("kernel hot path allocated %.1f times per run", allocs)
 	}
 	_ = sink
 }

@@ -1,41 +1,9 @@
 package kernel
 
 // The *Ref functions are the scalar, obviously-correct twins of the
-// exported kernels. They are the parity oracle: the property tests
-// and FuzzKernelCompareCount assert the SWAR (and, under the
-// vpasmkernel build tag, assembly) paths produce bit-identical hits
+// exported kernels. They are the parity oracle: the property tests and
+// FuzzKernelCompareCount assert the SWAR paths produce bit-identical hits
 // and counts on every input. They are not called from the hot path.
-
-// CompareConstCountRef is the scalar reference for CompareConstCount.
-func CompareConstCountRef(values []uint64, pred uint64, hits []byte) uint64 {
-	var cnt uint64
-	for k, v := range values {
-		if v == pred {
-			hits[k] = 1
-			cnt++
-		} else {
-			hits[k] = 0
-		}
-	}
-	return cnt
-}
-
-// CompareConstCountLastRef is the scalar reference for
-// CompareConstCountLast.
-func CompareConstCountLastRef(values []uint64, pred uint64, hits []byte) (uint64, int) {
-	var cnt uint64
-	last := -1
-	for k, v := range values {
-		if v == pred {
-			hits[k] = 1
-			cnt++
-		} else {
-			hits[k] = 0
-			last = k
-		}
-	}
-	return cnt, last
-}
 
 // ConstPrefixLenRef is the scalar reference for ConstPrefixLen.
 func ConstPrefixLenRef(values []uint64, v uint64) int {

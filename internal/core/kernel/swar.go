@@ -1,7 +1,5 @@
 package kernel
 
-import "math/bits"
-
 // eq1 returns 1 when x == y and 0 otherwise, with no branches: the
 // xor is zero only on equality, and for d != 0 the subtract borrows
 // out of at least one set bit of d, so (d-1) &^ d has its top bit set
@@ -13,82 +11,6 @@ import "math/bits"
 func eq1(x, y uint64) uint64 {
 	d := x ^ y
 	return ((d - 1) &^ d) >> 63
-}
-
-func compareConstCountSWAR(values []uint64, pred uint64, hits []byte) uint64 {
-	n := len(values)
-	hits = hits[:n]
-	var cnt uint64
-	k := 0
-	for ; k+8 <= n; k += 8 {
-		v := values[k : k+8 : k+8]
-		h := hits[k : k+8 : k+8]
-		b0 := eq1(v[0], pred)
-		b1 := eq1(v[1], pred)
-		b2 := eq1(v[2], pred)
-		b3 := eq1(v[3], pred)
-		b4 := eq1(v[4], pred)
-		b5 := eq1(v[5], pred)
-		b6 := eq1(v[6], pred)
-		b7 := eq1(v[7], pred)
-		h[0] = byte(b0)
-		h[1] = byte(b1)
-		h[2] = byte(b2)
-		h[3] = byte(b3)
-		h[4] = byte(b4)
-		h[5] = byte(b5)
-		h[6] = byte(b6)
-		h[7] = byte(b7)
-		cnt += b0 + b1 + b2 + b3 + b4 + b5 + b6 + b7
-	}
-	for ; k < n; k++ {
-		b := eq1(values[k], pred)
-		hits[k] = byte(b)
-		cnt += b
-	}
-	return cnt
-}
-
-func compareConstCountLastSWAR(values []uint64, pred uint64, hits []byte) (uint64, int) {
-	n := len(values)
-	hits = hits[:n]
-	var cnt uint64
-	last := -1
-	k := 0
-	for ; k+8 <= n; k += 8 {
-		v := values[k : k+8 : k+8]
-		h := hits[k : k+8 : k+8]
-		b0 := eq1(v[0], pred)
-		b1 := eq1(v[1], pred)
-		b2 := eq1(v[2], pred)
-		b3 := eq1(v[3], pred)
-		b4 := eq1(v[4], pred)
-		b5 := eq1(v[5], pred)
-		b6 := eq1(v[6], pred)
-		b7 := eq1(v[7], pred)
-		h[0] = byte(b0)
-		h[1] = byte(b1)
-		h[2] = byte(b2)
-		h[3] = byte(b3)
-		h[4] = byte(b4)
-		h[5] = byte(b5)
-		h[6] = byte(b6)
-		h[7] = byte(b7)
-		mask := b0 | b1<<1 | b2<<2 | b3<<3 | b4<<4 | b5<<5 | b6<<6 | b7<<7
-		cnt += uint64(bits.OnesCount8(uint8(mask)))
-		if miss := ^uint8(mask); miss != 0 {
-			last = k + 7 - bits.LeadingZeros8(miss)
-		}
-	}
-	for ; k < n; k++ {
-		b := eq1(values[k], pred)
-		hits[k] = byte(b)
-		cnt += b
-		if b == 0 {
-			last = k
-		}
-	}
-	return cnt, last
 }
 
 func constPrefixLenSWAR(values []uint64, v uint64) int {

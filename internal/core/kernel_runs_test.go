@@ -58,16 +58,11 @@ func TestBankOddRunLengths(t *testing.T) {
 				t.Errorf("runLen %d predictor %d (%s): bank %d correct, reference %d",
 					runLen, i, ref[i].Name(), correct[i], refHits[i])
 			}
-			bs, ok := bank.Predictors()[i].(Stateful)
-			if !ok {
-				continue
-			}
-			rs := ref[i].(Stateful)
 			var bb, rb bytes.Buffer
-			if err := bs.SaveState(&bb); err != nil {
+			if err := bank.Predictors()[i].SaveState(&bb); err != nil {
 				t.Fatalf("runLen %d %s: bank SaveState: %v", runLen, ref[i].Name(), err)
 			}
-			if err := rs.SaveState(&rb); err != nil {
+			if err := ref[i].SaveState(&rb); err != nil {
 				t.Fatalf("runLen %d %s: ref SaveState: %v", runLen, ref[i].Name(), err)
 			}
 			if !bytes.Equal(bb.Bytes(), rb.Bytes()) {

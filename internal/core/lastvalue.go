@@ -46,7 +46,7 @@ func (p *LastValue) Update(pc uint64, value uint64) {
 	p.vals = append(p.vals, value)
 }
 
-// StepRun implements BatchPredictor: one table probe for the whole run,
+// StepRun implements Predictor: one table probe for the whole run,
 // then the word-parallel adjacent compare+count kernel — within a
 // same-PC run the prediction for values[k] is simply values[k-1].
 func (p *LastValue) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
@@ -191,7 +191,7 @@ func (p *LastValueCounter) Update(pc uint64, value uint64) {
 	}
 }
 
-// StepRun implements BatchPredictor: the entry is read once, carried
+// StepRun implements Predictor: the entry is read once, carried
 // through the run in registers and written back at the end.
 func (p *LastValueCounter) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	if len(values) == 0 {
@@ -359,7 +359,7 @@ func (p *LastValueConsecutive) Update(pc uint64, value uint64) {
 	}
 }
 
-// StepRun implements BatchPredictor.
+// StepRun implements Predictor.
 func (p *LastValueConsecutive) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	if len(values) == 0 {
 		return 0

@@ -58,22 +58,20 @@ func observerStream(n int) (pcs, vals []uint64) {
 // TestBankObserverParity pins three properties of the observer tap: it
 // does not change any predictor's tallies, it sees every PC's exact value
 // subsequence in stream order, and its hit bytes agree event-for-event
-// with an independent per-event reference run — including for fallback
-// (non-batch) predictors, whose hits are scattered back into run order.
+// with an independent per-event reference run.
 func TestBankObserverParity(t *testing.T) {
 	mk := func() []Predictor {
 		return []Predictor{
 			NewLastValue(),
 			NewStride2Delta(),
 			NewFCM(2),
-			NewBoundedFCM(3, 12, 18), // no batch kernel: per-event fallback
 		}
 	}
 	pcs, vals := observerStream(4096)
 
 	plain := NewBank(mk()...)
 	observed := NewBank(mk()...)
-	obs := newRecordingObserver(4)
+	obs := newRecordingObserver(3)
 	observed.SetObserver(obs)
 
 	for _, batch := range []int{1, 3, 64, 1000} {
@@ -131,26 +129,5 @@ func TestBankObserverParity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestBankObserverAllFallback exercises the grouping path that only the
-// observer forces: a bank of exclusively non-batch predictors still
-// delivers grouped runs.
-func TestBankObserverAllFallback(t *testing.T) {
-	b := NewBank(NewBoundedFCM(2, 10, 14))
-	obs := newRecordingObserver(1)
-	b.SetObserver(obs)
-	pcs, vals := observerStream(512)
-	b.StepBatch(pcs, vals)
-	if obs.runs == 0 {
-		t.Fatal("no runs delivered for fallback-only bank")
-	}
-	total := 0
-	for _, v := range obs.vals {
-		total += len(v)
-	}
-	if total != len(pcs) {
-		t.Fatalf("observer saw %d events, want %d", total, len(pcs))
 	}
 }

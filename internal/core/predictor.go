@@ -16,7 +16,10 @@
 //
 // All predictors follow the paper's idealization: unbounded tables with one
 // entry per static instruction (keyed by PC) and immediate update with the
-// correct value after every prediction.
+// correct value after every prediction. The Predictor interface makes that
+// a compile-time contract: every predictor keeps strictly per-PC state and
+// steps a same-PC run of values natively (StepRun), so Bank can group any
+// batch by PC and drive every predictor through one batch step path.
 //
 // The package is substrate-free: it consumes a bare (pc, value) stream and
 // has no dependency on the ISA, simulator or benchmarks, so it can be used
@@ -32,6 +35,14 @@ package core
 //	p.Update(pc, actual)        // immediate update with the true value
 //
 // Predict must not mutate predictor state; Update performs all learning.
+//
+// A predictor's state is strictly per-PC: its behavior on one static
+// instruction's value subsequence is independent of every other PC's
+// events. That is what lets a Bank reorder events across PCs (never
+// within one) and the serving tier shard by hash(pc) with bit-identical
+// accuracy. The embedded interfaces are the capabilities the harnesses
+// rely on: in-place reset, table occupancy (aggregate and per PC) and
+// chunk-granular checkpointing.
 type Predictor interface {
 	// Name returns a short identifier such as "l", "s2" or "fcm3".
 	Name() string
@@ -44,17 +55,30 @@ type Predictor interface {
 
 	// Update informs the predictor of the true value produced at pc.
 	Update(pc uint64, value uint64)
+
+	// StepRun applies the per-event protocol — predict, compare, update —
+	// to every value in order, for the single static instruction at pc,
+	// as one fused kernel. hits must have len(values) slots; hits[k] is
+	// set to 1 when the prediction for values[k] was correct and 0
+	// otherwise, and the return value is the total number of correct
+	// predictions.
+	StepRun(pc uint64, values []uint64, hits []byte) uint64
+
+	Resetter
+	Sized
+	PerPC
+	ChunkedStateful
 }
 
-// Resetter is implemented by predictors whose tables can be cleared in
-// place, which lets harnesses reuse allocations between runs.
+// Resetter clears a predictor's tables in place, which lets harnesses
+// reuse allocations between runs.
 type Resetter interface {
 	Reset()
 }
 
-// Sized is implemented by predictors that can report how many table
-// entries they hold; used by the value-characteristics analysis and by
-// memory accounting in the experiment harness.
+// Sized reports how many table entries a predictor holds; used by the
+// value-characteristics analysis and by memory accounting in the
+// experiment harness and the serving tier.
 type Sized interface {
 	// TableEntries returns the number of static instructions tracked and
 	// the total number of internal table entries (contexts, counters...).
@@ -110,12 +134,11 @@ func (a Accuracy) Percent() float64 { return a.Rate() * 100 }
 
 // StepBank applies the paper's protocol — predict, compare, update — for
 // one event across a bank of predictors, incrementing correct[i] when
-// predictor i was right. It is the per-event edge of the batch execution
-// layer: it steps through the same stepOne helper Bank's fallback path
-// uses, and bank_parity_test.go pins it against every native batch
-// kernel, so offline replay, the drive -verify check and the serving
-// layer can never drift apart. Streams long enough to batch should go
-// through Bank.StepBatch instead.
+// predictor i was right. It is the per-event parity oracle for the batch
+// path: it steps through stepOne, never StepRun, so the tests that run
+// reference predictors through it and compare against Bank.StepBatch
+// check every StepRun kernel against the plain Predict/Update protocol.
+// Streams should go through Bank.StepBatch.
 func StepBank(ps []Predictor, correct []uint64, pc, value uint64) {
 	for i, p := range ps {
 		correct[i] += stepOne(p, pc, value)

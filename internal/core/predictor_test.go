@@ -452,122 +452,6 @@ func TestCountTableFig1(t *testing.T) {
 	}
 }
 
-// --- Hybrid ----------------------------------------------------------------
-
-func TestHybridPrefersWinningComponent(t *testing.T) {
-	// On a pure stride sequence the hybrid must converge to the stride
-	// component and match its steady-state accuracy.
-	h := NewStrideFCMHybrid(2)
-	misses := 0
-	for i := 0; i < 200; i++ {
-		v := uint64(3 * i)
-		pred, ok := h.Predict(0)
-		if i > 10 && (!ok || pred != v) {
-			misses++
-		}
-		h.Update(0, v)
-	}
-	if misses != 0 {
-		t.Fatalf("hybrid on stride: %d steady-state misses, want 0", misses)
-	}
-}
-
-func TestHybridBeatsComponentsOnMixedPCs(t *testing.T) {
-	// PC 1 produces a stride (stride wins), PC 2 produces an RNS pattern
-	// (fcm wins). The hybrid should approach the max of both.
-	runOn := func(p Predictor) float64 {
-		if r, ok := p.(Resetter); ok {
-			r.Reset()
-		}
-		rns := []uint64{10, 99, 3, 77}
-		var acc Accuracy
-		for i := 0; i < 400; i++ {
-			for _, ev := range []struct{ pc, v uint64 }{
-				{1, uint64(5 * i)},
-				{2, rns[i%len(rns)]},
-			} {
-				pred, ok := p.Predict(ev.pc)
-				if i >= 50 {
-					acc.Observe(ok && pred == ev.v)
-				}
-				p.Update(ev.pc, ev.v)
-			}
-		}
-		return acc.Rate()
-	}
-	hybrid := runOn(NewStrideFCMHybrid(3))
-	stride := runOn(NewStride2Delta())
-	fcm := runOn(NewFCM(3))
-	if hybrid < 0.99 {
-		t.Fatalf("hybrid rate %.3f, want ~1.0", hybrid)
-	}
-	if stride > 0.8 || fcm > 0.8 {
-		t.Fatalf("components unexpectedly strong alone: s2=%.3f fcm=%.3f", stride, fcm)
-	}
-}
-
-func TestClassifiedPredictorRoutesByClass(t *testing.T) {
-	cp := NewClassifiedPredictor("bytype", func(class uint8) Predictor {
-		if class == 0 {
-			return NewStride2Delta()
-		}
-		return NewFCM(2)
-	})
-	for i := 0; i < 100; i++ {
-		cp.UpdateClass(0, 7, uint64(2*i))
-	}
-	if v, ok := cp.PredictClass(0, 7); !ok || v != 200 {
-		t.Fatalf("class 0 stride: got (%d,%v), want (200,true)", v, ok)
-	}
-	// Same PC in another class must be independent.
-	if _, ok := cp.PredictClass(1, 7); ok {
-		t.Fatal("class 1 must be untrained for pc 7")
-	}
-}
-
-// --- SetTracker (Figure 8) ---------------------------------------------------
-
-func TestSetTrackerSubsets(t *testing.T) {
-	l := NewLastValue()
-	s := NewStride2Delta()
-	f := NewFCM(3)
-	tr := NewSetTracker(l, s, f)
-
-	// A constant sequence: after warmup all three are correct -> mask 0b111.
-	for i := 0; i < 20; i++ {
-		tr.Observe(1, 5)
-	}
-	if tr.Count(0b111) == 0 {
-		t.Fatal("constant stream should produce lsf (all-correct) events")
-	}
-	// First event has no predictions: mask 0.
-	if tr.Count(0) == 0 {
-		t.Fatal("first event should be np (none-correct)")
-	}
-	if tr.Total() != 20 {
-		t.Fatalf("total=%d, want 20", tr.Total())
-	}
-	sum := uint64(0)
-	for mask := uint64(0); mask < 8; mask++ {
-		sum += tr.Count(mask)
-	}
-	if sum != tr.Total() {
-		t.Fatalf("subset counts sum to %d, want %d", sum, tr.Total())
-	}
-}
-
-func TestSetTrackerStrideOnlySubset(t *testing.T) {
-	tr := NewSetTracker(NewLastValue(), NewStride2Delta(), NewFCM(3))
-	// A long non-repeating stride: only the stride predictor is correct in
-	// steady state, i.e. mask 0b010 dominates.
-	for i := 0; i < 300; i++ {
-		tr.Observe(9, uint64(4*i))
-	}
-	if tr.Count(0b010) < 290 {
-		t.Fatalf("stride-only count=%d, want >=290", tr.Count(0b010))
-	}
-}
-
 // --- property-based tests ----------------------------------------------------
 
 func TestPropertyLastValueAlwaysEchoesPrevious(t *testing.T) {
@@ -637,13 +521,11 @@ func TestPropertyPredictIsPure(t *testing.T) {
 	preds := []Predictor{
 		NewLastValue(), NewLastValueCounter(3, 1), NewLastValueConsecutive(2),
 		NewStrideSimple(), NewStride2Delta(), NewStrideCounter(3, 1),
-		NewFCM(2), NewFCMNoBlend(2), NewStrideFCMHybrid(2),
+		NewFCM(2), NewFCMNoBlend(2),
 	}
 	f := func(values []uint64) bool {
 		for _, p := range preds {
-			if r, ok := p.(Resetter); ok {
-				r.Reset()
-			}
+			p.Reset()
 			for _, v := range values {
 				v1, ok1 := p.Predict(0)
 				for k := 0; k < 3; k++ {

@@ -6,37 +6,28 @@ import (
 	"strings"
 )
 
-// NamedFactory is a Factory plus the metadata harnesses need to expose a
-// predictor by name: a one-line description and whether its state is
-// partitioned purely by PC.
+// NamedFactory is a Factory plus the one-line description harnesses
+// show when they expose a predictor by name.
 type NamedFactory struct {
 	Factory
 	// Desc is a one-line description for -help style listings.
 	Desc string
-	// PCLocal reports that the predictor keeps no state shared or aliased
-	// across PCs: its behavior on a PC's value subsequence is independent
-	// of every other PC's events. PC-local predictors can be sharded by
-	// hash(pc) with bit-identical accuracy; non-PC-local ones (bounded,
-	// aliasing tables) cannot.
-	PCLocal bool
 }
 
 // registry is the single catalog of predictor spellings shared by
 // cmd/vptrace, cmd/vpserve and the load generator. Order is the listing
 // order used in help output.
 var registry = []NamedFactory{
-	{Factory{"l", func() Predictor { return NewLastValue() }}, "last value, always update", true},
-	{Factory{"lc", func() Predictor { return NewLastValueCounter(3, 1) }}, "last value, 2-bit counter hysteresis", true},
-	{Factory{"ln", func() Predictor { return NewLastValueConsecutive(2) }}, "last value, adopt after 2 consecutive", true},
-	{Factory{"s", func() Predictor { return NewStrideSimple() }}, "stride, always update", true},
-	{Factory{"s2", func() Predictor { return NewStride2Delta() }}, "2-delta stride", true},
-	{Factory{"sc", func() Predictor { return NewStrideCounter(3, 1) }}, "stride, 2-bit counter hysteresis", true},
-	{Factory{"fcm1", func() Predictor { return NewFCM(1) }}, "order-1 FCM, blended", true},
-	{Factory{"fcm2", func() Predictor { return NewFCM(2) }}, "order-2 FCM, blended", true},
-	{Factory{"fcm3", func() Predictor { return NewFCM(3) }}, "order-3 FCM, blended", true},
-	{Factory{"fcm3nb", func() Predictor { return NewFCMNoBlend(3) }}, "order-3 FCM, no blending", true},
-	{Factory{"hyb", func() Predictor { return NewStrideFCMHybrid(3) }}, "s2 + fcm3 chooser hybrid", true},
-	{Factory{"bfcm3", func() Predictor { return NewBoundedFCM(3, 12, 18) }}, "bounded hashed FCM (aliases across PCs)", false},
+	{Factory{"l", func() Predictor { return NewLastValue() }}, "last value, always update"},
+	{Factory{"lc", func() Predictor { return NewLastValueCounter(3, 1) }}, "last value, 2-bit counter hysteresis"},
+	{Factory{"ln", func() Predictor { return NewLastValueConsecutive(2) }}, "last value, adopt after 2 consecutive"},
+	{Factory{"s", func() Predictor { return NewStrideSimple() }}, "stride, always update"},
+	{Factory{"s2", func() Predictor { return NewStride2Delta() }}, "2-delta stride"},
+	{Factory{"sc", func() Predictor { return NewStrideCounter(3, 1) }}, "stride, 2-bit counter hysteresis"},
+	{Factory{"fcm1", func() Predictor { return NewFCM(1) }}, "order-1 FCM, blended"},
+	{Factory{"fcm2", func() Predictor { return NewFCM(2) }}, "order-2 FCM, blended"},
+	{Factory{"fcm3", func() Predictor { return NewFCM(3) }}, "order-3 FCM, blended"},
+	{Factory{"fcm3nb", func() Predictor { return NewFCMNoBlend(3) }}, "order-3 FCM, no blending"},
 }
 
 // KnownFactories returns the full predictor catalog in listing order. The

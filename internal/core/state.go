@@ -28,19 +28,17 @@ import (
 //
 // The encoding is a varint-packed stream private to each predictor type;
 // framing, versioning and checksums live one layer up in
-// internal/snapshot. Every predictor in the registry implements Stateful
-// (registry tests enforce it).
+// internal/snapshot. Every Predictor is Stateful, through its embedded
+// ChunkedStateful.
 type Stateful interface {
 	SaveState(w io.Writer) error
 	LoadState(r io.Reader) error
 }
 
-// PerPC is implemented by predictors that can report their per-PC table
-// occupancy: how many internal entries (contexts, counters, history
-// slots) each static instruction currently owns. Offline snapshot
-// inspection (cmd/vpstate) uses it for per-PC entry counts and
-// cross-snapshot drift. Predictors whose tables alias across PCs (the
-// bounded variants) have no per-PC attribution and return nil.
+// PerPC reports a predictor's per-PC table occupancy: how many internal
+// entries (contexts, counters, history slots) each static instruction
+// currently owns. Offline snapshot inspection (cmd/vpstate) uses it for
+// per-PC entry counts and cross-snapshot drift.
 type PerPC interface {
 	PCEntries() map[uint64]int
 }
@@ -72,13 +70,6 @@ func (e *stateEncoder) uvarint(v uint64) {
 // the length from context (e.g. fixed-width FCM context keys).
 func (e *stateEncoder) bytes(b []byte) {
 	e.buf = append(e.buf, b...)
-}
-
-// blob appends a length-prefixed byte string, the framing used to nest
-// one predictor's state stream inside another's (hybrid components).
-func (e *stateEncoder) blob(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.bytes(b)
 }
 
 // le64 appends v as 8 little-endian bytes — the fixed-width wire form of
@@ -148,35 +139,6 @@ func (d *stateDecoder) count(max uint64) uint64 {
 		return 0
 	}
 	return n
-}
-
-// bytes reads exactly n raw bytes. The result grows in bounded chunks so
-// a hostile length can never force an allocation larger than the bytes
-// actually present in the input.
-func (d *stateDecoder) bytes(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	const chunk = 64 << 10
-	out := make([]byte, 0, min(n, chunk))
-	for uint64(len(out)) < n {
-		want := min(n-uint64(len(out)), chunk)
-		start := len(out)
-		out = append(out, make([]byte, want)...)
-		if _, err := io.ReadFull(d.r, out[start:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			d.err = err
-			return nil
-		}
-	}
-	return out
-}
-
-// blob reads a length-prefixed byte string written by stateEncoder.blob.
-func (d *stateDecoder) blob() []byte {
-	return d.bytes(d.uvarint())
 }
 
 // le64 reads one fixed-width little-endian uint64 (the inverse of

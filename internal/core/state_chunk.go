@@ -51,11 +51,9 @@ type ChunkSaver struct {
 	Emit func(firstPC uint64, records int, data []byte) error
 }
 
-// ChunkedStateful is implemented by predictors whose SaveState stream can
-// be produced chunk-wise. SaveStateChunks must emit exactly the bytes of
-// SaveState, split as header + chunks; predictors without it (cross-PC or
-// composite state) are saved whole and treated as a single opaque chunk
-// one layer up.
+// ChunkedStateful is a Stateful whose SaveState stream can also be
+// produced chunk-wise. SaveStateChunks must emit exactly the bytes of
+// SaveState, split as header + chunks.
 type ChunkedStateful interface {
 	Stateful
 	SaveStateChunks(cs *ChunkSaver) error

@@ -51,42 +51,38 @@ func testPCs(n int) []uint64 {
 }
 
 // TestSaveStateChunksParity pins the defining property of the chunked
-// save: for every predictor that implements ChunkedStateful, the
-// concatenation of header and chunk bytes is byte-identical to the plain
-// SaveState stream, so LoadState restores chunked saves unchanged.
+// save: for every registry predictor, the concatenation of header and
+// chunk bytes is byte-identical to the plain SaveState stream, so
+// LoadState restores chunked saves unchanged.
 func TestSaveStateChunksParity(t *testing.T) {
 	pcs := testPCs(700)
 	for _, f := range KnownFactories() {
 		t.Run(f.Name, func(t *testing.T) {
 			p := f.New()
-			cp, ok := p.(ChunkedStateful)
-			if !ok {
-				t.Skipf("%s is saved opaque (no chunked save)", f.Name)
-			}
 			for i := 0; i < len(pcs)*12; i++ {
 				pc := pcs[i%len(pcs)]
 				p.Predict(pc)
 				p.Update(pc, NonStride4[(uint64(i/len(pcs))+pc)%4]+pc%7)
 			}
 			var want bytes.Buffer
-			if err := cp.SaveState(&want); err != nil {
+			if err := p.SaveState(&want); err != nil {
 				t.Fatalf("SaveState: %v", err)
 			}
 			var got bytes.Buffer
-			if err := WriteChunks(cp, &got); err != nil {
+			if err := WriteChunks(p, &got); err != nil {
 				t.Fatalf("WriteChunks: %v", err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
 				t.Fatalf("chunked save differs from SaveState: %d vs %d bytes",
 					got.Len(), want.Len())
 			}
-			cc := captureChunks(t, cp, nil, false)
+			cc := captureChunks(t, p, nil, false)
 			if len(cc.chunks) < 4 {
 				t.Fatalf("expected many chunks over %d PCs, got %d", len(pcs), len(cc.chunks))
 			}
 			// A second capture must agree with itself (cache validity) and
 			// with the first.
-			cc2 := captureChunks(t, cp, nil, false)
+			cc2 := captureChunks(t, p, nil, false)
 			if len(cc2.chunks) != len(cc.chunks) {
 				t.Fatalf("chunk partition unstable: %d then %d chunks", len(cc.chunks), len(cc2.chunks))
 			}
@@ -101,14 +97,9 @@ func TestSaveStateChunksParity(t *testing.T) {
 // SaveState stream byte for byte — the exact resolution a delta-chain
 // restore performs.
 func TestSaveStateChunksSkipParity(t *testing.T) {
-	preds := []Predictor{
-		NewLastValue(),
-		NewLastValueCounter(3, 1),
-		NewLastValueConsecutive(2),
-		NewStrideSimple(),
-		NewStride2Delta(),
-		NewStrideCounter(3, 1),
-		NewFCM(2),
+	var preds []Predictor
+	for _, f := range KnownFactories() {
+		preds = append(preds, f.New())
 	}
 	b := NewBank(preds...)
 	b.SetDirtyTracking(true)
@@ -126,7 +117,7 @@ func TestSaveStateChunksSkipParity(t *testing.T) {
 
 	parents := make([]*chunkCapture, len(preds))
 	for i, p := range preds {
-		parents[i] = captureChunks(t, p.(ChunkedStateful), nil, false)
+		parents[i] = captureChunks(t, p, nil, false)
 	}
 	parentPCs := b.PCCount()
 	b.ResetDirty()
@@ -148,9 +139,8 @@ func TestSaveStateChunksSkipParity(t *testing.T) {
 	}
 
 	for i, p := range preds {
-		cp := p.(ChunkedStateful)
 		t.Run(p.Name(), func(t *testing.T) {
-			child := captureChunks(t, cp, b.PCDirty, true)
+			child := captureChunks(t, p, b.PCDirty, true)
 			parent := parents[i]
 			if len(child.chunks) != len(parent.chunks) {
 				t.Fatalf("chunk count changed: parent %d, child %d", len(parent.chunks), len(child.chunks))
@@ -178,7 +168,7 @@ func TestSaveStateChunksSkipParity(t *testing.T) {
 				t.Fatalf("too few skips: %d of %d chunks encoded", encoded, len(child.chunks))
 			}
 			var want bytes.Buffer
-			if err := cp.SaveState(&want); err != nil {
+			if err := p.SaveState(&want); err != nil {
 				t.Fatalf("SaveState: %v", err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
@@ -226,9 +216,7 @@ func TestBankDirtyTracking(t *testing.T) {
 	if b.PCDirty(20) {
 		t.Fatal("dirty bit survived disabling")
 	}
-	if !b.Reset() {
-		t.Fatal("Reset reported non-resettable predictor")
-	}
+	b.Reset()
 	if b.PCCount() != 0 || b.PCDirty(20) {
 		t.Fatal("Reset did not clear dirty state")
 	}

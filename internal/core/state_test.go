@@ -8,8 +8,7 @@ import (
 
 // trainStream produces a deterministic mixed stream exercising every
 // predictor family: strides, constants, short repeating patterns and
-// noise, spread over a few dozen PCs (including PC 0, the zero-value
-// aliasing edge for the bounded tables).
+// noise, spread over a few dozen PCs (including PC 0).
 func trainStream(n int) []struct{ PC, Value uint64 } {
 	rng := rand.New(rand.NewSource(42))
 	evs := make([]struct{ PC, Value uint64 }, n)
@@ -34,12 +33,8 @@ func trainStream(n int) []struct{ PC, Value uint64 } {
 // saveBytes encodes p's state or fails the test.
 func saveBytes(t *testing.T, p Predictor) []byte {
 	t.Helper()
-	st, ok := p.(Stateful)
-	if !ok {
-		t.Fatalf("%s does not implement Stateful", p.Name())
-	}
 	var buf bytes.Buffer
-	if err := st.SaveState(&buf); err != nil {
+	if err := p.SaveState(&buf); err != nil {
 		t.Fatalf("%s SaveState: %v", p.Name(), err)
 	}
 	return buf.Bytes()
@@ -61,7 +56,7 @@ func TestStatefulRoundTripExact(t *testing.T) {
 			state := saveBytes(t, a)
 
 			b := fac.New()
-			if err := b.(Stateful).LoadState(bytes.NewReader(state)); err != nil {
+			if err := b.LoadState(bytes.NewReader(state)); err != nil {
 				t.Fatalf("LoadState: %v", err)
 			}
 			if got := saveBytes(t, b); !bytes.Equal(got, state) {
@@ -91,7 +86,7 @@ func TestStatefulEmptyRoundTrip(t *testing.T) {
 		t.Run(fac.Name, func(t *testing.T) {
 			state := saveBytes(t, fac.New())
 			b := fac.New()
-			if err := b.(Stateful).LoadState(bytes.NewReader(state)); err != nil {
+			if err := b.LoadState(bytes.NewReader(state)); err != nil {
 				t.Fatalf("LoadState of empty state: %v", err)
 			}
 			if _, ok := b.Predict(4); ok {
@@ -118,7 +113,7 @@ func TestLoadStateReplacesExisting(t *testing.T) {
 			for _, ev := range evs[500:] { // different training
 				b.Update(ev.PC, ev.Value)
 			}
-			if err := b.(Stateful).LoadState(bytes.NewReader(want)); err != nil {
+			if err := b.LoadState(bytes.NewReader(want)); err != nil {
 				t.Fatalf("LoadState: %v", err)
 			}
 			if got := saveBytes(t, b); !bytes.Equal(got, want) {
@@ -145,18 +140,18 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 			}
 			// Every truncation must fail: the formats are exactly sized.
 			for _, cut := range []int{1, len(state) / 2, len(state) - 1} {
-				if err := fac.New().(Stateful).LoadState(bytes.NewReader(state[:cut])); err == nil {
+				if err := fac.New().LoadState(bytes.NewReader(state[:cut])); err == nil {
 					t.Fatalf("truncation at %d accepted", cut)
 				}
 			}
 			// Trailing garbage must fail (expectEOF).
 			withTail := append(append([]byte(nil), state...), 0x01)
-			if err := fac.New().(Stateful).LoadState(bytes.NewReader(withTail)); err == nil {
+			if err := fac.New().LoadState(bytes.NewReader(withTail)); err == nil {
 				t.Fatal("trailing garbage accepted")
 			}
 			// A wild leading count must fail without huge allocation.
 			huge := append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, state...)
-			if err := fac.New().(Stateful).LoadState(bytes.NewReader(huge)); err == nil {
+			if err := fac.New().LoadState(bytes.NewReader(huge)); err == nil {
 				t.Fatal("absurd element count accepted")
 			}
 			// Deterministic bit flips: must never panic.
@@ -164,7 +159,7 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				mut := append([]byte(nil), state...)
 				mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
-				fac.New().(Stateful).LoadState(bytes.NewReader(mut))
+				fac.New().LoadState(bytes.NewReader(mut))
 			}
 		})
 	}
@@ -190,77 +185,20 @@ func TestStatefulConfigMismatch(t *testing.T) {
 	if err := NewFCMNoBlend(2).LoadState(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("no-blend FCM accepted blended state")
 	}
-
-	bf := NewBoundedFCM(3, 8, 10)
-	for _, ev := range evs {
-		bf.Update(ev.PC, ev.Value)
-	}
-	buf.Reset()
-	if err := bf.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := NewBoundedFCM(3, 9, 10).LoadState(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("bounded FCM accepted mismatched level-1 geometry")
-	}
-
-	h2 := NewHybrid("h2", 7, NewLastValue(), NewStrideSimple())
-	for _, ev := range evs {
-		h2.Update(ev.PC, ev.Value)
-	}
-	buf.Reset()
-	if err := h2.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h3 := NewHybrid("h3", 7, NewLastValue(), NewStrideSimple(), NewFCM(1))
-	if err := h3.LoadState(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("3-component hybrid accepted 2-component state")
-	}
 }
 
-// TestHybridLoadStateAtomic: a component blob that fails to decode after
-// an earlier component already loaded must roll the whole hybrid back —
-// LoadState is all-or-nothing like every other predictor's.
-func TestHybridLoadStateAtomic(t *testing.T) {
-	evs := trainStream(2000)
-	a := NewHybrid("h", 7, NewLastValue(), NewFCM(1))
-	for _, ev := range evs[:1000] {
-		a.Update(ev.PC, ev.Value)
-	}
-	full := saveBytes(t, a)
-	// The hybrid's stream ends with blob(component0), blob(component1);
-	// replace component1's content with same-length garbage so the outer
-	// framing still parses, component0 loads, and component1's decode
-	// fails.
-	fcmBlob := saveBytes(t, a.Components()[1])
-	corrupt := append([]byte(nil), full[:len(full)-len(fcmBlob)]...)
-	for range fcmBlob {
-		corrupt = append(corrupt, 0xFF)
-	}
-
-	b := NewHybrid("h", 7, NewLastValue(), NewFCM(1))
-	for _, ev := range evs[1000:] { // different training than a
-		b.Update(ev.PC, ev.Value)
-	}
-	before := saveBytes(t, b)
-	if err := b.LoadState(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt component blob accepted")
-	}
-	if got := saveBytes(t, b); !bytes.Equal(got, before) {
-		t.Fatal("failed LoadState left the hybrid partially loaded")
-	}
-}
-
-// TestRegistryAllStateful pins the registry-wide capability: every
-// predictor the service can be configured with is checkpointable, and the
-// PC-local ones report per-PC occupancy for offline inspection.
+// TestRegistryAllStateful pins what checkpoints rely on across the
+// registry: a snapshot records each predictor's state under its registry
+// name and restore rebuilds it from the factory of that name, so every
+// instance must report its registry name and reload its own saved state.
 func TestRegistryAllStateful(t *testing.T) {
 	for _, fac := range KnownFactories() {
 		p := fac.New()
-		if _, ok := p.(Stateful); !ok {
-			t.Errorf("registry predictor %q does not implement Stateful", fac.Name)
+		if p.Name() != fac.Name {
+			t.Errorf("registry predictor %q reports name %q", fac.Name, p.Name())
 		}
-		if _, ok := p.(PerPC); !ok && fac.PCLocal {
-			t.Errorf("PC-local predictor %q does not implement PerPC", fac.Name)
+		if err := fac.New().LoadState(bytes.NewReader(saveBytes(t, p))); err != nil {
+			t.Errorf("registry predictor %q does not reload its own state: %v", fac.Name, err)
 		}
 	}
 }
@@ -270,16 +208,13 @@ func TestRegistryAllStateful(t *testing.T) {
 func TestPCEntriesMatchesTableEntries(t *testing.T) {
 	evs := trainStream(4000)
 	for _, fac := range KnownFactories() {
-		if !fac.PCLocal {
-			continue
-		}
 		t.Run(fac.Name, func(t *testing.T) {
 			p := fac.New()
 			for _, ev := range evs {
 				p.Update(ev.PC, ev.Value)
 			}
-			perPC := p.(PerPC).PCEntries()
-			static, total := p.(Sized).TableEntries()
+			perPC := p.PCEntries()
+			static, total := p.TableEntries()
 			sum := 0
 			for _, n := range perPC {
 				sum += n

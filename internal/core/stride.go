@@ -70,7 +70,7 @@ func (p *StrideSimple) Update(pc uint64, value uint64) {
 	}
 }
 
-// StepRun implements BatchPredictor: one table probe per run, the entry
+// StepRun implements Predictor: one table probe per run, the entry
 // carried through the loop and written back once.
 func (p *StrideSimple) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	if len(values) == 0 {
@@ -248,7 +248,7 @@ func (p *Stride2Delta) Update(pc uint64, value uint64) {
 	e.last = value
 }
 
-// StepRun implements BatchPredictor.
+// StepRun implements Predictor.
 func (p *Stride2Delta) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	if len(values) == 0 {
 		return 0
@@ -450,7 +450,7 @@ func (p *StrideCounter) Update(pc uint64, value uint64) {
 	}
 }
 
-// StepRun implements BatchPredictor.
+// StepRun implements Predictor.
 func (p *StrideCounter) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	if len(values) == 0 {
 		return 0

@@ -48,7 +48,6 @@ func (b *batch) release(pool *sync.Pool) {
 // persist across benchmark runs via Reset) plus the worker's own SoA and
 // bitset scratch. Each bank worker goroutine owns exactly one.
 type workerState struct {
-	fac     core.Factory
 	bank    *core.Bank
 	idx     int            // predictor index: span lane, Pred label
 	busy    *obs.Histogram // vp_engine_worker_busy_ns{pred}
@@ -80,7 +79,6 @@ func newArena() *arena {
 	}
 	for i, f := range facs {
 		ws := &workerState{
-			fac:     f,
 			bank:    core.NewBank(f.New()),
 			idx:     i,
 			busy:    workerBusyHist(f.Name),
@@ -96,13 +94,10 @@ func newArena() *arena {
 }
 
 // reset readies the arena for a fresh benchmark: every predictor's tables
-// are cleared in place (all standard predictors implement core.Resetter;
-// a hypothetical one that doesn't is rebuilt from its factory).
+// are cleared in place.
 func (a *arena) reset() {
 	for _, ws := range a.ws {
-		if !ws.bank.Reset() {
-			ws.bank = core.NewBank(ws.fac.New())
-		}
+		ws.bank.Reset()
 	}
 }
 

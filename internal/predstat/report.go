@@ -31,7 +31,7 @@ type PCReport struct {
 // PredGap attributes the ceiling-gap to one predictor: its realized hits
 // versus the ceiling of its own class (last-value predictors against the
 // last-value ceiling, stride against stride, order-N FCMs against the
-// order-min(N,MaxOrder) context ceiling, hybrids against the best).
+// order-min(N,MaxOrder) context ceiling, other names against the best).
 type PredGap struct {
 	Name   string `json:"name"`
 	Events uint64 `json:"events"`
@@ -92,7 +92,7 @@ var ClassLabels = []string{"C", "S", "NS", "RS", "RNS", "?"}
 // judged against: 0 last-value, 1 stride, 2+o order-o context, -1 best.
 func ceilingIndex(name string, maxOrder int) int {
 	switch {
-	case strings.HasPrefix(name, "fcm") || strings.HasPrefix(name, "bfcm"):
+	case strings.HasPrefix(name, "fcm"):
 		d := 0
 		for _, r := range name {
 			if r >= '0' && r <= '9' {
@@ -109,7 +109,7 @@ func ceilingIndex(name string, maxOrder int) int {
 	case strings.HasPrefix(name, "s"):
 		return 1
 	default:
-		return -1 // hybrids and unknowns: judge against the best ceiling
+		return -1 // unknown names: judge against the best ceiling
 	}
 }
 

@@ -263,11 +263,7 @@ func loadPredictors(facs []core.NamedFactory, si int, st snapshot.ShardState) ([
 	preds := make([]core.Predictor, len(facs))
 	for i, f := range facs {
 		p := f.New()
-		stateful, ok := p.(core.Stateful)
-		if !ok {
-			return nil, fmt.Errorf("serve: predictor %q does not implement core.Stateful", f.Name)
-		}
-		if err := stateful.LoadState(bytes.NewReader(st.Preds[i].State)); err != nil {
+		if err := p.LoadState(bytes.NewReader(st.Preds[i].State)); err != nil {
 			return nil, fmt.Errorf("serve: shard %d: restoring %q: %w", si, f.Name, err)
 		}
 		preds[i] = p
@@ -412,16 +408,14 @@ func (b *WarmBank) Correct() []uint64 {
 // Events returns how many events have been stepped.
 func (b *WarmBank) Events() uint64 { return b.events }
 
-// TableEntries sums the table occupancy of every core.Sized predictor
-// over all shards: static instructions tracked and total table entries
-// (contexts, for an FCM).
+// TableEntries sums the table occupancy of every predictor over all
+// shards: static instructions tracked and total table entries (contexts,
+// for an FCM).
 func (b *WarmBank) TableEntries() (static, total int) {
 	for _, bank := range b.shards {
 		for _, p := range bank.Predictors() {
-			if sz, ok := p.(core.Sized); ok {
-				s, t := sz.TableEntries()
-				static, total = static+s, total+t
-			}
+			s, t := p.TableEntries()
+			static, total = static+s, total+t
 		}
 	}
 	return static, total

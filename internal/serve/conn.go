@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"time"
@@ -111,25 +110,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		s.metrics.framesIn.Inc()
 		s.metrics.bytesIn.Add(uint64(4 + len(frame)))
-		var tctx otrace.Context
-		body := frame[1:]
-		switch frame[0] {
-		case msgEvents:
-		case msgEventsTraced:
-			tctx, body, err = decodeTraceHeader(frame[1:])
-			if err != nil {
-				s.metrics.decodeErrors.Inc()
-				readErr = err
-				break
-			}
-		default:
-			s.metrics.decodeErrors.Inc()
-			readErr = fmt.Errorf("serve: unexpected message type %d", frame[0])
-		}
-		if readErr != nil {
-			break
-		}
-		scratch, err = decodeEventsInto(body, scratch[:0])
+		tctx, evs, err := decodeRequest(frame, scratch[:0])
 		if err != nil {
 			s.metrics.decodeErrors.Inc()
 			// A traced frame whose body failed to decode is a degraded
@@ -141,7 +122,8 @@ func (s *Server) handleConn(conn net.Conn) {
 			readErr = err
 			break
 		}
-		p := s.dispatch(scratch, cnt, pos, tctx)
+		scratch = evs
+		p := s.dispatch(evs, cnt, pos, tctx)
 		resp <- p
 		s.metrics.pipelineHW.SetMax(int64(len(resp)))
 	}

@@ -15,7 +15,6 @@ package serve
 // shard's capture sound.
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"time"
@@ -144,23 +143,6 @@ func (sh *shard) captureDelta(plan *deltaPlan) shardStateMsg {
 		dp.Name = sh.names[i]
 		dp.Correct = sh.acc[i].Correct
 		dp.Total = sh.acc[i].Total
-		cp, chunked := p.(core.ChunkedStateful)
-		if !chunked {
-			// Opaque predictor (composite or cross-PC state): the whole
-			// SaveState blob is a single chunk, content-addressed like any
-			// other — an unchanged opaque predictor still dedups to one
-			// reference.
-			stateful, ok := p.(core.Stateful)
-			if !ok {
-				return shardStateMsg{err: fmt.Errorf("serve: predictor %q does not implement core.Stateful", sh.names[i])}
-			}
-			var buf bytes.Buffer
-			if err := stateful.SaveState(&buf); err != nil {
-				return shardStateMsg{err: fmt.Errorf("serve: shard %d: %w", sh.id, err)}
-			}
-			dp.Chunks = append(dp.Chunks, dedup(0, 0, buf.Bytes()))
-			continue
-		}
 		var parent []snapshot.ChunkRef
 		if plan.parent != nil && i < len(plan.parent.preds) {
 			parent = plan.parent.preds[i]
@@ -200,7 +182,7 @@ func (sh *shard) captureDelta(plan *deltaPlan) shardStateMsg {
 				return nil
 			},
 		}
-		if err := cp.SaveStateChunks(cs); err != nil {
+		if err := p.SaveStateChunks(cs); err != nil {
 			return shardStateMsg{err: fmt.Errorf("serve: shard %d: %w", sh.id, err)}
 		}
 	}

@@ -23,11 +23,9 @@ type DriveConfig struct {
 	Addr string
 	// Clients is the number of concurrent connections (0 = 1). The stream
 	// is partitioned across clients by ShardOf(pc, Clients), so every
-	// PC's subsequence stays on one ordered connection and — for banks of
-	// PC-local predictors — the summed accuracy is identical to offline
-	// replay at any concurrency. A non-PC-local bank (bfcm3) still sees a
-	// nondeterministic cross-connection interleaving; drive it with one
-	// client when parity matters.
+	// PC's subsequence stays on one ordered connection and, since every
+	// predictor's state is per-PC, the summed accuracy is identical to
+	// offline replay at any concurrency.
 	Clients int
 	// BatchSize is events per request frame (0 = DefaultDriveBatch).
 	BatchSize int

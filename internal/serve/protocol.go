@@ -14,9 +14,8 @@ import (
 // uint32 payload length followed by the payload, whose first byte is the
 // message type.
 //
-//	server → client on connect:   hello   (version, shard count, predictor names)
-//	client → server, repeated:    events  (count, count × (uvarint pc, uvarint value))
-//	client → server, repeated:    eventsT (trace id, span id, flags, then the events body)
+//	server → client on connect:   hello   (version, shard count, prior events, predictor names)
+//	client → server, repeated:    events  (trace id, span id, flags, count, count × (uvarint pc, uvarint value))
 //	server → client, in order:    result  (count, per-predictor correct counts)
 //	server → client on error:     error   (message), then the connection closes
 //
@@ -28,21 +27,23 @@ import (
 // Version history:
 //
 //	v1: hello / events / result / error.
-//	v2: adds eventsT — an events frame prefixed by a 17-byte trace
-//	    header (8-byte LE trace id, 8-byte LE span id, 1 flags byte).
-//	    v1 frames remain valid and are served as untraced; v1 clients
-//	    reject a v2 hello, which is the intended "upgrade me" signal.
+//	v2: adds eventsT (type 5) — an events frame prefixed by a 17-byte
+//	    trace header (8-byte LE trace id, 8-byte LE span id, 1 flags byte).
+//	v3: one events frame (type 2) that always carries the trace header;
+//	    an all-zero header means untraced, and type 5 is retired. Both
+//	    sides speak only v3: a client rejects any other hello version,
+//	    and v1/v2 clients reject a v3 hello, which is the intended
+//	    "upgrade me" signal.
 const (
-	protoVersion = 2
+	protoVersion = 3
 
-	msgHello        = 1
-	msgEvents       = 2
-	msgResult       = 3
-	msgError        = 4
-	msgEventsTraced = 5
+	msgHello  = 1
+	msgEvents = 2
+	msgResult = 3
+	msgError  = 4
 
-	// traceHeaderLen is the fixed eventsT prefix after the type byte:
-	// trace id + span id + flags.
+	// traceHeaderLen is the fixed events-frame prefix after the type
+	// byte: trace id + span id + flags.
 	traceHeaderLen = 8 + 8 + 1
 
 	// maxFrame bounds a single frame payload (64 MiB) so a corrupt or
@@ -133,10 +134,8 @@ func decodeHello(p []byte) (shards int, priorEvents uint64, preds []string, err 
 	if len(p) < 1 {
 		return 0, 0, nil, io.ErrUnexpectedEOF
 	}
-	// v1 servers are still speakable-to: they just never see traced
-	// frames, because a client keys SendTraced availability off this.
-	if p[0] != 1 && p[0] != protoVersion {
-		return 0, 0, nil, fmt.Errorf("serve: protocol version %d, want 1..%d", p[0], protoVersion)
+	if p[0] != protoVersion {
+		return 0, 0, nil, fmt.Errorf("serve: protocol version %d, want %d", p[0], protoVersion)
 	}
 	p = p[1:]
 	ns, p, err := uvarint(p)
@@ -170,8 +169,13 @@ func decodeHello(p []byte) (shards int, priorEvents uint64, preds []string, err 
 	return int(ns), priorEvents, preds, nil
 }
 
-func appendEvents(buf []byte, evs []Event) []byte {
+// appendEvents encodes an events frame: the fixed trace header (all
+// zero for an untraced request), then the events body.
+func appendEvents(buf []byte, evs []Event, ctx otrace.Context) []byte {
 	buf = append(buf, msgEvents)
+	buf = binary.LittleEndian.AppendUint64(buf, ctx.TraceID)
+	buf = binary.LittleEndian.AppendUint64(buf, ctx.SpanID)
+	buf = append(buf, ctx.Flags)
 	buf = binary.AppendUvarint(buf, uint64(len(evs)))
 	for _, ev := range evs {
 		buf = binary.AppendUvarint(buf, ev.PC)
@@ -180,7 +184,25 @@ func appendEvents(buf []byte, evs []Event) []byte {
 	return buf
 }
 
-// decodeEventsInto parses an events payload (after the type byte) into
+// decodeRequest is the connection reader's whole decode step for one
+// client frame payload as readFrame returns it (never empty): the type
+// byte, the trace header, then the events body, parsed into dst's backing
+// array as decodeEventsInto does. When only the body is malformed the
+// trace context is still returned, so a traced request that failed to
+// decode can be retained for inspection.
+func decodeRequest(p []byte, dst []Event) (otrace.Context, []Event, error) {
+	if p[0] != msgEvents {
+		return otrace.Context{}, nil, fmt.Errorf("serve: unexpected message type %d", p[0])
+	}
+	ctx, body, err := decodeTraceHeader(p[1:])
+	if err != nil {
+		return otrace.Context{}, nil, err
+	}
+	evs, err := decodeEventsInto(body, dst)
+	return ctx, evs, err
+}
+
+// decodeEventsInto parses an events body (after the trace header) into
 // dst's backing array, growing it only when the batch outsizes every
 // previous one — the connection reader's steady state decodes with zero
 // allocation. The result is scratch: callers that need the events beyond
@@ -216,27 +238,7 @@ func decodeEventsInto(p []byte, dst []Event) ([]Event, error) {
 	return evs, nil
 }
 
-// decodeEvents is decodeEventsInto with a fresh destination.
-func decodeEvents(p []byte) ([]Event, error) {
-	return decodeEventsInto(p, nil)
-}
-
-// appendEventsTraced encodes a v2 traced events frame: the fixed trace
-// header, then the same body appendEvents produces.
-func appendEventsTraced(buf []byte, evs []Event, ctx otrace.Context) []byte {
-	buf = append(buf, msgEventsTraced)
-	buf = binary.LittleEndian.AppendUint64(buf, ctx.TraceID)
-	buf = binary.LittleEndian.AppendUint64(buf, ctx.SpanID)
-	buf = append(buf, ctx.Flags)
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
-	for _, ev := range evs {
-		buf = binary.AppendUvarint(buf, ev.PC)
-		buf = binary.AppendUvarint(buf, ev.Value)
-	}
-	return buf
-}
-
-// decodeTraceHeader splits an eventsT payload (after the type byte) into
+// decodeTraceHeader splits an events payload (after the type byte) into
 // its trace context and the events body that follows.
 func decodeTraceHeader(p []byte) (otrace.Context, []byte, error) {
 	if len(p) < traceHeaderLen {

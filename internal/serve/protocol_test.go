@@ -28,10 +28,13 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestEventsRoundTrip(t *testing.T) {
 	in := []Event{{PC: 0x400, Value: 42}, {PC: 1 << 62, Value: ^uint64(0)}, {PC: 0, Value: 0}}
-	buf := appendEvents(nil, in)
-	out, err := decodeEvents(buf[1:])
+	buf := appendEvents(nil, in, otrace.Context{})
+	ctx, out, err := decodeRequest(buf, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ctx != (otrace.Context{}) || ctx.Valid() {
+		t.Fatalf("untraced frame decoded context %+v", ctx)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("len = %d", len(out))
@@ -46,28 +49,24 @@ func TestEventsRoundTrip(t *testing.T) {
 func TestEventsTracedRoundTrip(t *testing.T) {
 	in := []Event{{PC: 0x400, Value: 42}, {PC: 1 << 62, Value: ^uint64(0)}}
 	ctx := otrace.Context{TraceID: 0xdeadbeef12345678, SpanID: 0xabc, Flags: otrace.FlagSampled}
-	buf := appendEventsTraced(nil, in, ctx)
-	if buf[0] != msgEventsTraced {
+	buf := appendEvents(nil, in, ctx)
+	if buf[0] != msgEvents {
 		t.Fatalf("type byte = %d", buf[0])
 	}
-	got, body, err := decodeTraceHeader(buf[1:])
+	got, out, err := decodeRequest(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != ctx {
 		t.Fatalf("context = %+v, want %+v", got, ctx)
 	}
-	out, err := decodeEvents(body)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(out) != len(in) || out[0] != in[0] || out[1] != in[1] {
 		t.Fatalf("events = %+v, want %+v", out, in)
 	}
-	// The traced body past the header is bit-identical to the untraced
-	// encoding — both frame versions share one events codec.
-	untraced := appendEvents(nil, in)
-	if !bytes.Equal(body, untraced[1:]) {
+	// Traced and untraced frames differ only in the header: the events
+	// body after it is bit-identical.
+	untraced := appendEvents(nil, in, otrace.Context{})
+	if len(untraced) != len(buf) || !bytes.Equal(buf[1+traceHeaderLen:], untraced[1+traceHeaderLen:]) {
 		t.Fatal("traced body diverges from untraced encoding")
 	}
 }
@@ -78,36 +77,37 @@ func TestDecodeTraceHeaderMalformed(t *testing.T) {
 		if _, _, err := decodeTraceHeader(make([]byte, n)); err == nil {
 			t.Fatalf("truncated trace header (%d bytes) accepted", n)
 		}
+		if _, _, err := decodeRequest(append([]byte{msgEvents}, make([]byte, n)...), nil); err == nil {
+			t.Fatalf("events frame with a %d-byte trace header accepted", n)
+		}
 	}
-	// Valid header, corrupt body.
+	// Valid header, corrupt body: the error still carries the context.
 	ctx := otrace.Context{TraceID: 1, SpanID: 2}
-	buf := appendEventsTraced(nil, []Event{{PC: 1, Value: 2}}, ctx)
-	_, body, err := decodeTraceHeader(buf[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeEvents(append(body[:len(body):len(body)], 0xFF)); err == nil {
+	buf := appendEvents(nil, []Event{{PC: 1, Value: 2}}, ctx)
+	got, _, err := decodeRequest(append(buf, 0xFF), nil)
+	if err == nil {
 		t.Fatal("trailing bytes in traced body accepted")
+	}
+	if got != ctx {
+		t.Fatalf("context on a corrupt body = %+v, want %+v", got, ctx)
 	}
 }
 
-func TestHelloAcceptsBothVersions(t *testing.T) {
-	// A v1 hello (old server) must still decode on a new client.
+// TestHelloRejectsOldVersions: a client speaks only the current protocol.
+// A v1 or v2 server cannot decode the v3 events frame and would close the
+// connection on the first send, so its hello must fail the dial instead;
+// an unknown future version fails it too.
+func TestHelloRejectsOldVersions(t *testing.T) {
 	buf := appendHello(nil, 3, 9, []string{"l"})
-	v1 := append([]byte{}, buf[1:]...)
-	v1[0] = 1
-	shards, prior, preds, err := decodeHello(v1)
-	if err != nil {
-		t.Fatalf("v1 hello rejected: %v", err)
+	for _, v := range []byte{1, 2, 9} {
+		old := append([]byte{}, buf[1:]...)
+		old[0] = v
+		if _, _, _, err := decodeHello(old); err == nil {
+			t.Fatalf("protocol version %d accepted", v)
+		}
 	}
-	if shards != 3 || prior != 9 || len(preds) != 1 {
-		t.Fatalf("v1 hello decoded wrong: %d %d %v", shards, prior, preds)
-	}
-	// Unknown future version still rejected.
-	v9 := append([]byte{}, buf[1:]...)
-	v9[0] = 9
-	if _, _, _, err := decodeHello(v9); err == nil {
-		t.Fatal("future protocol version accepted")
+	if _, _, _, err := decodeHello(buf[1:]); err != nil {
+		t.Fatalf("current protocol version rejected: %v", err)
 	}
 }
 
@@ -123,24 +123,30 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	if _, err := decodeEvents([]byte{}); err == nil {
+	if _, err := decodeEventsInto([]byte{}, nil); err == nil {
 		t.Error("empty events payload accepted")
 	}
 	// Count says 2 events but only one follows.
-	if _, err := decodeEvents([]byte{2, 0x10, 0x20}); err == nil {
+	if _, err := decodeEventsInto([]byte{2, 0x10, 0x20}, nil); err == nil {
 		t.Error("short events payload accepted")
 	}
 	// Trailing garbage after a well-formed event.
-	buf := appendEvents(nil, []Event{{PC: 1, Value: 2}})
-	if _, err := decodeEvents(append(buf[1:], 0xFF)); err == nil {
+	buf := appendEvents(nil, []Event{{PC: 1, Value: 2}}, otrace.Context{})
+	if _, _, err := decodeRequest(append(buf, 0xFF), nil); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+	// Any frame type but events (including v2's retired traced type 5).
+	for _, typ := range []byte{msgHello, msgResult, msgError, 5, 0x7F} {
+		if _, _, err := decodeRequest(append([]byte{typ}, buf[1:]...), nil); err == nil {
+			t.Errorf("client frame of type %d accepted", typ)
+		}
 	}
 	if _, _, _, err := decodeHello([]byte{99}); err == nil {
 		t.Error("wrong protocol version accepted")
 	}
 	// Event count claiming more events than the frame could hold must be
 	// rejected before allocation.
-	if _, err := decodeEvents(binary.AppendUvarint(nil, 1<<20)); err == nil {
+	if _, err := decodeEventsInto(binary.AppendUvarint(nil, 1<<20), nil); err == nil {
 		t.Error("oversized event count accepted")
 	}
 	if _, _, err := decodeResult([]byte{10}, 3); err == nil {

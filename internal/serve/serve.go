@@ -13,11 +13,11 @@
 // protocol), and the per-batch correctness tallies stream back to the
 // client in request order.
 //
-// Because every registry predictor marked PCLocal keeps strictly per-PC
-// tables, sharding by PC preserves each static instruction's value
-// subsequence exactly, so the service's accuracy is bit-identical to an
-// offline replay of the same stream at any shard count — the property the
-// end-to-end tests pin down. This operationalizes the framing of Macleod
+// Because every core.Predictor keeps strictly per-PC tables, sharding by
+// PC preserves each static instruction's value subsequence exactly, so
+// the service's accuracy is bit-identical to an offline replay of the
+// same stream at any shard count — the property the end-to-end tests pin
+// down. This operationalizes the framing of Macleod
 // et al.'s "Universal Relationships in Measures of Unpredictability": run
 // a bank of predictor classes side by side over a live stream and read
 // predictability off the best performer. Alongside the binary protocol the
@@ -233,10 +233,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	names := make([]string, len(cfg.Predictors))
 	for i, f := range cfg.Predictors {
-		if cfg.Shards > 1 && !f.PCLocal {
-			return nil, fmt.Errorf(
-				"serve: predictor %q keeps cross-PC state and cannot be sharded (use -shards 1)", f.Name)
-		}
 		names[i] = f.Name
 	}
 	if cfg.CheckpointDir != "" {

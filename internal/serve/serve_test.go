@@ -305,24 +305,6 @@ func TestHelloReportsPriorEvents(t *testing.T) {
 	}
 }
 
-func TestRejectsNonShardablePredictor(t *testing.T) {
-	bfcm, ok := core.FactoryByName("bfcm3")
-	if !ok {
-		t.Fatal("bfcm3 missing from registry")
-	}
-	if _, err := New(Config{Shards: 2, Predictors: []core.NamedFactory{bfcm}}); err == nil {
-		t.Fatal("cross-PC predictor accepted with shards > 1")
-	}
-	s, err := New(Config{Shards: 1, Predictors: []core.NamedFactory{bfcm}})
-	if err != nil {
-		t.Fatalf("shards=1 must accept bfcm3: %v", err)
-	}
-	if err := s.Start("127.0.0.1:0", ""); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-}
-
 func TestMalformedRequestReportsError(t *testing.T) {
 	s := startTestServer(t, 1, "")
 	c, err := Dial(s.Addr().String())

@@ -288,10 +288,8 @@ func (sh *shard) snapshot() ShardStats {
 		if sh.ewmaReady {
 			ps.HitRateEWMA = sh.ewma[i]
 		}
-		if sized, ok := p.(core.Sized); ok {
-			ps.StaticPCs, ps.TableEntries = sized.TableEntries()
-			ps.ApproxStateBytes = int64(ps.StaticPCs)*8 + int64(ps.TableEntries)*approxEntryBytes
-		}
+		ps.StaticPCs, ps.TableEntries = p.TableEntries()
+		ps.ApproxStateBytes = int64(ps.StaticPCs)*8 + int64(ps.TableEntries)*approxEntryBytes
 		st.ApproxStateBytes += ps.ApproxStateBytes
 		st.Predictors[i] = ps
 	}
@@ -312,12 +310,8 @@ func (sh *shard) captureState() shardStateMsg {
 		Preds:  make([]snapshot.PredState, len(sh.preds)),
 	}
 	for i, p := range sh.preds {
-		stateful, ok := p.(core.Stateful)
-		if !ok {
-			return shardStateMsg{err: fmt.Errorf("serve: predictor %q does not implement core.Stateful", sh.names[i])}
-		}
 		var buf bytes.Buffer
-		if err := stateful.SaveState(&buf); err != nil {
+		if err := p.SaveState(&buf); err != nil {
 			return shardStateMsg{err: fmt.Errorf("serve: shard %d: %w", sh.id, err)}
 		}
 		st.Preds[i] = snapshot.PredState{

@@ -102,9 +102,9 @@ func MakeChunk(firstPC uint64, records int, data []byte) ChunkRef {
 // DeltaPred is one predictor's state within one shard of a delta
 // checkpoint: tallies, the chunked-save header bytes, and the chunk
 // table. Concatenating Header with every chunk's bytes (after resolving
-// references) yields the predictor's canonical SaveState blob. Opaque
-// predictors (no chunked save) appear as an empty header plus a single
-// chunk holding the whole blob.
+// references) yields the predictor's canonical SaveState blob. The format
+// also admits an empty header plus a single chunk holding the whole blob,
+// though every core predictor saves chunk-wise.
 type DeltaPred struct {
 	Name    string
 	Correct uint64

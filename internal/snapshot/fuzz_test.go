@@ -12,7 +12,7 @@ import (
 
 // fuzzPredictorNames is the name pool snapshotFromBytes draws banks from;
 // fcm8 puts the high-order slab-backed FCM tables in the fuzzed loop.
-var fuzzPredictorNames = []string{"l", "s2", "fcm3", "hyb", "fcm8"}
+var fuzzPredictorNames = []string{"l", "s2", "fcm3", "fcm8"}
 
 // fuzzConstructors builds a fresh predictor for each pool name, so the
 // fuzz can push every State blob through the real LoadState (fcm8 is not
@@ -21,7 +21,6 @@ var fuzzConstructors = map[string]func() core.Predictor{
 	"l":    func() core.Predictor { return core.NewLastValue() },
 	"s2":   func() core.Predictor { return core.NewStride2Delta() },
 	"fcm3": func() core.Predictor { return core.NewFCM(3) },
-	"hyb":  func() core.Predictor { return core.NewStrideFCMHybrid(3) },
 	"fcm8": func() core.Predictor { return core.NewFCM(8) },
 }
 
@@ -110,7 +109,7 @@ func trainedStateSeed(events int) []byte {
 	b = append(b, 9 /* events */, 2 /* npc */, 5, 7)
 	for _, p := range preds {
 		var st bytes.Buffer
-		if err := p.(core.Stateful).SaveState(&st); err != nil {
+		if err := p.SaveState(&st); err != nil {
 			panic(err)
 		}
 		b = append(b, byte(st.Len()), byte(st.Len()>>8)) // 16-bit state length
@@ -224,15 +223,14 @@ func checkPredStateLoad(t *testing.T, ps *PredState) {
 		return
 	}
 	p := ctor()
-	st := p.(core.Stateful)
-	if err := st.LoadState(bytes.NewReader(ps.State)); err != nil {
+	if err := p.LoadState(bytes.NewReader(ps.State)); err != nil {
 		return
 	}
 	var s1 bytes.Buffer
-	if err := st.SaveState(&s1); err != nil {
+	if err := p.SaveState(&s1); err != nil {
 		t.Fatalf("%s: save after accepted load: %v", ps.Name, err)
 	}
-	q := ctor().(core.Stateful)
+	q := ctor()
 	if err := q.LoadState(bytes.NewReader(s1.Bytes())); err != nil {
 		t.Fatalf("%s: canonical save rejected by LoadState: %v", ps.Name, err)
 	}
