@@ -546,7 +546,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 
 // BenchmarkServeCheckpoint measures an online checkpoint of a loaded
 // server: the request-atomic cut, per-shard serialization and the atomic
-// file write, while the server is otherwise idle.
+// file write, while the server is otherwise idle. Each full checkpoint
+// sweeps the one before it, so the directory holds one file throughout.
 func BenchmarkServeCheckpoint(b *testing.B) {
 	evs := serveBenchStream()
 	dir := b.TempDir()
@@ -564,24 +565,18 @@ func BenchmarkServeCheckpoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		info, err := s.WriteCheckpoint(dir)
-		if err != nil {
+		if _, err := s.WriteCheckpoint(dir); err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		os.Remove(info.Path) // keep the temp dir from filling the disk
-		b.StartTimer()
 	}
 	b.ReportMetric(float64(len(evs)), "events/op")
 }
 
 // deltaBenchStream builds the delta-checkpoint workload: a wide static
-// PC set (8192 PCs) so each predictor's canonical state spans many
-// chunks, plus a hot stream over the lowest ~5% of those PCs. The hot
-// set is contiguous in the ascending-PC canonical order, so steady-state
-// mutation dirties a small clustered band of chunks — the access pattern
-// (few hot instructions, stable table membership) delta checkpoints are
-// built for.
+// PC set (8192 PCs), plus a hot stream over the lowest ~5% of those PCs,
+// so steady-state mutation dirties a small band of PCs and their
+// contexts — the access pattern (few hot instructions, stable table
+// membership) delta checkpoints are built for.
 var deltaStreamOnce struct {
 	train, hot []serve.Event
 }
@@ -623,13 +618,13 @@ func deltaBenchStream() (train, hot []serve.Event) {
 // BenchmarkSnapshotDeltaEncode measures an incremental checkpoint cut on
 // a loaded delta-mode server when ~5% of PCs have mutated since the
 // previous cut: per op, the hot PC band is re-driven (untimed) and then
-// one delta is cut (timed) — dirty-chunk serialization, content-hash
-// dedup of the clean remainder, and the streaming file write. The
+// one delta is cut (timed) — each shard's scan for changed contexts, the
+// encoding of the dirty PCs' records, and the atomic file write. The
 // full-cut reference over the same mutation pattern is measured during
 // setup and reported as full_cut_ns and full_bytes; bytes_x and time_x
 // are the full/delta ratios, with ≥5× the acceptance bar for both. CI
-// ratchets ns/op here, so the clean-chunk skip path cannot silently
-// decay back into a full serialization.
+// ratchets ns/op here, so a delta cut cannot silently decay back into a
+// full serialization.
 func BenchmarkSnapshotDeltaEncode(b *testing.B) {
 	train, hot := deltaBenchStream()
 	dir := b.TempDir()
@@ -714,9 +709,9 @@ func fcmGrowthEvents(rng *rand.Rand, n int) (pcs, vals []uint64) {
 }
 
 // BenchmarkFCMSaveGrowth measures an FCM(3) save whose table grew since
-// the previous save, the case every checkpoint cut of a growing workload
-// hits. Per op, untimed: restore a ~1M-context state, save once (the
-// previous cut), then add ~10% new contexts; timed: one SaveStateChunks
+// the previous save, the case every full checkpoint cut of a growing
+// workload hits. Per op, untimed: restore a ~1M-context state, save once
+// (the previous cut), then add ~10% new contexts; timed: one SaveState
 // that encodes every record. CI ratchets ns/op here, so a save that goes
 // back to sorting every context, rather than only those added since the
 // previous save, fails the build.
@@ -733,10 +728,6 @@ func BenchmarkFCMSaveGrowth(b *testing.B) {
 	}
 	_, baseCtxs := p.TableEntries()
 	growPCs, growVals := fcmGrowthEvents(rng, 34_000)
-	discard := &core.ChunkSaver{
-		Header: func([]byte) error { return nil },
-		Emit:   func(uint64, int, []byte) error { return nil },
-	}
 	var ctxs int
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -745,7 +736,7 @@ func BenchmarkFCMSaveGrowth(b *testing.B) {
 		if err := p.LoadState(bytes.NewReader(base.Bytes())); err != nil {
 			b.Fatal(err)
 		}
-		if err := p.SaveStateChunks(discard); err != nil {
+		if err := p.SaveState(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 		for j := range growPCs {
@@ -753,7 +744,7 @@ func BenchmarkFCMSaveGrowth(b *testing.B) {
 		}
 		_, ctxs = p.TableEntries()
 		b.StartTimer()
-		if err := p.SaveStateChunks(discard); err != nil {
+		if err := p.SaveState(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,21 +15,25 @@
 //	vpserve -checkpoint-dir /var/lib/vpserve -checkpoint-interval 30s
 //	vpserve -checkpoint-dir /var/lib/vpserve -restore /var/lib/vpserve
 //
-// With -checkpoint-delta checkpoints become incremental: each cut stores
-// only the state chunks dirtied since the previous one (the rest dedup
-// to content-hash references into the chain) and every
-// -checkpoint-full-every deltas a full checkpoint roots a fresh chain
-// and sweeps the superseded files:
+// Every durable full checkpoint sweeps the older checkpoints from the
+// directory. With -checkpoint-delta checkpoints become incremental: each
+// cut after a full one is a delta holding only the records changed since
+// the previous cut (the histories of the PCs stepped since, and the FCM
+// contexts whose counts changed), and every -checkpoint-full-every deltas
+// a full checkpoint roots a fresh chain:
 //
 //	vpserve -checkpoint-dir /var/lib/vpserve -checkpoint-interval 30s \
 //	        -checkpoint-delta -checkpoint-full-every 8
 //
-// -restore accepts a checkpoint file or a directory (the newest
-// checkpoint of either generation wins); delta chains are resolved back
-// through their parents automatically. Unless overridden, the shard
-// count and predictor bank are taken from the snapshot. POST /snapshot
-// on the HTTP endpoint triggers an immediate checkpoint (?full=1 forces
-// a full cut). Drive it with the load generator:
+// -restore accepts a checkpoint file or a directory. From a directory
+// the newest checkpoint whose chain resolves wins: one that fails
+// verification (a corrupt file, a missing parent) is logged and skipped
+// for the next older one, and the server exits only when none resolves.
+// Delta chains are resolved back through their parents automatically.
+// Unless overridden, the shard count and predictor bank are taken from
+// the snapshot. POST /snapshot on the HTTP endpoint triggers an
+// immediate checkpoint (?full=1 forces a full cut). Drive it with the
+// load generator:
 //
 //	vptrace capture -bench gcc -events 1000000 -o gcc.vpt
 //	vptrace drive -addr localhost:9747 -clients 8 gcc.vpt
@@ -61,9 +65,9 @@ func main() {
 	mailbox := flag.Int("mailbox", 0, "per-shard mailbox depth (0 = default)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for predictor-state snapshots (enables checkpointing)")
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "write a checkpoint this often (0 = only on shutdown/trigger; needs -checkpoint-dir)")
-	ckptDelta := flag.Bool("checkpoint-delta", false, "write incremental (delta-chain) checkpoints: only state chunks dirtied since the previous cut are stored, the rest dedup to content-hash references")
+	ckptDelta := flag.Bool("checkpoint-delta", false, "write incremental (delta-chain) checkpoints: after a full one, each cut stores only the records changed since the previous cut (stepped PCs' histories and changed FCM contexts)")
 	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "with -checkpoint-delta, force a full checkpoint after this many deltas and sweep the superseded chain (0 = 8)")
-	restore := flag.String("restore", "", "warm-restart from this snapshot file, or the newest snapshot in this directory")
+	restore := flag.String("restore", "", "warm-restart from this checkpoint file, or from the newest checkpoint in this directory whose chain resolves (older ones are tried in turn)")
 	logLevel := flag.String("log-level", "", "minimum log level (debug|info|warn|error; default $"+obs.LogLevelEnv+", then info)")
 	predstatOn := flag.Bool("predstat", true, "track per-PC predictability analytics (GET /predictability, vp_pc_entropy_bits & friends)")
 	traceSlow := flag.Duration("trace-slow", 0, "floor of the adaptive slow-request trace threshold (0 = 10ms); slower traced requests are retained in GET /trace")
@@ -116,18 +120,19 @@ func main() {
 	// operator explicitly overrides them (and then mismatches are errors).
 	var snap *snapshot.Snapshot
 	if *restore != "" {
-		path := *restore
-		if st, err := os.Stat(path); err == nil && st.IsDir() {
-			var err error
-			if path, err = snapshot.LatestAny(path); err != nil {
-				fatal(err)
-			}
-		}
 		var chain *snapshot.ChainInfo
 		var err error
-		if snap, chain, err = snapshot.ResolveChain(path); err != nil {
+		if st, statErr := os.Stat(*restore); statErr == nil && st.IsDir() {
+			snap, chain, err = snapshot.ResolveLatest(*restore, func(path string, err error) {
+				log.Warn("skipping checkpoint that does not resolve", "path", path, "err", err)
+			})
+		} else {
+			snap, chain, err = snapshot.ResolveChain(*restore)
+		}
+		if err != nil {
 			fatal(err)
 		}
+		path := chain.Files[len(chain.Files)-1]
 		if !explicit["shards"] {
 			*shards = snap.Meta.Shards
 		}

@@ -17,12 +17,12 @@
 // emits everything as JSON for scripting, with -pcs including the full
 // per-PC entry counts.
 //
-// All three commands accept either generation of checkpoint: a v1
-// .vpsnap snapshot, or a v2 .vpdelta delta whose parent chain is
-// resolved from the same directory (and each link CRC-verified). For a
-// delta, info additionally reports the parent ID, chain depth, file
-// count, and the tip's dirty ratio — how many chunks were stored inline
-// versus deduplicated to content-hash references.
+// All three commands accept any checkpoint: a full one, or a delta whose
+// parent chain is resolved from the same directory (each link
+// CRC-verified and applied through the predictor registry). For a delta,
+// info lists every file of the chain with the records each delta carried
+// (per-PC records and FCM contexts), diff notes each side's chain, and
+// export adds the chain to its JSON.
 package main
 
 import (
@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"time"
 
@@ -122,8 +123,8 @@ func aggregate(snap *snapshot.Snapshot) ([]*predAgg, error) {
 	return aggs, nil
 }
 
-// readSnap opens a checkpoint of either generation: a v1 snapshot as-is,
-// a v2 delta with its parent chain resolved from the same directory.
+// readSnap opens a checkpoint: a full one as-is, a delta with its parent
+// chain resolved from the same directory.
 func readSnap(path string) (*snapshot.Snapshot, *snapshot.ChainInfo) {
 	snap, chain, err := snapshot.ResolveChain(path)
 	if err != nil {
@@ -147,41 +148,36 @@ func printMeta(snap *snapshot.Snapshot, chain *snapshot.ChainInfo) {
 	printChain(chain)
 }
 
-// printChain summarizes a delta chain: kind, parentage, depth, and the
-// tip's chunk table split into dirty (inline) and clean (referenced)
-// chunks. Prints nothing for a v1 snapshot.
+// printChain summarizes a checkpoint's chain: its kind and, for a delta,
+// every file of the chain with its size and the records each delta
+// carried.
 func printChain(chain *snapshot.ChainInfo) {
-	if chain == nil || chain.Tip == nil {
+	if chain.Depth == 0 {
+		fmt.Printf("kind:       full\n")
 		return
 	}
-	tip := chain.Tip
-	kind := "full"
-	if tip.Meta.ParentID != "" {
-		kind = "delta"
-		fmt.Printf("kind:       %s (parent %s)\n", kind, tip.Meta.ParentID)
-	} else {
-		fmt.Printf("kind:       %s\n", kind)
-	}
-	fmt.Printf("chain:      depth %d, %d file(s)\n", chain.Depth, len(chain.Files))
-	st := tip.Stats()
-	total := st.Inline + st.Refs
-	if total > 0 {
-		fmt.Printf("chunks:     %d dirty (%d bytes inline), %d clean refs (%d bytes deduped), %.1f%% dirty\n",
-			st.Inline, st.InlineBytes, st.Refs, st.RefBytes, 100*float64(st.Inline)/float64(total))
+	fmt.Printf("kind:       delta (chain depth %d, %d files)\n", chain.Depth, len(chain.Files))
+	for i, f := range chain.Files {
+		var size int64
+		if fi, err := os.Stat(f); err == nil {
+			size = fi.Size()
+		}
+		if i == 0 {
+			fmt.Printf("  full   %s %12d bytes\n", filepath.Base(f), size)
+		} else {
+			fmt.Printf("  delta  %s %12d bytes %10d records\n", filepath.Base(f), size, chain.Records[i-1])
+		}
 	}
 }
 
 // chainSuffix is the compact chain annotation diff appends to each
-// side's header line; empty for a v1 snapshot.
+// side's header line.
 func chainSuffix(chain *snapshot.ChainInfo) string {
-	if chain == nil || chain.Tip == nil {
-		return ""
-	}
-	if chain.Tip.Meta.ParentID == "" {
+	if chain.Depth == 0 {
 		return "  [full]"
 	}
-	return fmt.Sprintf("  [delta chain: depth %d, %d files, parent %s]",
-		chain.Depth, len(chain.Files), chain.Tip.Meta.ParentID)
+	return fmt.Sprintf("  [delta chain: depth %d, %d files, %d records in the tip]",
+		chain.Depth, len(chain.Files), chain.Records[len(chain.Records)-1])
 }
 
 func info(args []string) {
@@ -380,13 +376,10 @@ func export(args []string) {
 		PCs map[string]int `json:"pc_entries,omitempty"`
 	}
 	type exportChain struct {
-		ParentID     string `json:"parent_id,omitempty"`
-		Depth        int    `json:"depth"`
-		Files        int    `json:"files"`
-		DirtyChunks  int    `json:"dirty_chunks"`
-		DirtyBytes   int    `json:"dirty_bytes"`
-		CleanRefs    int    `json:"clean_refs"`
-		DedupedBytes int    `json:"deduped_bytes"`
+		Depth int      `json:"depth"`
+		Files []string `json:"files"`
+		// Records holds, per delta, the records it carried.
+		Records []int `json:"records"`
 	}
 	out := struct {
 		Meta       snapshot.Meta `json:"meta"`
@@ -398,17 +391,8 @@ func export(args []string) {
 		Meta:    snap.Meta,
 		Created: time.Unix(0, snap.Meta.CreatedUnixNano).UTC().Format(time.RFC3339Nano),
 	}
-	if chain != nil && chain.Tip != nil {
-		st := chain.Tip.Stats()
-		out.Chain = &exportChain{
-			ParentID:     chain.Tip.Meta.ParentID,
-			Depth:        chain.Depth,
-			Files:        len(chain.Files),
-			DirtyChunks:  st.Inline,
-			DirtyBytes:   st.InlineBytes,
-			CleanRefs:    st.Refs,
-			DedupedBytes: st.RefBytes,
-		}
+	if chain.Depth > 0 {
+		out.Chain = &exportChain{Depth: chain.Depth, Files: chain.Files, Records: chain.Records}
 	}
 	for _, sh := range snap.Shards {
 		es := exportShard{Shard: sh.Shard, Events: sh.Events, UniquePCs: len(sh.PCs)}

@@ -348,7 +348,7 @@ func drive(args []string) {
 	clients := fs.Int("clients", 1, "concurrent client connections")
 	batch := fs.Int("batch", 0, "events per request (0 = default)")
 	verify := fs.Bool("verify", false, "also replay offline and verify the server's tallies match")
-	warm := fs.String("warm", "", "snapshot the server was warm-restarted from; -verify replays from this state instead of cold tables")
+	warm := fs.String("warm", "", "checkpoint the server was warm-restarted from (a delta resolves through its chain); -verify replays from this state instead of cold tables")
 	benchName := fs.String("bench", "", "drive a live simulation of this workload instead of a trace file")
 	opt := fs.Int("opt", bench.RefOpt, "compiler optimization level (with -bench)")
 	scale := fs.Int("scale", 1, "input scale factor (with -bench)")
@@ -456,8 +456,9 @@ func drive(args []string) {
 		var mode string
 		if *warm != "" {
 			// Warm-restart parity: replay from the snapshot's restored
-			// state, mirroring the server's sharded layout exactly.
-			snap, err := snapshot.ReadFile(*warm)
+			// state, mirroring the server's sharded layout exactly. A
+			// delta checkpoint resolves through its chain first.
+			snap, _, err := snapshot.ResolveChain(*warm)
 			if err != nil {
 				fatal(err)
 			}

@@ -30,8 +30,8 @@ func TestNilArenaIsHeap(t *testing.T) {
 	if s[100] != 7 || len(s) != 101 {
 		t.Fatalf("Grow+append: got len %d last %d", len(s), s[100])
 	}
-	Free(a, s)    // no-op
-	a.Release()   // no-op
+	Free(a, s)  // no-op
+	a.Release() // no-op
 	if a.Mapped() != 0 {
 		t.Fatal("nil arena reports mapped bytes")
 	}

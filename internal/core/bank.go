@@ -302,10 +302,10 @@ func (b *Bank) Reset() {
 }
 
 // SetDirtyTracking turns per-PC dirty tracking on or off. While on, every
-// PC touched by a batch is marked in a bitset that SaveState chunking
-// reads through PCDirty; marking piggybacks on batch grouping's existing
-// once-per-distinct-PC stamp and adds zero steady-state allocations
-// (TestBankDirtyTrackingZeroAlloc). Not safe to call concurrently with
+// PC touched by a batch is marked in a bitset that delta saves
+// (DeltaStateful.SaveDelta) read through PCDirty; marking piggybacks on
+// batch grouping's existing once-per-distinct-PC stamp and adds zero
+// steady-state allocations (TestBankDirtyTrackingZeroAlloc). Not safe to call concurrently with
 // StepBatch.
 func (b *Bank) SetDirtyTracking(on bool) {
 	b.dirtyOn = on
@@ -343,10 +343,3 @@ func (b *Bank) PCDirty(pc uint64) bool {
 func (b *Bank) ResetDirty() {
 	clear(b.dirty)
 }
-
-// PCCount returns how many distinct PCs the bank has grouped. The pc
-// table never deletes, so an unchanged count between two cuts proves the
-// PC membership — and therefore every predictor's record layout and
-// chunk partition — is unchanged, which is the precondition for skipping
-// clean chunks in a delta save.
-func (b *Bank) PCCount() int { return b.idx.len() }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -41,9 +42,11 @@ const MaxFCMOrder = 16
 // count is stored once, in the run: a context holds only the ordinal of
 // its prediction.
 //
-// Saves (SaveState, SaveStateChunks) bring each order's canonical-order
-// index up to date, so like Update they mutate the predictor and must
-// run on the goroutine that owns it.
+// Every update marks the contexts whose counts it changed, inside the
+// context entry it already writes; SaveDelta writes and clears exactly
+// those. Saves mutate the predictor (they clear the marks, and SaveState
+// brings each order's canonical-order index up to date), so like Update
+// they must run on the goroutine that owns it.
 type FCM struct {
 	order int
 	blend bool
@@ -133,8 +136,15 @@ type fcmCtxEnt struct {
 	valOff int32 // start of this context's run in the value slab
 	nvals  int32 // live values in the run
 	best   int32 // run ordinal of the prediction
-	vh     int32 // value-index handle+1 once promoted; 0 = scan the run
+	// vh is the value-index handle+1 once promoted (0 = scan the run),
+	// with ctxDirty, its otherwise unused sign bit, set while the
+	// context's counts have changed since the last save.
+	vh int32
 }
+
+// ctxDirty is the change mark in fcmCtxEnt.vh: set by every count
+// update, cleared by SaveState and SaveDelta.
+const ctxDirty int32 = math.MinInt32
 
 // fcmVal is one (value, count) pair. Contexts typically see very few
 // distinct values, so lists are scanned linearly; keeping each context's
@@ -535,6 +545,7 @@ func (p *FCM) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 			m := kernel.ConstPrefixLen(values[k:], v)
 			c := &p.ords[order].ctxs[mhnd]
 			p.vals[c.valOff+c.best].count += uint32(m)
+			c.vh |= ctxDirty
 			s.updates += uint64(m)
 			kernel.SetOnes(hits[k : k+m])
 			n += uint64(m)
@@ -564,17 +575,19 @@ func histConst(s *fcmPCState, v uint64, order int) bool {
 }
 
 // addValue increments the count for v in c's run (appending on first
-// sight) and maintains the max-count prediction; a just-updated value
-// wins ties, giving most-recently-seen tie-breaks. Small runs are
-// scanned; promoted contexts go through their value index.
+// sight), maintains the max-count prediction and marks c changed; a
+// just-updated value wins ties, giving most-recently-seen tie-breaks.
+// Small runs are scanned; promoted contexts go through their value index.
 func (st *fcmStore) addValue(c *fcmCtxEnt, v uint64) {
-	if c.vh != 0 {
-		if ord, ok := st.vidx[c.vh-1].lookup(v); ok {
+	vh := c.vh &^ ctxDirty
+	c.vh |= ctxDirty
+	if vh != 0 {
+		if ord, ok := st.vidx[vh-1].lookup(v); ok {
 			st.bumpValue(c, ord)
 			return
 		}
 		st.appendNewValue(c, v)
-		st.vidx[c.vh-1].insert(st.arena, v, c.nvals-1)
+		st.vidx[vh-1].insert(st.arena, v, c.nvals-1)
 		return
 	}
 	run := st.vals[c.valOff : c.valOff+c.nvals]
@@ -614,16 +627,21 @@ func (st *fcmStore) appendNewValue(c *fcmCtxEnt, v uint64) {
 	}
 }
 
-// promote builds c's value index from its current run.
+// promote builds c's value index from its current run. c has none yet,
+// so its vh holds at most the change mark, which is kept.
 func (st *fcmStore) promote(c *fcmCtxEnt) {
 	h := int32(len(st.vidx))
 	st.vidx = append(st.vidx, fcmValIdx{})
-	t := &st.vidx[h]
+	st.indexRun(c, &st.vidx[h])
+	c.vh |= h + 1
+}
+
+// indexRun inserts c's run into value index t, which must be empty.
+func (st *fcmStore) indexRun(c *fcmCtxEnt, t *fcmValIdx) {
 	run := st.vals[c.valOff : c.valOff+c.nvals]
 	for i := range run {
 		t.insert(st.arena, run[i].value, int32(i))
 	}
-	c.vh = h + 1
 }
 
 // relocateRun moves c's full value run (nvals is 0 or a power of two,
@@ -644,22 +662,41 @@ func (st *fcmStore) relocateRun(c *fcmCtxEnt) {
 	c.valOff = off
 }
 
+// runCap is the reserved length of an n-value run: n rounded up to a
+// power of two, the capacity appendNewValue's doublings reach from empty
+// and the reservation it assumes when it decides a run is full.
+func runCap(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return 1 << bits.Len32(uint32(n-1))
+}
+
 // loadRun installs a decoded (value, count) list as c's run with the
-// prediction at ordinal best. The run is reserved once, at the next power
-// of two: the capacity appendNewValue's doublings reach from empty, which
-// is the reservation appendNewValue assumes when it decides a run is
-// full, and stays within twice the values the input held.
+// prediction at ordinal best, replacing any run c held; a loaded or
+// applied run is saved state, so c is marked clean. A run that fits c's
+// current reservation is rewritten in place; a longer one is reserved
+// once, at runCap, at the slab's end. A promoted context's value index is
+// rebuilt, and a run reaching fcmHashThreshold is promoted.
 func (st *fcmStore) loadRun(c *fcmCtxEnt, run []fcmVal, best int32) {
 	c.best = best
-	if len(run) == 0 {
-		return
+	c.vh &^= ctxDirty
+	if len(run) <= runCap(int(c.nvals)) {
+		copy(st.vals[c.valOff:], run)
+	} else {
+		capRun := runCap(len(run))
+		st.vals = arena.Grow(st.arena, st.vals, capRun)
+		c.valOff = int32(len(st.vals))
+		st.vals = append(st.vals, run...)
+		st.vals = append(st.vals, make([]fcmVal, capRun-len(run))...)
 	}
-	capRun := 1 << bits.Len32(uint32(len(run)-1))
-	st.vals = arena.Grow(st.arena, st.vals, capRun)
-	c.valOff, c.nvals = int32(len(st.vals)), int32(len(run))
-	st.vals = append(st.vals, run...)
-	st.vals = append(st.vals, make([]fcmVal, capRun-len(run))...)
-	if c.nvals >= fcmHashThreshold {
+	c.nvals = int32(len(run))
+	if c.vh != 0 {
+		t := &st.vidx[c.vh-1]
+		clear(t.slots)
+		t.n = 0
+		st.indexRun(c, t)
+	} else if c.nvals >= fcmHashThreshold {
 		st.promote(c)
 	}
 }
@@ -838,14 +875,128 @@ func (p *FCM) encodeCtx(e *stateEncoder, c *fcmCtxEnt) {
 	}
 }
 
+// saveFlush is how many encoded bytes a save buffers before writing them
+// out, so a large table streams through a bounded buffer.
+const saveFlush = 64 << 10
+
 // SaveState implements Stateful. Layout: order and blend flag (validated
 // against the receiver's configuration on load), then sorted per-PC
 // records: history, update count, and for each order 0..k the context
 // table with full-concatenation keys in lexicographic order, streamed
 // straight from the key slab with no intermediate string. The encoding is
-// byte-identical to the original map-backed implementation's. It is the
-// chunked save written out whole.
-func (p *FCM) SaveState(w io.Writer) error { return WriteChunks(p, w) }
+// byte-identical to the original map-backed implementation's. Each
+// order's canonical index is brought up to date first (syncCanon), after
+// which every PC's contexts are one bucket read.
+func (p *FCM) SaveState(w io.Writer) error {
+	for o := 1; o <= p.order; o++ {
+		p.syncCanon(o)
+	}
+	var ctx0 [1]int32
+	return p.writeRecords(w, p.cachedPCHandles(), func(h int32, o int) []int32 {
+		if o > 0 {
+			c := &p.ords[o].canon
+			return c.hs[c.starts[h]:c.starts[h+1]]
+		}
+		if p.pcs[h].ctx0 < 0 {
+			return nil
+		}
+		ctx0[0] = p.pcs[h].ctx0
+		return ctx0[:]
+	})
+}
+
+// SaveDelta implements DeltaStateful. A delta is SaveState's layout with
+// only the PCs dirty reports, each record holding the PC's history and
+// update count and only the contexts changed since the previous save (in
+// handle order, not canonical order). One sequential scan per order finds
+// and clears the change marks; a changed context whose PC is not dirty is
+// one the previous save already holds.
+func (p *FCM) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
+	npc := len(p.pcs)
+	// Order o's changed contexts, grouped by owning PC by a counting
+	// sort: PC h's are byPC[o][at[o][h]:at[o][h+1]].
+	byPC := make([][]int32, p.order+1)
+	at := make([][]int32, p.order+1)
+	for o := range p.ords {
+		ctxs := p.ords[o].ctxs
+		var changed []int32
+		starts := make([]int32, npc+1)
+		for i := range ctxs {
+			if c := &ctxs[i]; c.vh < 0 {
+				c.vh &^= ctxDirty
+				changed = append(changed, int32(i))
+				starts[c.pcIdx+1]++
+			}
+		}
+		for h := 1; h <= npc; h++ {
+			starts[h] += starts[h-1]
+		}
+		next := slices.Clone(starts[:npc])
+		grouped := make([]int32, len(changed))
+		for _, ch := range changed {
+			h := ctxs[ch].pcIdx
+			grouped[next[h]] = ch
+			next[h]++
+		}
+		byPC[o], at[o] = grouped, starts
+	}
+	var hs []int32
+	records := 0
+	for _, h := range p.cachedPCHandles() {
+		if dirty == nil || dirty(p.pcs[h].pc) {
+			hs = append(hs, h)
+			for o := range at {
+				records += int(at[o][h+1] - at[o][h])
+			}
+		}
+	}
+	err := p.writeRecords(w, hs, func(h int32, o int) []int32 {
+		return byPC[o][at[o][h]:at[o][h+1]]
+	})
+	return records, err
+}
+
+// writeRecords streams the header and the records of PCs hs, which must
+// ascend by PC: each record's history and update count, then for every
+// order the contexts ctxsOf lists, keys first. Every context written is
+// marked clean.
+func (p *FCM) writeRecords(w io.Writer, hs []int32, ctxsOf func(h int32, o int) []int32) error {
+	var e stateEncoder
+	e.uvarint(uint64(p.order))
+	e.uvarint(uint64(b2u8(p.blend)))
+	e.uvarint(uint64(len(hs)))
+	var prev uint64
+	for _, h := range hs {
+		s := &p.pcs[h]
+		e.uvarint(s.pc - prev)
+		prev = s.pc
+		e.uvarint(uint64(s.n))
+		for i := 0; i < int(s.n); i++ {
+			e.uvarint(s.hist[i])
+		}
+		e.uvarint(s.updates)
+		for o := 0; o <= p.order; o++ {
+			st := &p.ords[o]
+			cs := ctxsOf(h, o)
+			e.uvarint(uint64(len(cs)))
+			for _, ch := range cs {
+				for _, kv := range st.key(o, ch) {
+					e.le64(kv) // full concatenation: exactly 8*o bytes
+				}
+				c := &st.ctxs[ch]
+				c.vh &^= ctxDirty
+				p.encodeCtx(&e, c)
+			}
+		}
+		if len(e.buf) >= saveFlush {
+			if err := e.flushTo(w); err != nil {
+				return err
+			}
+			e.buf = e.buf[:0]
+		}
+	}
+	return e.flushTo(w)
+}
 
 // cachedPCHandles is sortedPCHandles with the saveOrder cache: a cached
 // permutation of matching length that is still strictly ascending over
@@ -873,50 +1024,111 @@ func (p *FCM) cachedPCHandles() []int32 {
 	return hs
 }
 
-// SaveStateChunks implements ChunkedStateful: the exact SaveState stream
-// split at per-PC record boundaries. Each order's canonical index is
-// brought up to date first (syncCanon), after which every PC's contexts
-// are one bucket read, so a delta save that skips clean chunks pays
-// only for the contexts added since the previous save and the records
-// it encodes.
-func (p *FCM) SaveStateChunks(cs *ChunkSaver) error {
-	var hdr stateEncoder
-	hdr.uvarint(uint64(p.order))
-	blend := uint64(0)
-	if p.blend {
-		blend = 1
+// checkHeader reads a state or delta stream's order and blend flag and
+// rejects a stream cut from a differently configured FCM.
+func (p *FCM) checkHeader(d *stateDecoder) error {
+	order := d.count(MaxFCMOrder)
+	blend := d.count(1)
+	if d.err == nil && (int(order) != p.order || (blend == 1) != p.blend) {
+		return errState(p.Name(), fmt.Errorf(
+			"state is for order %d blend=%v, receiver wants order %d blend=%v",
+			order, blend == 1, p.order, p.blend))
 	}
-	hdr.uvarint(blend)
-	hdr.uvarint(uint64(len(p.pcs)))
-	for o := 1; o <= p.order; o++ {
-		p.syncCanon(o)
+	return nil
+}
+
+// decodeRun reads one context's value list and best ordinal (encodeCtx's
+// layout) into run's storage, which grows only with decoded input.
+func decodeRun(d *stateDecoder, run []fcmVal) ([]fcmVal, int32) {
+	nv := d.uvarint()
+	best := d.uvarint()
+	if d.err == nil && best >= max(nv, 1) {
+		d.err = fmt.Errorf("best index %d out of range for %d values", best, nv)
 	}
-	return chunkedSave(cs, p.cachedPCHandles(), func(h int32) uint64 { return p.pcs[h].pc }, &hdr,
-		func(e *stateEncoder, h int32) {
-			s := &p.pcs[h]
-			e.uvarint(uint64(s.n))
-			for i := 0; i < int(s.n); i++ {
-				e.uvarint(s.hist[i])
+	run = run[:0]
+	for vi := uint64(0); vi < nv && d.err == nil; vi++ {
+		value := d.uvarint()
+		count := d.count(1<<32 - 1)
+		run = append(run, fcmVal{value: value, count: uint32(count)})
+	}
+	return run, int32(best)
+}
+
+// ApplyDelta implements DeltaStateful: each record finds or inserts its
+// PC and replaces its history and update count, then finds or inserts
+// each context and replaces its run and best ordinal. The rolling
+// signatures are rebuilt from the applied history, as LoadState does.
+func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
+	d := newStateDecoder(r)
+	if err := p.checkHeader(d); err != nil {
+		return 0, err
+	}
+	npc := d.uvarint()
+	records := 0
+	var run []fcmVal
+	var key [MaxFCMOrder]uint64
+	var pc uint64
+	for i := uint64(0); i < npc && d.err == nil; i++ {
+		next := pc + d.uvarint()
+		if d.err == nil && i > 0 && next <= pc {
+			return 0, errState(p.Name(), errDeltaOrder)
+		}
+		pc = next
+		var hist [MaxFCMOrder]uint64
+		n := int(d.count(uint64(p.order)))
+		for j := 0; j < n; j++ {
+			hist[j] = d.uvarint()
+		}
+		updates := d.uvarint()
+		if d.err != nil {
+			break
+		}
+		pcIdx, ok := p.idx.lookup(pc)
+		if !ok {
+			pcIdx = p.idx.insert(pc)
+			p.pcs = append(arena.Grow(p.arena, p.pcs, 1), fcmPCState{pc: pc, ctx0: -1})
+		}
+		s := &p.pcs[pcIdx]
+		s.hist, s.n, s.updates = hist, int32(n), updates
+		for o := 1; o <= n; o++ {
+			s.sigs[o] = sigOf(hist[n-o : n])
+		}
+		for o := 0; o <= p.order && d.err == nil; o++ {
+			nctx := d.uvarint()
+			if d.err == nil && o == 0 && nctx > 1 {
+				return 0, errState(p.Name(), fmt.Errorf("pc %#x has %d order-0 contexts", pc, nctx))
 			}
-			e.uvarint(s.updates)
-			if s.ctx0 >= 0 {
-				e.uvarint(1)
-				p.encodeCtx(e, &p.ords[0].ctxs[s.ctx0])
-			} else {
-				e.uvarint(0)
-			}
-			for o := 1; o <= p.order; o++ {
-				st := &p.ords[o]
-				bucket := st.canon.hs[st.canon.starts[h]:st.canon.starts[h+1]]
-				e.uvarint(uint64(len(bucket)))
-				for _, ch := range bucket {
-					for _, kv := range st.keys[int(ch)*o : (int(ch)+1)*o] {
-						e.le64(kv) // full concatenation: exactly 8*o bytes
-					}
-					p.encodeCtx(e, &st.ctxs[ch])
+			for k := uint64(0); k < nctx && d.err == nil; k++ {
+				for j := 0; j < o; j++ {
+					key[j] = d.le64()
 				}
+				var best int32
+				run, best = decodeRun(d, run)
+				if d.err != nil {
+					break
+				}
+				st := &p.ords[o]
+				var hnd int32
+				if o == 0 {
+					if s.ctx0 < 0 {
+						s.ctx0 = st.insertPlain(pcIdx)
+					}
+					hnd = s.ctx0
+				} else {
+					sig := sigOf(key[:o])
+					if hnd = st.find(pcIdx, sig, key[:o]); hnd < 0 {
+						hnd = st.insert(pcIdx, sig, key[:o])
+					}
+				}
+				p.loadRun(&st.ctxs[hnd], run, best)
+				records++
 			}
-		})
+		}
+	}
+	if err := d.expectEOF(); err != nil {
+		return 0, errState(p.Name(), err)
+	}
+	return records, nil
 }
 
 // LoadState implements Stateful. The stream is decoded into a fresh store
@@ -933,12 +1145,8 @@ func (p *FCM) SaveStateChunks(cs *ChunkSaver) error {
 // canonical load is one linear pass.
 func (p *FCM) LoadState(r io.Reader) error {
 	d := newStateDecoder(r)
-	order := d.count(MaxFCMOrder)
-	blend := d.count(1)
-	if d.err == nil && (int(order) != p.order || (blend == 1) != p.blend) {
-		return errState(p.Name(), fmt.Errorf(
-			"state is for order %d blend=%v, receiver wants order %d blend=%v",
-			order, blend == 1, p.order, p.blend))
+	if err := p.checkHeader(d); err != nil {
+		return err
 	}
 	npc := d.uvarint()
 	store := newFCMStore(p.order)
@@ -1000,19 +1208,10 @@ func (p *FCM) LoadState(r io.Reader) error {
 					}
 					hnd = st.insert(pcIdx, sig, key[:o])
 				}
-				nv := d.uvarint()
-				best := d.uvarint()
-				if d.err == nil && best >= max(nv, 1) {
-					return errState(p.Name(), fmt.Errorf("best index %d out of range for %d values", best, nv))
-				}
-				run = run[:0]
-				for vi := uint64(0); vi < nv && d.err == nil; vi++ {
-					value := d.uvarint()
-					count := d.count(1<<32 - 1)
-					run = append(run, fcmVal{value: value, count: uint32(count)})
-				}
+				var best int32
+				run, best = decodeRun(d, run)
 				if d.err == nil {
-					store.loadRun(&store.ords[o].ctxs[hnd], run, int32(best))
+					store.loadRun(&store.ords[o].ctxs[hnd], run, best)
 				}
 			}
 		}

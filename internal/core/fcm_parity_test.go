@@ -385,8 +385,8 @@ func growthPhase(ph int, rng *rand.Rand) []struct{ PC, Value uint64 } {
 
 // TestFCMSaveWithGrowth saves one FCM again and again while its tables
 // grow: traffic that adds contexts on old and new PCs alternates with
-// SaveState and WriteChunks calls in random order, with a LoadState
-// round trip midway and a Reset later. Every save must equal, byte for
+// SaveState calls, half of them right after a SaveDelta, in random order,
+// with a LoadState round trip midway and a Reset later. Every save must equal, byte for
 // byte, the save of a fresh FCM that replayed the same events since the
 // last Reset — the order index kept across saves must be
 // indistinguishable from one built from scratch.
@@ -409,9 +409,10 @@ func TestFCMSaveWithGrowth(t *testing.T) {
 					var buf bytes.Buffer
 					var err error
 					if rng.Intn(2) == 0 {
+						_, err = p.SaveDelta(io.Discard, nil)
+					}
+					if err == nil {
 						err = p.SaveState(&buf)
-					} else {
-						err = WriteChunks(p, &buf)
 					}
 					if err != nil {
 						t.Fatalf("save %d: %v", saves, err)
@@ -503,7 +504,7 @@ func TestFCMLoadsNonCanonicalState(t *testing.T) {
 				flat.Update(ev.PC, ev.Value)
 				if i%1000 == 999 {
 					var got bytes.Buffer
-					if err := WriteChunks(flat, &got); err != nil {
+					if err := flat.SaveState(&got); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(got.Bytes(), refSaveBytes(t, ref)) {

@@ -13,9 +13,6 @@ type LastValue struct {
 	idx  pcTable
 	pcs  []uint64
 	vals []uint64
-	// saveOrder caches the ascending-PC handle order between chunked
-	// saves; revalidated by cachedSortedHandles on every use.
-	saveOrder []int32
 }
 
 // NewLastValue returns an empty always-update last value predictor.
@@ -82,44 +79,38 @@ func (p *LastValue) TableEntries() (static, total int) {
 // SaveState implements Stateful: sorted (pc, value) pairs, PCs
 // delta-encoded.
 func (p *LastValue) SaveState(w io.Writer) error {
-	var e stateEncoder
-	e.uvarint(uint64(len(p.vals)))
-	var prev uint64
-	for _, i := range sortedHandles(p.pcs) {
-		pc := p.pcs[i]
-		e.uvarint(pc - prev)
-		e.uvarint(p.vals[i])
-		prev = pc
-	}
-	return e.flushTo(w)
+	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	return err
 }
 
 // LoadState implements Stateful.
 func (p *LastValue) LoadState(r io.Reader) error {
-	d := newStateDecoder(r)
-	n := d.uvarint()
-	var idx pcTable
-	var pcs, vals []uint64
-	var pc uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		pc += d.uvarint()
-		v := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		if _, dup := idx.lookup(pc); dup {
-			return errState(p.Name(), errDuplicatePC(pc))
-		}
-		idx.insert(pc)
-		pcs = append(pcs, pc)
-		vals = append(vals, v)
-	}
-	if err := d.expectEOF(); err != nil {
-		return errState(p.Name(), err)
+	idx, pcs, vals, err := loadRecords(r, p.Name(), decodeLastValue)
+	if err != nil {
+		return err
 	}
 	p.idx, p.pcs, p.vals = idx, pcs, vals
 	return nil
 }
+
+// SaveDelta implements DeltaStateful: SaveState's records for the dirty
+// PCs only.
+func (p *LastValue) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
+	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+}
+
+// ApplyDelta implements DeltaStateful.
+func (p *LastValue) ApplyDelta(r io.Reader) (int, error) {
+	return applyRecords(r, p.Name(), &p.idx, &p.pcs, &p.vals, decodeLastValue)
+}
+
+// encodeRec writes handle h's record fields (everything but the PC).
+func (p *LastValue) encodeRec(e *stateEncoder, h int32) {
+	e.uvarint(p.vals[h])
+}
+
+// decodeLastValue reads one record's fields, the inverse of encodeRec.
+func decodeLastValue(d *stateDecoder) uint64 { return d.uvarint() }
 
 // PCEntries implements PerPC: one table entry per static instruction.
 func (p *LastValue) PCEntries() map[uint64]int { return onePerPC(p.pcs) }
@@ -134,7 +125,6 @@ type LastValueCounter struct {
 	entries   []lvcEntry
 	max       int8
 	threshold int8
-	saveOrder []int32 // chunked-save handle-order cache
 }
 
 type lvcEntry struct {
@@ -253,47 +243,41 @@ func (p *LastValueCounter) TableEntries() (static, total int) {
 // counter never goes negative (decrements are guarded), so it encodes as
 // a plain uvarint.
 func (p *LastValueCounter) SaveState(w io.Writer) error {
-	var e stateEncoder
-	e.uvarint(uint64(len(p.entries)))
-	var prev uint64
-	for _, i := range sortedHandles(p.pcs) {
-		pc := p.pcs[i]
-		ent := &p.entries[i]
-		e.uvarint(pc - prev)
-		e.uvarint(ent.value)
-		e.uvarint(uint64(ent.count))
-		prev = pc
-	}
-	return e.flushTo(w)
+	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	return err
 }
 
 // LoadState implements Stateful.
 func (p *LastValueCounter) LoadState(r io.Reader) error {
-	d := newStateDecoder(r)
-	n := d.uvarint()
-	var idx pcTable
-	var pcs []uint64
-	var entries []lvcEntry
-	var pc uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		pc += d.uvarint()
-		value := d.uvarint()
-		count := d.count(uint64(p.max))
-		if d.err != nil {
-			break
-		}
-		if _, dup := idx.lookup(pc); dup {
-			return errState(p.Name(), errDuplicatePC(pc))
-		}
-		idx.insert(pc)
-		pcs = append(pcs, pc)
-		entries = append(entries, lvcEntry{value: value, count: int8(count)})
-	}
-	if err := d.expectEOF(); err != nil {
-		return errState(p.Name(), err)
+	idx, pcs, entries, err := loadRecords(r, p.Name(), p.decodeRec)
+	if err != nil {
+		return err
 	}
 	p.idx, p.pcs, p.entries = idx, pcs, entries
 	return nil
+}
+
+// SaveDelta implements DeltaStateful: SaveState's records for the dirty
+// PCs only.
+func (p *LastValueCounter) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
+	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+}
+
+// ApplyDelta implements DeltaStateful.
+func (p *LastValueCounter) ApplyDelta(r io.Reader) (int, error) {
+	return applyRecords(r, p.Name(), &p.idx, &p.pcs, &p.entries, p.decodeRec)
+}
+
+// encodeRec writes handle h's record fields (everything but the PC).
+func (p *LastValueCounter) encodeRec(e *stateEncoder, h int32) {
+	ent := &p.entries[h]
+	e.uvarint(ent.value)
+	e.uvarint(uint64(ent.count))
+}
+
+// decodeRec reads one record's fields, the inverse of encodeRec.
+func (p *LastValueCounter) decodeRec(d *stateDecoder) lvcEntry {
+	return lvcEntry{value: d.uvarint(), count: int8(d.count(uint64(p.max)))}
 }
 
 // PCEntries implements PerPC.
@@ -304,11 +288,10 @@ func (p *LastValueCounter) PCEntries() map[uint64]int { return onePerPC(p.pcs) }
 // observed a fixed number of times in succession ("changes to a new
 // prediction only after it has been consistently observed").
 type LastValueConsecutive struct {
-	idx       pcTable
-	pcs       []uint64
-	entries   []lvcons
-	required  int
-	saveOrder []int32 // chunked-save handle-order cache
+	idx      pcTable
+	pcs      []uint64
+	entries  []lvcons
+	required int
 }
 
 type lvcons struct {
@@ -420,48 +403,42 @@ func (p *LastValueConsecutive) TableEntries() (static, total int) {
 
 // SaveState implements Stateful: sorted (pc, value, candidate, runLength).
 func (p *LastValueConsecutive) SaveState(w io.Writer) error {
-	var e stateEncoder
-	e.uvarint(uint64(len(p.entries)))
-	var prev uint64
-	for _, i := range sortedHandles(p.pcs) {
-		pc := p.pcs[i]
-		ent := &p.entries[i]
-		e.uvarint(pc - prev)
-		e.uvarint(ent.value)
-		e.uvarint(ent.candidate)
-		e.uvarint(uint64(ent.runLength))
-		prev = pc
-	}
-	return e.flushTo(w)
+	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	return err
 }
 
 // LoadState implements Stateful.
 func (p *LastValueConsecutive) LoadState(r io.Reader) error {
-	d := newStateDecoder(r)
-	n := d.uvarint()
-	var idx pcTable
-	var pcs []uint64
-	var entries []lvcons
-	var pc uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		pc += d.uvarint()
-		ent := lvcons{value: d.uvarint(), candidate: d.uvarint()}
-		ent.runLength = int(d.count(1 << 62))
-		if d.err != nil {
-			break
-		}
-		if _, dup := idx.lookup(pc); dup {
-			return errState(p.Name(), errDuplicatePC(pc))
-		}
-		idx.insert(pc)
-		pcs = append(pcs, pc)
-		entries = append(entries, ent)
-	}
-	if err := d.expectEOF(); err != nil {
-		return errState(p.Name(), err)
+	idx, pcs, entries, err := loadRecords(r, p.Name(), decodeLastValueConsecutive)
+	if err != nil {
+		return err
 	}
 	p.idx, p.pcs, p.entries = idx, pcs, entries
 	return nil
+}
+
+// SaveDelta implements DeltaStateful: SaveState's records for the dirty
+// PCs only.
+func (p *LastValueConsecutive) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
+	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+}
+
+// ApplyDelta implements DeltaStateful.
+func (p *LastValueConsecutive) ApplyDelta(r io.Reader) (int, error) {
+	return applyRecords(r, p.Name(), &p.idx, &p.pcs, &p.entries, decodeLastValueConsecutive)
+}
+
+// encodeRec writes handle h's record fields (everything but the PC).
+func (p *LastValueConsecutive) encodeRec(e *stateEncoder, h int32) {
+	ent := &p.entries[h]
+	e.uvarint(ent.value)
+	e.uvarint(ent.candidate)
+	e.uvarint(uint64(ent.runLength))
+}
+
+// decodeLastValueConsecutive reads one record's fields, the inverse of encodeRec.
+func decodeLastValueConsecutive(d *stateDecoder) lvcons {
+	return lvcons{value: d.uvarint(), candidate: d.uvarint(), runLength: int(d.count(1 << 62))}
 }
 
 // PCEntries implements PerPC.

@@ -42,7 +42,7 @@ package core
 // within one) and the serving tier shard by hash(pc) with bit-identical
 // accuracy. The embedded interfaces are the capabilities the harnesses
 // rely on: in-place reset, table occupancy (aggregate and per PC) and
-// chunk-granular checkpointing.
+// full and delta checkpointing.
 type Predictor interface {
 	// Name returns a short identifier such as "l", "s2" or "fcm3".
 	Name() string
@@ -67,7 +67,7 @@ type Predictor interface {
 	Resetter
 	Sized
 	PerPC
-	ChunkedStateful
+	DeltaStateful
 }
 
 // Resetter clears a predictor's tables in place, which lets harnesses

@@ -29,7 +29,7 @@ import (
 // The encoding is a varint-packed stream private to each predictor type;
 // framing, versioning and checksums live one layer up in
 // internal/snapshot. Every Predictor is Stateful, through its embedded
-// ChunkedStateful.
+// DeltaStateful.
 type Stateful interface {
 	SaveState(w io.Writer) error
 	LoadState(r io.Reader) error

@@ -19,9 +19,6 @@ type StrideSimple struct {
 	idx     pcTable
 	pcs     []uint64
 	entries []strideEntry
-	// saveOrder caches the ascending-PC handle order between chunked
-	// saves; revalidated by cachedSortedHandles on every use.
-	saveOrder []int32
 }
 
 type strideEntry struct {
@@ -128,48 +125,42 @@ func (p *StrideSimple) TableEntries() (static, total int) {
 
 // SaveState implements Stateful: sorted (pc, last, stride, seen) tuples.
 func (p *StrideSimple) SaveState(w io.Writer) error {
-	var e stateEncoder
-	e.uvarint(uint64(len(p.entries)))
-	var prev uint64
-	for _, i := range sortedHandles(p.pcs) {
-		pc := p.pcs[i]
-		ent := &p.entries[i]
-		e.uvarint(pc - prev)
-		e.uvarint(ent.last)
-		e.uvarint(ent.stride)
-		e.uvarint(uint64(ent.seen))
-		prev = pc
-	}
-	return e.flushTo(w)
+	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	return err
 }
 
 // LoadState implements Stateful.
 func (p *StrideSimple) LoadState(r io.Reader) error {
-	d := newStateDecoder(r)
-	n := d.uvarint()
-	var idx pcTable
-	var pcs []uint64
-	var entries []strideEntry
-	var pc uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		pc += d.uvarint()
-		ent := strideEntry{last: d.uvarint(), stride: d.uvarint()}
-		ent.seen = uint8(d.count(2))
-		if d.err != nil {
-			break
-		}
-		if _, dup := idx.lookup(pc); dup {
-			return errState(p.Name(), errDuplicatePC(pc))
-		}
-		idx.insert(pc)
-		pcs = append(pcs, pc)
-		entries = append(entries, ent)
-	}
-	if err := d.expectEOF(); err != nil {
-		return errState(p.Name(), err)
+	idx, pcs, entries, err := loadRecords(r, p.Name(), decodeStrideSimple)
+	if err != nil {
+		return err
 	}
 	p.idx, p.pcs, p.entries = idx, pcs, entries
 	return nil
+}
+
+// SaveDelta implements DeltaStateful: SaveState's records for the dirty
+// PCs only.
+func (p *StrideSimple) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
+	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+}
+
+// ApplyDelta implements DeltaStateful.
+func (p *StrideSimple) ApplyDelta(r io.Reader) (int, error) {
+	return applyRecords(r, p.Name(), &p.idx, &p.pcs, &p.entries, decodeStrideSimple)
+}
+
+// encodeRec writes handle h's record fields (everything but the PC).
+func (p *StrideSimple) encodeRec(e *stateEncoder, h int32) {
+	ent := &p.entries[h]
+	e.uvarint(ent.last)
+	e.uvarint(ent.stride)
+	e.uvarint(uint64(ent.seen))
+}
+
+// decodeStrideSimple reads one record's fields, the inverse of encodeRec.
+func decodeStrideSimple(d *stateDecoder) strideEntry {
+	return strideEntry{last: d.uvarint(), stride: d.uvarint(), seen: uint8(d.count(2))}
 }
 
 // PCEntries implements PerPC.
@@ -182,10 +173,9 @@ func (p *StrideSimple) PCEntries() map[uint64]int { return onePerPC(p.pcs) }
 // twice in a row. Repeated stride sequences then cost one misprediction
 // per iteration and the stride changes only on consistent evidence.
 type Stride2Delta struct {
-	idx       pcTable
-	pcs       []uint64
-	entries   []s2Entry
-	saveOrder []int32 // chunked-save handle-order cache
+	idx     pcTable
+	pcs     []uint64
+	entries []s2Entry
 }
 
 type s2Entry struct {
@@ -323,51 +313,44 @@ func (p *Stride2Delta) TableEntries() (static, total int) {
 
 // SaveState implements Stateful: sorted (pc, last, s1, s2, s1Count, seen).
 func (p *Stride2Delta) SaveState(w io.Writer) error {
-	var e stateEncoder
-	e.uvarint(uint64(len(p.entries)))
-	var prev uint64
-	for _, i := range sortedHandles(p.pcs) {
-		pc := p.pcs[i]
-		ent := &p.entries[i]
-		e.uvarint(pc - prev)
-		e.uvarint(ent.last)
-		e.uvarint(ent.s1)
-		e.uvarint(ent.s2)
-		e.uvarint(uint64(ent.s1Count))
-		e.uvarint(uint64(ent.seen))
-		prev = pc
-	}
-	return e.flushTo(w)
+	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	return err
 }
 
 // LoadState implements Stateful.
 func (p *Stride2Delta) LoadState(r io.Reader) error {
-	d := newStateDecoder(r)
-	n := d.uvarint()
-	var idx pcTable
-	var pcs []uint64
-	var entries []s2Entry
-	var pc uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		pc += d.uvarint()
-		ent := s2Entry{last: d.uvarint(), s1: d.uvarint(), s2: d.uvarint()}
-		ent.s1Count = uint8(d.count(2))
-		ent.seen = uint8(d.count(2))
-		if d.err != nil {
-			break
-		}
-		if _, dup := idx.lookup(pc); dup {
-			return errState(p.Name(), errDuplicatePC(pc))
-		}
-		idx.insert(pc)
-		pcs = append(pcs, pc)
-		entries = append(entries, ent)
-	}
-	if err := d.expectEOF(); err != nil {
-		return errState(p.Name(), err)
+	idx, pcs, entries, err := loadRecords(r, p.Name(), decodeStride2Delta)
+	if err != nil {
+		return err
 	}
 	p.idx, p.pcs, p.entries = idx, pcs, entries
 	return nil
+}
+
+// SaveDelta implements DeltaStateful: SaveState's records for the dirty
+// PCs only.
+func (p *Stride2Delta) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
+	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+}
+
+// ApplyDelta implements DeltaStateful.
+func (p *Stride2Delta) ApplyDelta(r io.Reader) (int, error) {
+	return applyRecords(r, p.Name(), &p.idx, &p.pcs, &p.entries, decodeStride2Delta)
+}
+
+// encodeRec writes handle h's record fields (everything but the PC).
+func (p *Stride2Delta) encodeRec(e *stateEncoder, h int32) {
+	ent := &p.entries[h]
+	e.uvarint(ent.last)
+	e.uvarint(ent.s1)
+	e.uvarint(ent.s2)
+	e.uvarint(uint64(ent.s1Count))
+	e.uvarint(uint64(ent.seen))
+}
+
+// decodeStride2Delta reads one record's fields, the inverse of encodeRec.
+func decodeStride2Delta(d *stateDecoder) s2Entry {
+	return s2Entry{last: d.uvarint(), s1: d.uvarint(), s2: d.uvarint(), s1Count: uint8(d.count(2)), seen: uint8(d.count(2))}
 }
 
 // PCEntries implements PerPC.
@@ -384,7 +367,6 @@ type StrideCounter struct {
 	entries   []scEntry
 	max       int8
 	threshold int8
-	saveOrder []int32 // chunked-save handle-order cache
 }
 
 type scEntry struct {
@@ -528,50 +510,43 @@ func (p *StrideCounter) TableEntries() (static, total int) {
 // The counter never goes negative (decrements are guarded), so it encodes
 // as a plain uvarint.
 func (p *StrideCounter) SaveState(w io.Writer) error {
-	var e stateEncoder
-	e.uvarint(uint64(len(p.entries)))
-	var prev uint64
-	for _, i := range sortedHandles(p.pcs) {
-		pc := p.pcs[i]
-		ent := &p.entries[i]
-		e.uvarint(pc - prev)
-		e.uvarint(ent.last)
-		e.uvarint(ent.stride)
-		e.uvarint(uint64(ent.count))
-		e.uvarint(uint64(ent.seen))
-		prev = pc
-	}
-	return e.flushTo(w)
+	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	return err
 }
 
 // LoadState implements Stateful.
 func (p *StrideCounter) LoadState(r io.Reader) error {
-	d := newStateDecoder(r)
-	n := d.uvarint()
-	var idx pcTable
-	var pcs []uint64
-	var entries []scEntry
-	var pc uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		pc += d.uvarint()
-		ent := scEntry{last: d.uvarint(), stride: d.uvarint()}
-		ent.count = int8(d.count(uint64(p.max)))
-		ent.seen = uint8(d.count(2))
-		if d.err != nil {
-			break
-		}
-		if _, dup := idx.lookup(pc); dup {
-			return errState(p.Name(), errDuplicatePC(pc))
-		}
-		idx.insert(pc)
-		pcs = append(pcs, pc)
-		entries = append(entries, ent)
-	}
-	if err := d.expectEOF(); err != nil {
-		return errState(p.Name(), err)
+	idx, pcs, entries, err := loadRecords(r, p.Name(), p.decodeRec)
+	if err != nil {
+		return err
 	}
 	p.idx, p.pcs, p.entries = idx, pcs, entries
 	return nil
+}
+
+// SaveDelta implements DeltaStateful: SaveState's records for the dirty
+// PCs only.
+func (p *StrideCounter) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
+	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+}
+
+// ApplyDelta implements DeltaStateful.
+func (p *StrideCounter) ApplyDelta(r io.Reader) (int, error) {
+	return applyRecords(r, p.Name(), &p.idx, &p.pcs, &p.entries, p.decodeRec)
+}
+
+// encodeRec writes handle h's record fields (everything but the PC).
+func (p *StrideCounter) encodeRec(e *stateEncoder, h int32) {
+	ent := &p.entries[h]
+	e.uvarint(ent.last)
+	e.uvarint(ent.stride)
+	e.uvarint(uint64(ent.count))
+	e.uvarint(uint64(ent.seen))
+}
+
+// decodeRec reads one record's fields, the inverse of encodeRec.
+func (p *StrideCounter) decodeRec(d *stateDecoder) scEntry {
+	return scEntry{last: d.uvarint(), stride: d.uvarint(), count: int8(d.count(uint64(p.max))), seen: uint8(d.count(2))}
 }
 
 // PCEntries implements PerPC.

@@ -26,14 +26,15 @@ type CheckpointInfo struct {
 	Events uint64 `json:"events"`
 	// Shards is the shard count of the captured layout.
 	Shards int `json:"shards"`
-	// Kind is "full" or "delta" (v1 checkpoints are always full).
+	// Kind is "full" for a chain root or "delta".
 	Kind string `json:"kind"`
 	// Depth is the chain depth of this checkpoint (0 for a full);
 	// ParentID names the previous chain link, empty for a full.
 	Depth    int    `json:"depth,omitempty"`
 	ParentID string `json:"parent_id,omitempty"`
-	// ChunksWritten / ChunksDeduped split this checkpoint's chunk table
-	// into inline chunks and content-hash references (delta mode only).
+	// ChunksWritten and ChunksDeduped (names kept from the chunked
+	// format) count, for a delta, the table entries it carried (per-PC
+	// records and FCM contexts) and the clean entries it skipped.
 	ChunksWritten int `json:"chunks_written,omitempty"`
 	ChunksDeduped int `json:"chunks_deduped,omitempty"`
 }
@@ -74,21 +75,17 @@ func (s *Server) writeCheckpoint(dir string, forceFull bool) (CheckpointInfo, er
 		s.statsMu.Unlock()
 		return CheckpointInfo{}, errors.New("serve: server is not running")
 	}
-	plans := s.planCut(forceFull)
+	delta := s.cutDelta(forceFull)
 	cutT0 := time.Now()
 	s.health.cutStart.Store(cutT0.UnixNano())
 	s.cutMu.Lock()
 	for i, sh := range s.shards {
 		replies[i] = make(chan shardStateMsg, 1)
-		msg := shardMsg{state: replies[i]}
-		if plans != nil {
-			msg.plan = plans[i]
-		}
-		sh.mailbox <- msg
+		sh.mailbox <- shardMsg{state: replies[i], delta: delta}
 	}
 	s.cutMu.Unlock()
 	s.statsMu.Unlock()
-	return s.assembleCheckpoint(dir, replies, plans, cutT0, otrace.Mint())
+	return s.assembleCheckpoint(dir, replies, delta, cutT0, otrace.Mint())
 }
 
 // checkpointShards is the shutdown-path capture: connections are already
@@ -97,30 +94,27 @@ func (s *Server) writeCheckpoint(dir string, forceFull bool) (CheckpointInfo, er
 func (s *Server) checkpointShards(dir string) (CheckpointInfo, error) {
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	plans := s.planCut(false)
+	delta := s.cutDelta(false)
 	cutT0 := time.Now()
 	s.health.cutStart.Store(cutT0.UnixNano())
 	replies := make([]chan shardStateMsg, len(s.shards))
 	for i, sh := range s.shards {
 		replies[i] = make(chan shardStateMsg, 1)
-		msg := shardMsg{state: replies[i]}
-		if plans != nil {
-			msg.plan = plans[i]
-		}
-		sh.mailbox <- msg
+		sh.mailbox <- shardMsg{state: replies[i], delta: delta}
 	}
-	return s.assembleCheckpoint(dir, replies, plans, cutT0, otrace.Mint())
+	return s.assembleCheckpoint(dir, replies, delta, cutT0, otrace.Mint())
 }
 
-// assembleCheckpoint drains the shard replies and writes the snapshot.
-// tctx is the checkpoint's own minted trace: cut and encode become spans
-// on the control lane and the trace is always retained, so checkpoint
+// assembleCheckpoint drains the shard replies, writes the checkpoint (a
+// root, or a delta on the chain tip) and advances the chain. tctx is the
+// checkpoint's own minted trace: cut and encode become spans on the
+// control lane and the trace is always retained, so checkpoint
 // interference shows up in GET /trace alongside the requests it delayed.
-func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, plans []*deltaPlan, cutT0 time.Time, tctx otrace.Context) (CheckpointInfo, error) {
-	if plans != nil {
-		return s.assembleDelta(dir, replies, plans, cutT0, tctx)
-	}
+// A durable root supersedes every older checkpoint in dir, which is
+// swept. Called under ckptMu.
+func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, delta bool, cutT0 time.Time, tctx otrace.Context) (CheckpointInfo, error) {
 	defer s.health.cutStart.Store(0)
+	kind := "full"
 	snap := &snapshot.Snapshot{
 		Meta: snapshot.Meta{
 			CreatedUnixNano: time.Now().UnixNano(),
@@ -128,8 +122,13 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, pl
 		},
 		Shards: make([]snapshot.ShardState, len(replies)),
 	}
+	if delta {
+		kind = "delta"
+		snap.Meta.ParentID, snap.Meta.Depth = s.chain.tipID, s.chain.depth+1
+	}
 	var firstErr error
 	var events uint64
+	written, skipped := 0, 0
 	for i, ch := range replies {
 		resp := <-ch // always drain every reply, even after an error
 		if resp.err != nil && firstErr == nil {
@@ -137,6 +136,8 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, pl
 		}
 		snap.Shards[i] = resp.st
 		events += resp.st.Events
+		written += resp.written
+		skipped += resp.skipped
 	}
 	cutNs := time.Since(cutT0).Nanoseconds()
 	s.metrics.ckptCutNs.ObserveInt(cutNs)
@@ -148,6 +149,7 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, pl
 		Start: cutStartNs, Dur: cutNs, N: events,
 	})
 	if firstErr != nil {
+		s.chain.poisoned = true
 		s.metrics.ckptErrors.Inc()
 		s.ring.Add(obs.StageEvent{Kind: evCheckpointError, Shard: -1, Detail: firstErr.Error()})
 		s.tracer.Promote(tctx, cutStartNs, cutNs, events, "checkpoint_error")
@@ -164,23 +166,51 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, pl
 	})
 	s.tracer.Promote(tctx, cutStartNs, cutNs+encNs, events, "checkpoint")
 	if err != nil {
+		s.chain.poisoned = true
 		s.metrics.ckptErrors.Inc()
 		s.ring.Add(obs.StageEvent{Kind: evCheckpointError, Shard: -1, DurNs: encNs, Detail: err.Error()})
 		return CheckpointInfo{}, err
 	}
+	s.chain.advance(snap.Meta)
+
 	var size int64
 	if fi, statErr := os.Stat(path); statErr == nil {
 		size = fi.Size()
 	}
-	s.metrics.ckptTotal["full"].Inc()
-	s.metrics.ckptBytes["full"].Add(uint64(size))
-	s.metrics.ckptLastBytes.Set(size)
-	s.metrics.ckptLastUnix.Set(time.Now().UnixNano())
-	s.ring.Add(obs.StageEvent{Kind: evCheckpointWritten, Shard: -1, DurNs: encNs, N: uint64(size), Detail: snap.Meta.ID})
+	m := s.metrics
+	m.ckptTotal[kind].Inc()
+	m.ckptBytes[kind].Add(uint64(size))
+	if delta {
+		m.ckptChunksWritten.Add(uint64(written))
+		m.ckptChunksDeduped.Add(uint64(skipped))
+		if written+skipped > 0 {
+			m.ckptDedupRatio.Set(float64(skipped) / float64(written+skipped))
+		}
+	}
+	m.ckptChainDepth.Set(int64(snap.Meta.Depth))
+	m.ckptLastBytes.Set(size)
+	m.ckptLastUnix.Set(time.Now().UnixNano())
+	s.ring.Add(obs.StageEvent{Kind: evCheckpointWritten, Shard: -1, DurNs: encNs, N: uint64(size),
+		Detail: fmt.Sprintf("%s kind=%s depth=%d", snap.Meta.ID, kind, snap.Meta.Depth)})
 	s.log.Info("checkpoint written",
-		"id", snap.Meta.ID, "events", snap.Meta.Events, "bytes", size,
+		"id", snap.Meta.ID, "kind", kind, "depth", snap.Meta.Depth, "parent", snap.Meta.ParentID,
+		"events", snap.Meta.Events, "bytes", size, "records", written, "skipped", skipped,
 		"cut", time.Duration(cutNs), "encode", time.Duration(encNs))
-	return CheckpointInfo{ID: snap.Meta.ID, Path: path, Events: snap.Meta.Events, Shards: len(snap.Shards), Kind: "full"}, nil
+
+	// Best-effort: a failed sweep never fails the checkpoint that just
+	// landed.
+	if !delta {
+		if removed, gcErr := snapshot.SweepSuperseded(dir, path, snap.Meta.Events); gcErr != nil {
+			s.log.Warn("checkpoint sweep failed", "err", gcErr)
+		} else if removed > 0 {
+			s.log.Info("checkpoint sweep", "removed", removed, "keep", snap.Meta.ID)
+		}
+	}
+	return CheckpointInfo{
+		ID: snap.Meta.ID, Path: path, Events: snap.Meta.Events, Shards: len(snap.Shards),
+		Kind: kind, Depth: snap.Meta.Depth, ParentID: snap.Meta.ParentID,
+		ChunksWritten: written, ChunksDeduped: skipped,
+	}, nil
 }
 
 // Restore loads a decoded snapshot into a server that has not started
@@ -196,6 +226,9 @@ func (s *Server) Restore(snap *snapshot.Snapshot) error {
 	defer s.mu.Unlock()
 	if s.started || s.closed {
 		return errors.New("serve: restore requires a server that has not been started")
+	}
+	if err := checkResolved(snap); err != nil {
+		return err
 	}
 	if snap.Meta.Shards != len(s.shards) {
 		return fmt.Errorf("serve: snapshot %s has %d shards, server is configured with %d (restart with -shards %d)",
@@ -230,6 +263,17 @@ func (s *Server) Restore(snap *snapshot.Snapshot) error {
 	s.metrics.restoredEvents.Set(int64(events))
 	s.ring.Add(obs.StageEvent{Kind: evRestore, Shard: -1, DurNs: dur.Nanoseconds(), N: events, Detail: snap.Meta.ID})
 	s.log.Info("warm restore", "id", snap.Meta.ID, "events", events, "shards", len(s.shards), "load", dur)
+	return nil
+}
+
+// checkResolved rejects a delta checkpoint read on its own: its state
+// blobs hold only what changed since its parent, so only the state
+// snapshot.ResolveChain materializes from its chain can be loaded.
+func checkResolved(snap *snapshot.Snapshot) error {
+	if snap.Meta.ParentID != "" {
+		return fmt.Errorf("serve: checkpoint %s is a delta on %s; resolve its chain (snapshot.ResolveChain) to restore it",
+			snap.Meta.ID, snap.Meta.ParentID)
+	}
 	return nil
 }
 
@@ -304,6 +348,9 @@ const warmChunk = 4096
 // predictors through the registry; the shards load in parallel through
 // the same loader Server.Restore uses.
 func NewWarmBank(snap *snapshot.Snapshot) (*WarmBank, error) {
+	if err := checkResolved(snap); err != nil {
+		return nil, err
+	}
 	facs := make([]core.NamedFactory, len(snap.Meta.Predictors))
 	for i, name := range snap.Meta.Predictors {
 		fac, ok := core.FactoryByName(name)

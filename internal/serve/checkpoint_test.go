@@ -137,8 +137,10 @@ func TestKillAndRestoreParity(t *testing.T) {
 			}
 
 			// 3. The restored server's final drained state must be
-			// byte-identical to the uninterrupted server's.
-			bFinal, err := b.Shutdown(finalDir)
+			// byte-identical to the uninterrupted server's. It lands in
+			// its own directory: a full checkpoint sweeps every older one
+			// from the directory it is written to.
+			bFinal, err := b.Shutdown(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,13 +185,20 @@ func TestCheckpointUnderLiveTraffic(t *testing.T) {
 		errc <- err
 		done <- res
 	}()
+	// Each checkpoint is read back as soon as it lands: the next one
+	// supersedes it and sweeps its file.
 	var infos []CheckpointInfo
+	var snaps []*snapshot.Snapshot
 	for i := 0; i < 8; i++ {
 		info, err := s.WriteCheckpoint(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		infos = append(infos, info)
+		snap, err := snapshot.ReadFile(info.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos, snaps = append(infos, info), append(snaps, snap)
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
@@ -202,17 +211,17 @@ func TestCheckpointUnderLiveTraffic(t *testing.T) {
 	}
 	// Every mid-stream checkpoint must decode cleanly and restore into a
 	// working warm bank.
-	for _, info := range infos {
-		snap, err := snapshot.ReadFile(info.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, info := range infos {
+		snap := snaps[i]
 		if snap.Meta.Events != info.Events {
 			t.Fatalf("checkpoint %s header %d events, info says %d", info.ID, snap.Meta.Events, info.Events)
 		}
 		if _, err := NewWarmBank(snap); err != nil {
 			t.Fatalf("checkpoint %s does not restore: %v", info.ID, err)
 		}
+	}
+	if files := checkpointFiles(t, dir); len(files) != 1 || files[0] != infos[len(infos)-1].Path {
+		t.Fatalf("after %d full checkpoints the dir holds %v, want only the newest", len(infos), files)
 	}
 }
 

@@ -1,25 +1,24 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/snapshot"
 )
 
-// checkpointFiles lists the checkpoint files (either generation) in dir.
+// checkpointFiles lists the checkpoint files in dir, oldest first.
 func checkpointFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	var out []string
-	for _, pat := range []string{"*" + snapshot.Ext, "*" + snapshot.DeltaExt} {
-		m, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, m...)
+	out, err := filepath.Glob(filepath.Join(dir, "*"+snapshot.Ext))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
@@ -98,12 +97,12 @@ func TestKillAndRestoreParityDeltaChain(t *testing.T) {
 			}
 
 			// Restart from the newest checkpoint, resolving its chain.
-			latest, err := snapshot.LatestAny(dir)
+			latest, err := snapshot.Latest(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if latest != infos[segs-1].Path {
-				t.Fatalf("LatestAny = %s, want tip %s", latest, infos[segs-1].Path)
+				t.Fatalf("Latest = %s, want tip %s", latest, infos[segs-1].Path)
 			}
 			snap, chain, err := snapshot.ResolveChain(latest)
 			if err != nil {
@@ -149,7 +148,7 @@ func TestKillAndRestoreParityDeltaChain(t *testing.T) {
 
 			// 3. The restored server's final drained state must be
 			// byte-identical to the uninterrupted server's. Both finals go
-			// through ResolveChain, which reads either generation.
+			// through ResolveChain, which reads roots and deltas alike.
 			bFinalDir := t.TempDir()
 			bFinal, err := b.Shutdown(bFinalDir)
 			if err != nil {
@@ -175,9 +174,9 @@ func TestKillAndRestoreParityDeltaChain(t *testing.T) {
 
 // TestDeltaCheckpointCleanChunkSkip pins the mechanism the format exists
 // for: after a full checkpoint, traffic touching a single PC must yield
-// a delta that stores only the few dirty chunks inline, dedups the rest
-// to references, resolves bit-identically to a forced full cut of the
-// same state, and is swept (with its root) once that full lands.
+// a delta that carries that PC's records and nothing else, skips every
+// other entry as clean, resolves bit-identically to a forced full cut of
+// the same state, and is swept (with its root) once that full lands.
 func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 	evs, _ := capturedStream(t)
 	dir := t.TempDir()
@@ -198,11 +197,11 @@ func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 		t.Fatalf("first checkpoint kind %q", fullInfo.Kind)
 	}
 
-	// Touch exactly one PC: at most one chunk per predictor dirties on
-	// its owning shard, everything else must skip clean.
+	// Touch exactly one PC.
+	hotPC := evs[0].PC
 	hot := make([]Event, 0, 256)
 	for _, ev := range evs {
-		if ev.PC == evs[0].PC {
+		if ev.PC == hotPC {
 			hot = append(hot, ev)
 		}
 		if len(hot) == 256 {
@@ -217,15 +216,44 @@ func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 	if deltaInfo.Kind != "delta" || deltaInfo.ParentID != fullInfo.ID || deltaInfo.Depth != 1 {
 		t.Fatalf("second checkpoint did not chain: %+v", deltaInfo)
 	}
-	if deltaInfo.ChunksDeduped == 0 {
-		t.Fatal("single-PC delta deduped no chunks")
+	if deltaInfo.ChunksWritten == 0 || deltaInfo.ChunksDeduped <= 100*deltaInfo.ChunksWritten {
+		t.Fatalf("single-PC delta carried %d records and skipped %d", deltaInfo.ChunksWritten, deltaInfo.ChunksDeduped)
 	}
-	if deltaInfo.ChunksWritten >= fullInfo.ChunksWritten {
-		t.Fatalf("delta wrote %d chunks inline, full wrote %d", deltaInfo.ChunksWritten, fullInfo.ChunksWritten)
+	// Applied to empty predictors, each shard's delta blobs must hold the
+	// hot PC on its owning shard and nothing at all elsewhere.
+	delta, err := snapshot.ReadFile(deltaInfo.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for si, sh := range delta.Shards {
+		for _, ps := range sh.Preds {
+			fac, _ := core.FactoryByName(ps.Name)
+			p := fac.New()
+			n, err := p.ApplyDelta(bytes.NewReader(ps.State))
+			if err != nil {
+				t.Fatalf("shard %d %s: %v", si, ps.Name, err)
+			}
+			records += n
+			var want []uint64
+			if ShardOf(hotPC, len(delta.Shards)) == si {
+				want = []uint64{hotPC}
+			}
+			var got []uint64
+			for pc := range p.PCEntries() {
+				got = append(got, pc)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("shard %d %s delta carries PCs %#x, want %#x", si, ps.Name, got, want)
+			}
+		}
+	}
+	if records != deltaInfo.ChunksWritten {
+		t.Fatalf("delta blobs hold %d records, the checkpoint reported %d", records, deltaInfo.ChunksWritten)
 	}
 	fullSize := fileSize(t, fullInfo.Path)
 	deltaSize := fileSize(t, deltaInfo.Path)
-	if deltaSize >= fullSize {
+	if deltaSize*10 >= fullSize {
 		t.Fatalf("delta file %d bytes, full %d", deltaSize, fullSize)
 	}
 
@@ -234,8 +262,11 @@ func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chain.Depth != 1 || len(chain.Files) != 2 {
+	if chain.Depth != 1 || len(chain.Files) != 2 || !slices.Equal(chain.Records, []int{records}) {
 		t.Fatalf("chain = %+v", chain)
+	}
+	if files := checkpointFiles(t, dir); len(files) != 2 {
+		t.Fatalf("a delta swept its chain: dir holds %v", files)
 	}
 
 	// A forced full of the identical state must materialize the exact
@@ -258,10 +289,60 @@ func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 		t.Errorf("events %d vs %d", chainSnap.Meta.Events, forcedSnap.Meta.Events)
 	}
 
-	// The full superseded the old chain: GC must leave only the new root.
+	// The full superseded the old chain: the sweep must leave only the
+	// new root.
 	files := checkpointFiles(t, dir)
 	if len(files) != 1 || files[0] != forced.Path {
 		t.Fatalf("after full, dir holds %v, want only %s", files, forced.Path)
+	}
+}
+
+// TestFullCheckpointSweepsOlder pins the retention rule, which is the
+// same in both modes: a durable full checkpoint sweeps every older
+// checkpoint from its directory, so a full-only server keeps one file
+// even when idle, and a delta chain survives until its next full.
+func TestFullCheckpointSweepsOlder(t *testing.T) {
+	evs, _ := capturedStream(t)
+	for _, delta := range []bool{false, true} {
+		t.Run(fmt.Sprintf("delta=%v", delta), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := New(Config{Shards: 2, DeltaCheckpoints: delta, CheckpointDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start("127.0.0.1:0", ""); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var infos []CheckpointInfo
+			for i := 0; i < 3; i++ {
+				driveAll(t, s, evs[i*1000:(i+1)*1000], 1)
+				info, err := s.WriteCheckpoint(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				infos = append(infos, info)
+			}
+			var want []string
+			if delta {
+				for _, info := range infos {
+					want = append(want, info.Path)
+				}
+			} else {
+				want = []string{infos[2].Path}
+			}
+			if files := checkpointFiles(t, dir); !slices.Equal(files, want) {
+				t.Fatalf("after three cuts the dir holds %v, want %v", files, want)
+			}
+			// An idle full cut (no new events) still supersedes all.
+			last, err := s.WriteFullCheckpoint(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if files := checkpointFiles(t, dir); !slices.Equal(files, []string{last.Path}) {
+				t.Fatalf("after an idle full: dir holds %v, want only %s", files, last.Path)
+			}
+		})
 	}
 }
 

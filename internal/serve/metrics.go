@@ -129,11 +129,11 @@ func newServerMetrics(start time.Time, nshards int, predNames []string) *serverM
 		ckptLastBytes: r.Gauge("vp_checkpoint_last_bytes", "size of the most recent checkpoint"),
 		ckptLastUnix:  r.Gauge("vp_checkpoint_last_unixnano", "wall time of the most recent checkpoint"),
 		ckptChunksWritten: r.Counter("vp_checkpoint_chunks_written_total",
-			"state chunks stored inline in delta-mode checkpoints"),
+			"table entries (per-PC records, FCM contexts) delta checkpoints carried"),
 		ckptChunksDeduped: r.Counter("vp_checkpoint_chunks_deduped_total",
-			"state chunks stored as content-hash references (clean-skipped or dedup hits)"),
+			"clean table entries delta checkpoints skipped"),
 		ckptDedupRatio: r.FloatGauge("vp_checkpoint_dedupe_ratio",
-			"deduped fraction of the most recent checkpoint's chunks"),
+			"fraction of table entries the most recent delta checkpoint skipped as clean"),
 		ckptChainDepth: r.Gauge("vp_checkpoint_chain_depth",
 			"delta links past the live chain's full root (0 right after a full)"),
 		restoreTotal:   r.Counter("vp_restore_total", "warm restores performed"),

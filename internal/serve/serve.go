@@ -87,15 +87,16 @@ type Config struct {
 	// and is the default directory for WriteCheckpoint / Shutdown
 	// checkpoints.
 	CheckpointDir string
-	// DeltaCheckpoints switches checkpoints to the v2 incremental format:
-	// the banks track per-PC dirty bits, each cut writes only the state
-	// chunks that changed since the chain tip (everything else dedups to
-	// content-hash references), and restore resolves full + deltas back
-	// into one snapshot.
+	// DeltaCheckpoints makes checkpoints incremental: the banks track
+	// per-PC dirty bits, each cut after a full one writes a delta holding
+	// only the records changed since the chain tip (the dirty PCs'
+	// histories and changed FCM contexts), and restore resolves full +
+	// deltas back into one snapshot.
 	DeltaCheckpoints bool
 	// FullEvery bounds a delta chain: after this many delta checkpoints
-	// the next cut is forced full, and older chain files are swept
-	// (0 = 8). Only meaningful with DeltaCheckpoints.
+	// the next cut is forced full (0 = 8). Only meaningful with
+	// DeltaCheckpoints. In either mode a durable full checkpoint sweeps
+	// every older checkpoint from the directory.
 	FullEvery int
 	// HealthCheckpointDeadline is how long a checkpoint cut may stay in
 	// flight before /healthz reports degraded (0 = 30s).
@@ -182,8 +183,8 @@ type Server struct {
 	// shutdown may race, and the delta chain state must advance one
 	// checkpoint at a time.
 	ckptMu sync.Mutex
-	// chain is the live delta-chain state (delta mode only); mutated only
-	// under ckptMu.
+	// chain is the live checkpoint chain's tip state; mutated only under
+	// ckptMu.
 	chain chainState
 
 	// restoredID / restoredAt identify the snapshot this server was

@@ -69,7 +69,7 @@ type shardMsg struct {
 	req    *pending
 	snap   chan<- ShardStats       // non-nil = stats request
 	state  chan<- shardStateMsg    // non-nil = checkpoint capture request
-	plan   *deltaPlan              // with state: delta-mode capture directive
+	delta  bool                    // with state: capture a delta, not a root
 	pstat  chan<- *predstat.Report // non-nil = predictability report request
 	pstatN int                     // ranking size for pstat requests
 	// ctx and sentNs carry the request's trace identity into the shard:
@@ -79,12 +79,13 @@ type shardMsg struct {
 	sentNs int64
 }
 
-// shardStateMsg is one shard's reply to a checkpoint capture: st for a
-// v1 full capture, delta for a delta-mode (chunked) capture.
+// shardStateMsg is one shard's reply to a checkpoint capture. For a
+// delta, written and skipped count the table entries it carried and the
+// clean ones it left out.
 type shardStateMsg struct {
-	st    snapshot.ShardState
-	delta *deltaShardState
-	err   error
+	st               snapshot.ShardState
+	written, skipped int
+	err              error
 }
 
 // shard owns one partition of predictor state. All access happens on the
@@ -122,8 +123,8 @@ type shard struct {
 	// writer: the shard goroutine).
 	tracer *otrace.Recorder
 	// dirtyTrack mirrors Config.DeltaCheckpoints: the bank stamps per-PC
-	// dirty bits for chunk-granular delta captures, re-enabled whenever
-	// the bank is rebuilt (restore).
+	// dirty bits for delta captures, re-enabled whenever the bank is
+	// rebuilt (restore).
 	dirtyTrack bool
 }
 
@@ -160,11 +161,7 @@ func (sh *shard) run() {
 			continue
 		}
 		if msg.state != nil {
-			if msg.plan != nil {
-				msg.state <- sh.captureDelta(msg.plan)
-			} else {
-				msg.state <- sh.captureState()
-			}
+			msg.state <- sh.captureState(msg.delta)
 			continue
 		}
 		if msg.pstat != nil {
@@ -297,31 +294,44 @@ func (sh *shard) snapshot() ShardStats {
 	return st
 }
 
-// captureState serializes the shard's full predictor state for a
-// checkpoint; called on the shard goroutine, so it never races live
-// traffic. The mailbox is FIFO, which is what "drain" means here: every
-// sub-batch mailed before the capture request has been applied, and none
-// mailed after it is visible.
-func (sh *shard) captureState() shardStateMsg {
-	st := snapshot.ShardState{
+// captureState serializes the shard's predictor state for a checkpoint:
+// every predictor's SaveState for a root, or its SaveDelta over the
+// bank's dirty PCs for a delta. It is called on the shard goroutine, so it
+// never races live traffic. The mailbox is FIFO, which is what "drain"
+// means here: every sub-batch mailed before the capture request has been
+// applied, and none mailed after it is visible. The dirty bits are reset
+// after either kind of save, so they always cover "since the last cut".
+func (sh *shard) captureState(delta bool) shardStateMsg {
+	msg := shardStateMsg{st: snapshot.ShardState{
 		Shard:  sh.id,
 		Events: sh.events,
 		PCs:    sh.pcs.AppendSorted(make([]uint64, 0, sh.pcs.Len())),
 		Preds:  make([]snapshot.PredState, len(sh.preds)),
-	}
+	}}
 	for i, p := range sh.preds {
 		var buf bytes.Buffer
-		if err := p.SaveState(&buf); err != nil {
+		var err error
+		if delta {
+			var n int
+			n, err = p.SaveDelta(&buf, sh.bank.PCDirty)
+			_, total := p.TableEntries()
+			msg.written += n
+			msg.skipped += total - n
+		} else {
+			err = p.SaveState(&buf)
+		}
+		if err != nil {
 			return shardStateMsg{err: fmt.Errorf("serve: shard %d: %w", sh.id, err)}
 		}
-		st.Preds[i] = snapshot.PredState{
+		msg.st.Preds[i] = snapshot.PredState{
 			Name:    sh.names[i],
 			Correct: sh.acc[i].Correct,
 			Total:   sh.acc[i].Total,
 			State:   buf.Bytes(),
 		}
 	}
-	return shardStateMsg{st: st}
+	sh.bank.ResetDirty()
+	return msg
 }
 
 // shardPCs rebuilds shard id's PC set from a snapshot section, checking
@@ -415,16 +425,18 @@ type CkptStats struct {
 	Errors       uint64 `json:"errors"`
 	LastBytes    int64  `json:"last_bytes,omitempty"`
 	LastUnixNano int64  `json:"last_unixnano,omitempty"`
-	// Full and Deltas split Count by checkpoint kind (delta mode only —
-	// v1 checkpoints all count as full).
+	// Full and Deltas split Count by checkpoint kind: chain roots and
+	// deltas.
 	Full   uint64 `json:"full"`
 	Deltas uint64 `json:"deltas"`
 	// ChainDepth is the live chain's delta links past its full root (0
 	// right after a full).
 	ChainDepth int64 `json:"chain_depth"`
-	// ChunksWritten / ChunksDeduped count chunks stored inline versus
-	// stored as content-hash references, over the server's lifetime;
-	// DedupeRatio is the most recent checkpoint's deduped fraction.
+	// ChunksWritten and ChunksDeduped (names kept from the chunked
+	// format) count, over the server's lifetime, the table entries delta
+	// checkpoints carried (per-PC records and FCM contexts) and the clean
+	// entries they skipped; DedupeRatio is the most recent delta's skipped
+	// fraction.
 	ChunksWritten uint64  `json:"chunks_written,omitempty"`
 	ChunksDeduped uint64  `json:"chunks_deduped,omitempty"`
 	DedupeRatio   float64 `json:"dedupe_ratio,omitempty"`

@@ -1,175 +1,159 @@
 package snapshot
 
-// Chain resolution: materializing `full + deltas → Snapshot`. A delta
-// checkpoint stores only the chunks that changed (or first appeared)
-// since its parent; everything else is a hash reference into some
-// ancestor. Resolving walks parent IDs back to the chain's full root,
-// pools every inline chunk by hash, then reassembles the tip's canonical
-// SaveState blobs by concatenating header and chunk bytes — verifying
-// each chunk's CRC-64 (and, for inline chunks, its content hash) on the
-// way, so a corrupt or incomplete chain is rejected rather than restored.
+// Chain resolution: materializing `root + deltas → Snapshot`. A delta
+// holds, per shard and predictor, only the records that changed since its
+// parent, so resolving one walks parent IDs back to the chain's root,
+// loads each root blob into a fresh predictor from the registry, applies
+// every delta's blob in chain order and saves the result: the returned
+// blobs are exactly the SaveState bytes the live predictors had at the
+// tip's cut. Every file on the way is CRC-verified when read, and every
+// apply validates its input, so a corrupt or incomplete chain is
+// rejected rather than restored.
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
-	"strings"
+	"slices"
+	"sync"
+
+	"repro/internal/core"
 )
 
 // ChainInfo describes how a checkpoint was materialized.
 type ChainInfo struct {
-	// Files is the resolved chain, root (full) first, tip last. A v1
-	// snapshot or a full v2 checkpoint is a single-element chain.
+	// Files is the resolved chain, root first, tip last. A root is a
+	// single-element chain.
 	Files []string
-	// Depth is the number of delta links in the chain (0 for a full).
+	// Depth is the number of delta links in the chain (0 for a root).
 	Depth int
-	// Tip is the decoded tip manifest; nil when the tip was a v1 file.
-	Tip *Delta
+	// Records holds, per delta (Records[i] for Files[i+1]), how many table
+	// entries it carried over all shards and predictors: per-PC records
+	// for the per-PC predictors, contexts for the FCMs.
+	Records []int
 }
 
 // ResolveChain reads the checkpoint at path and materializes its full
-// state. A .vpsnap file is returned as-is; a .vpdelta file has its chain
-// walked (parents are located by content ID in the same directory) and
-// its predictor state blobs reassembled from inline and referenced
-// chunks. The returned Snapshot is exactly what a v1 decode of the same
-// logical state would produce, so every consumer of full snapshots
-// (restore, warm replay, vpstate) works on chains unchanged.
+// state. A root is returned as read; a delta has its chain walked
+// (parents are located by content ID in the same directory) and its
+// predictor state rebuilt through the registry, one goroutine per shard.
+// The returned Snapshot carries the tip's ID, tallies, events and PC
+// sets with complete SaveState blobs and no parent, so every consumer of
+// full snapshots (restore, warm replay, vpstate) works on chains
+// unchanged.
 func ResolveChain(path string) (*Snapshot, *ChainInfo, error) {
-	if strings.HasSuffix(path, Ext) {
-		s, err := ReadFile(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, &ChainInfo{Files: []string{path}}, nil
-	}
 	dir := filepath.Dir(path)
-
 	// Walk tip → root, prepending so the slices end up root-first.
 	var files []string
-	var chain []*Delta
+	var chain []*Snapshot
 	seen := make(map[string]bool)
-	cur := path
+	cur, wantID := path, ""
 	for {
-		d, err := ReadDeltaFile(cur)
+		s, err := ReadFile(cur)
 		if err != nil {
 			return nil, nil, err
 		}
-		if seen[d.Meta.ID] {
-			return nil, nil, fmt.Errorf("snapshot: checkpoint chain cycle at id %s", d.Meta.ID)
+		// A parent is found by the ID in its file name; its content must
+		// carry that ID too, or the records would apply to another state.
+		if wantID != "" && s.Meta.ID != wantID {
+			return nil, nil, fmt.Errorf("%w: %s holds checkpoint %s, not parent %s",
+				ErrChecksum, filepath.Base(cur), s.Meta.ID, wantID)
 		}
-		seen[d.Meta.ID] = true
+		if seen[s.Meta.ID] {
+			return nil, nil, fmt.Errorf("snapshot: checkpoint chain cycle at id %s", s.Meta.ID)
+		}
+		seen[s.Meta.ID] = true
 		files = append([]string{cur}, files...)
-		chain = append([]*Delta{d}, chain...)
-		if len(chain) > maxChainDepth {
+		chain = append([]*Snapshot{s}, chain...)
+		if len(chain) > maxChainDepth+1 {
 			return nil, nil, fmt.Errorf("snapshot: checkpoint chain longer than %d", maxChainDepth)
 		}
-		if d.Meta.ParentID == "" {
+		if s.Meta.ParentID == "" {
 			break
 		}
-		parent, err := FindByID(dir, d.Meta.ParentID)
+		parent, err := FindByID(dir, s.Meta.ParentID)
 		if err != nil {
 			return nil, nil, fmt.Errorf("snapshot: chain broken at %s: parent %s: %w",
-				filepath.Base(cur), d.Meta.ParentID, err)
+				filepath.Base(cur), s.Meta.ParentID, err)
 		}
-		cur = parent
+		cur, wantID = parent, s.Meta.ParentID
+	}
+	info := &ChainInfo{Files: files, Depth: len(chain) - 1}
+	if len(chain) == 1 {
+		return chain[0], info, nil
 	}
 
-	tip := chain[len(chain)-1]
 	// Each link must extend its parent: depth increments along the walk
-	// and the predictor sets must agree, or the references cannot mean
-	// what the tip thinks they mean.
+	// and the shard layout and predictor set agree, or the records cannot
+	// mean what the tip thinks they mean.
 	for i := 1; i < len(chain); i++ {
 		p, c := chain[i-1], chain[i]
 		if c.Meta.Depth != p.Meta.Depth+1 {
 			return nil, nil, fmt.Errorf("snapshot: chain depth %d follows depth %d (%s after %s)",
 				c.Meta.Depth, p.Meta.Depth, c.Meta.ID, p.Meta.ID)
 		}
-		if len(c.Meta.Predictors) != len(p.Meta.Predictors) {
-			return nil, nil, fmt.Errorf("snapshot: chain predictor set changed at %s", c.Meta.ID)
-		}
-		for j := range c.Meta.Predictors {
-			if c.Meta.Predictors[j] != p.Meta.Predictors[j] {
-				return nil, nil, fmt.Errorf("snapshot: chain predictor set changed at %s", c.Meta.ID)
-			}
+		if c.Meta.Shards != p.Meta.Shards || !slices.Equal(c.Meta.Predictors, p.Meta.Predictors) {
+			return nil, nil, fmt.Errorf("snapshot: chain shard layout or predictor set changed at %s", c.Meta.ID)
 		}
 	}
 
-	// Pool every inline chunk in the chain by content hash, verifying
-	// integrity once per stored chunk. References anywhere in the tip may
-	// point at any ancestor (cross-interval and cross-shard dedup), so the
-	// pool is global to the chain.
-	pool := make(map[[HashSize]byte][]byte)
-	for fi, d := range chain {
-		for si := range d.Shards {
-			for pi := range d.Shards[si].Preds {
-				ps := &d.Shards[si].Preds[pi]
-				for ci := range ps.Chunks {
-					c := &ps.Chunks[ci]
-					if !c.Inline() {
-						continue
-					}
-					hash, crc := ChunkKey(c.Data)
-					if hash != c.Hash || crc != c.CRC {
-						return nil, nil, fmt.Errorf(
-							"snapshot: chunk %x corrupt in %s (shard %d pred %q chunk %d): %w",
-							c.Hash[:4], filepath.Base(files[fi]), si, ps.Name, ci, ErrChecksum)
-					}
-					pool[c.Hash] = c.Data
-				}
-			}
-		}
-	}
-
-	// Materialize the tip: every predictor blob is header + chunks, with
-	// references resolved from the pool and re-verified against the
-	// manifest's CRC and length.
-	snap := &Snapshot{
-		Meta: Meta{
-			FormatVersion:   tip.Meta.FormatVersion,
-			ID:              tip.Meta.ID,
-			CreatedUnixNano: tip.Meta.CreatedUnixNano,
-			Events:          tip.Meta.Events,
-			Shards:          tip.Meta.Shards,
-			Predictors:      tip.Meta.Predictors,
-		},
-	}
+	tip := chain[len(chain)-1]
+	out := &Snapshot{Meta: tip.Meta, Shards: make([]ShardState, len(tip.Shards))}
+	out.Meta.ParentID, out.Meta.Depth = "", 0
+	records := make([][]int, len(tip.Shards))
+	errs := make([]error, len(tip.Shards))
+	var wg sync.WaitGroup
 	for si := range tip.Shards {
-		dsh := &tip.Shards[si]
-		sh := ShardState{Shard: dsh.Shard, Events: dsh.Events, PCs: dsh.PCs}
-		for pi := range dsh.Preds {
-			ps := &dsh.Preds[pi]
-			size := len(ps.Header)
-			for ci := range ps.Chunks {
-				size += ps.Chunks[ci].Len
-			}
-			blob := make([]byte, 0, size)
-			blob = append(blob, ps.Header...)
-			for ci := range ps.Chunks {
-				c := &ps.Chunks[ci]
-				data := c.Data
-				if data == nil {
-					var ok bool
-					data, ok = pool[c.Hash]
-					if !ok {
-						return nil, nil, fmt.Errorf(
-							"snapshot: chunk %x missing from chain (tip %s shard %d pred %q chunk %d)",
-							c.Hash[:4], tip.Meta.ID, si, ps.Name, ci)
-					}
-					if len(data) != c.Len || crcOf(data) != c.CRC {
-						return nil, nil, fmt.Errorf(
-							"snapshot: chunk %x reference mismatch (tip %s shard %d pred %q chunk %d): %w",
-							c.Hash[:4], tip.Meta.ID, si, ps.Name, ci, ErrChecksum)
-					}
-				}
-				blob = append(blob, data...)
-			}
-			sh.Preds = append(sh.Preds, PredState{
-				Name:    ps.Name,
-				Correct: ps.Correct,
-				Total:   ps.Total,
-				State:   blob,
-			})
-		}
-		snap.Shards = append(snap.Shards, sh)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			records[si] = make([]int, len(chain)-1)
+			out.Shards[si], errs[si] = resolveShard(chain, files, si, records[si])
+		}()
 	}
-	return snap, &ChainInfo{Files: files, Depth: tip.Meta.Depth, Tip: tip}, nil
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	info.Records = make([]int, len(chain)-1)
+	for _, rs := range records {
+		for i, n := range rs {
+			info.Records[i] += n
+		}
+	}
+	return out, info, nil
+}
+
+// resolveShard rebuilds shard si of the chain's tip: each predictor is
+// loaded from the root, has every delta applied in order (adding the
+// records each carried to records) and is saved back, one predictor at a
+// time so only one is ever held.
+func resolveShard(chain []*Snapshot, files []string, si int, records []int) (ShardState, error) {
+	tip := chain[len(chain)-1].Shards[si]
+	sh := ShardState{Shard: si, Events: tip.Events, PCs: tip.PCs, Preds: make([]PredState, len(tip.Preds))}
+	for pi, ps := range tip.Preds {
+		fac, ok := core.FactoryByName(ps.Name)
+		if !ok {
+			return sh, fmt.Errorf("snapshot: predictor %q not in local registry", ps.Name)
+		}
+		p := fac.New()
+		if err := p.LoadState(bytes.NewReader(chain[0].Shards[si].Preds[pi].State)); err != nil {
+			return sh, fmt.Errorf("snapshot: %s shard %d: %w", filepath.Base(files[0]), si, err)
+		}
+		for li, d := range chain[1:] {
+			n, err := p.ApplyDelta(bytes.NewReader(d.Shards[si].Preds[pi].State))
+			if err != nil {
+				return sh, fmt.Errorf("snapshot: %s shard %d: %w", filepath.Base(files[li+1]), si, err)
+			}
+			records[li] += n
+		}
+		var buf bytes.Buffer
+		if err := p.SaveState(&buf); err != nil {
+			return sh, fmt.Errorf("snapshot: shard %d %q: %w", si, ps.Name, err)
+		}
+		sh.Preds[pi] = PredState{Name: ps.Name, Correct: ps.Correct, Total: ps.Total, State: buf.Bytes()}
+	}
+	return sh, nil
 }

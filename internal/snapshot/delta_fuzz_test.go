@@ -2,164 +2,101 @@ package snapshot
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
-// chainFromBytes derives a deterministic, always-valid two-link chain
-// (full + delta) from fuzz input: the full's chunks come from the input
-// bytes, and per-chunk control bits decide which chunks the delta keeps
-// as references, rewrites inline, or duplicates (dedup against the
-// parent by content hash). Returns the chain plus the expected
-// materialized state blob of the delta's single predictor.
-func chainFromBytes(data []byte) (full, child *Delta, wantBlob []byte) {
-	take := func(n int) []byte {
-		if n > len(data) {
-			n = len(data)
-		}
-		out := data[:n]
-		data = data[n:]
-		return out
-	}
-	byteAt := func() byte {
-		b := take(1)
-		if len(b) == 0 {
-			return 0
-		}
-		return b[0]
-	}
+// fuzzChainPreds is the registry bank the chain fuzz cuts: a per-PC
+// predictor of each record shape plus an FCM.
+var fuzzChainPreds = []string{"l", "s2", "fcm2"}
 
-	nchunks := int(byteAt()%6) + 1
-	header := append([]byte(nil), take(int(byteAt()%8))...)
-	fullChunks := make([]ChunkRef, 0, nchunks)
-	pc := uint64(0x100)
-	for i := 0; i < nchunks; i++ {
-		chunkLen := int(byteAt()%32) + 1
-		body := make([]byte, chunkLen)
-		copy(body, take(chunkLen))
-		body[0] = byte(i) // distinct chunks, so hashes never collide by construction
-		fullChunks = append(fullChunks, MakeChunk(pc, 1+int(byteAt()%4), body))
-		pc += uint64(byteAt()) + 4
-	}
-	full = &Delta{
-		Meta: DeltaMeta{
-			CreatedUnixNano: int64(byteAt()) + 1,
-			Predictors:      []string{"l"},
-		},
-		Shards: []DeltaShard{{
-			Shard:  0,
-			Events: uint64(byteAt()) * 3,
-			PCs:    []uint64{0x100, 0x104},
-			Preds: []DeltaPred{{
-				Name: "l", Correct: uint64(byteAt()), Total: 1000,
-				Header: header, Chunks: fullChunks,
-			}},
-		}},
-	}
-
-	childChunks := make([]ChunkRef, 0, nchunks)
-	wantBlob = append(wantBlob, header...)
-	for i, c := range fullChunks {
-		switch byteAt() % 3 {
-		case 0: // unchanged: reference the parent's bytes
-			childChunks = append(childChunks, ref(c))
-			wantBlob = append(wantBlob, c.Data...)
-		case 1: // rewritten: fresh inline bytes
-			body := make([]byte, len(c.Data)+1)
-			copy(body, take(len(body)))
-			body[0] = byte(0x80 | i)
-			nc := MakeChunk(c.FirstPC, c.Records, body)
-			childChunks = append(childChunks, nc)
-			wantBlob = append(wantBlob, nc.Data...)
-		default: // identical re-encode: dedup by hash, stored as reference
-			childChunks = append(childChunks, ref(c))
-			wantBlob = append(wantBlob, c.Data...)
+// fuzzEvents derives an event stream from fuzz input: each byte pair is
+// one value at one of 24 PCs, repeated into a constant stretch of up to
+// four events so StepRun's bulk path takes part.
+func fuzzEvents(data []byte) (pcs, vals []uint64) {
+	for i := 0; i+1 < len(data); i += 2 {
+		pc := uint64(data[i]%24) * 4
+		v := uint64(data[i+1] & 0x0f)
+		if data[i+1]&0x80 != 0 {
+			v = uint64(data[i]) << 40 // a value no context has seen
+		}
+		for r := 0; r <= int(data[i+1]>>4)&3; r++ {
+			pcs, vals = append(pcs, pc), append(vals, v)
 		}
 	}
-	child = &Delta{
-		Meta: DeltaMeta{
-			CreatedUnixNano: full.Meta.CreatedUnixNano + 1,
-			Depth:           1,
-			Predictors:      []string{"l"},
-		},
-		Shards: []DeltaShard{{
-			Shard:  0,
-			Events: full.Shards[0].Events + uint64(byteAt()),
-			PCs:    full.Shards[0].PCs,
-			Preds: []DeltaPred{{
-				Name: "l", Correct: uint64(byteAt()), Total: 2000,
-				Header: header, Chunks: childChunks,
-			}},
-		}},
-	}
-	return full, child, wantBlob
+	return pcs, vals
 }
 
-// FuzzDeltaChainRoundTrip: any structurally valid full+delta chain must
-// write, re-decode canonically, and resolve to exactly the concatenation
-// of header and (dereferenced) chunk bytes — and a delta whose parent
-// reference is broken must be rejected, never misresolved.
+// FuzzDeltaChainRoundTrip covers the checkpoint container with record
+// deltas from both sides. Round trip: traffic derived from the input,
+// cut as a root and one to three deltas through a registry bank, must
+// resolve to exactly the bytes of a forced full save of the same state.
+// Robustness: the input itself, read as a checkpoint file or fed to every
+// predictor's ApplyDelta (empty or loaded), must fail cleanly or apply —
+// never panic — and an apply may allocate only in proportion to the
+// input's size.
 func FuzzDeltaChainRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add(bytes.Repeat([]byte{0xA7}, 160))
-	f.Add([]byte{2, 0, 9, 9, 9, 1, 0, 2, 0, 1, 2, 0})
+	f.Add(bytes.Repeat([]byte{0xA7, 0x13, 0x40}, 160))
+	var d bytes.Buffer
+	if _, err := core.NewFCM(2).SaveDelta(&d, nil); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(d.Bytes(), 2, 0, 9, 9, 9, 1, 0, 2, 0, 1, 2, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		full, child, wantBlob := chainFromBytes(data)
 		dir := t.TempDir()
-		if _, err := WriteDeltaFileAtomic(dir, full); err != nil {
-			t.Fatalf("write full: %v", err)
+		lb := newLiveBank(t, 2, fuzzChainPreds...)
+		pcs, vals := fuzzEvents(data)
+		links := 1
+		if len(data) > 0 {
+			links += int(data[0] % 3)
 		}
-		child.Meta.ParentID = full.Meta.ID
-		childPath, err := WriteDeltaFileAtomic(dir, child)
-		if err != nil {
-			t.Fatalf("write child: %v", err)
+		var tip string
+		var tipSnap *Snapshot
+		var tipFull [][][]byte
+		for cut := 0; cut <= links; cut++ {
+			lo, hi := len(pcs)*cut/(links+1), len(pcs)*(cut+1)/(links+1)
+			lb.step(pcs[lo:hi], vals[lo:hi])
+			tip, tipSnap, tipFull = lb.cut(t, dir, cut > 0)
 		}
-
-		// The tip must re-decode to canonical bytes.
-		got, err := ReadDeltaFile(childPath)
-		if err != nil {
-			t.Fatalf("read child: %v", err)
-		}
-		var re bytes.Buffer
-		id, err := EncodeDelta(&re, got)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if id != child.Meta.ID {
-			t.Fatalf("re-encode id %s, want %s", id, child.Meta.ID)
-		}
-
-		snap, info, err := ResolveChain(childPath)
+		got, info, err := ResolveChain(tip)
 		if err != nil {
 			t.Fatalf("resolve: %v", err)
 		}
-		if info.Depth != 1 || len(info.Files) != 2 {
-			t.Fatalf("chain info = %+v", info)
+		if info.Depth != links || len(info.Files) != links+1 {
+			t.Fatalf("chain info = %+v, want depth %d", info, links)
 		}
-		if !bytes.Equal(snap.Shards[0].Preds[0].State, wantBlob) {
-			t.Fatalf("resolved blob differs: %d vs %d bytes",
-				len(snap.Shards[0].Preds[0].State), len(wantBlob))
-		}
+		checkState(t, got, tipSnap, tipFull)
 
-		// Break one reference (if the delta has any): resolution must fail
-		// loudly rather than substitute wrong bytes.
-		broke := false
-		for i := range child.Shards[0].Preds[0].Chunks {
-			c := &child.Shards[0].Preds[0].Chunks[i]
-			if !c.Inline() {
-				c.Hash[5] ^= 0xFF
-				broke = true
-				break
+		DecodeBytes(append([]byte(Magic), data...))
+		for _, name := range fuzzChainPreds {
+			fac, _ := core.FactoryByName(name)
+			loaded := fac.New()
+			if err := loaded.LoadState(bytes.NewReader(tipFull[0][indexOf(name)])); err != nil {
+				t.Fatalf("%s: loading the tip: %v", name, err)
 			}
-		}
-		if broke {
-			badPath, err := WriteDeltaFileAtomic(dir, child)
-			if err != nil {
-				t.Fatalf("write broken child: %v", err)
-			}
-			if _, _, err := ResolveChain(badPath); err == nil {
-				t.Fatal("chain with dangling chunk reference resolved")
+			loaded.ApplyDelta(bytes.NewReader(data))
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fac.New().ApplyDelta(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, 1<<20+256*uint64(len(data)); grew > limit {
+				t.Fatalf("%s: applying %d bytes allocated %d bytes (limit %d)", name, len(data), grew, limit)
 			}
 		}
 	})
+}
+
+// indexOf returns name's position in fuzzChainPreds.
+func indexOf(name string) int {
+	for i, n := range fuzzChainPreds {
+		if n == name {
+			return i
+		}
+	}
+	return -1
 }

@@ -2,201 +2,247 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
-// ref strips a chunk's inline bytes, turning it into a hash reference.
-func ref(c ChunkRef) ChunkRef {
-	c.Data = nil
-	return c
+// liveBank is a registry predictor bank sharded by PC, with per-PC dirty
+// tracking, that cuts real root and delta checkpoints the way a server's
+// shards do: a root holds SaveState blobs, a delta SaveDelta blobs over
+// the PCs stepped since the previous cut.
+type liveBank struct {
+	names  []string
+	shards []*liveShard
+	prev   *Snapshot // the last checkpoint cut; a delta names it as parent
 }
 
-// sampleFull builds the root of a two-shard, two-predictor chain. The
-// "l" chunk bytes are shared verbatim between the shards, so the chain
-// exercises cross-shard dedup as well as cross-interval dedup.
-func sampleFull() *Delta {
-	sharedA := MakeChunk(0x400, 2, []byte{10, 11, 12})
-	return &Delta{
-		Meta: DeltaMeta{
-			CreatedUnixNano: 1_700_000_000_000_000_001,
-			Predictors:      []string{"l", "hyb"},
-		},
-		Shards: []DeltaShard{
-			{
-				Shard:  0,
-				Events: 1000,
-				PCs:    []uint64{0x400, 0x404, 0x90000},
-				Preds: []DeltaPred{
-					{Name: "l", Correct: 400, Total: 1000, Header: []byte{3},
-						Chunks: []ChunkRef{sharedA, MakeChunk(0x404, 1, []byte{20, 21})}},
-					{Name: "hyb", Correct: 500, Total: 1000, Header: nil,
-						Chunks: []ChunkRef{MakeChunk(0, 0, bytes.Repeat([]byte{0xAB}, 64))}},
-				},
-			},
-			{
-				Shard:  1,
-				Events: 250,
-				PCs:    []uint64{0x500},
-				Preds: []DeltaPred{
-					{Name: "l", Correct: 1, Total: 250, Header: []byte{3},
-						Chunks: []ChunkRef{ref(sharedA)}},
-					{Name: "hyb", Correct: 2, Total: 250, Header: nil,
-						Chunks: []ChunkRef{MakeChunk(0, 0, []byte{7})}},
-				},
-			},
-		},
-	}
+type liveShard struct {
+	bank   *core.Bank
+	preds  []core.Predictor
+	pcs    core.PCSet
+	events uint64
 }
 
-// sampleChild builds a delta on top of parent: shard 0's first "l" chunk
-// and shard 1 are unchanged (references), the rest re-encoded.
-func sampleChild(parent *Delta) *Delta {
-	keepA := ref(parent.Shards[0].Preds[0].Chunks[0])
-	keepHyb1 := ref(parent.Shards[1].Preds[1].Chunks[0])
-	return &Delta{
-		Meta: DeltaMeta{
-			CreatedUnixNano: parent.Meta.CreatedUnixNano + 1,
-			ParentID:        parent.Meta.ID,
-			Depth:           parent.Meta.Depth + 1,
-			Predictors:      parent.Meta.Predictors,
-		},
-		Shards: []DeltaShard{
-			{
-				Shard:  0,
-				Events: 1500,
-				PCs:    parent.Shards[0].PCs,
-				Preds: []DeltaPred{
-					{Name: "l", Correct: 600, Total: 1500, Header: []byte{3},
-						Chunks: []ChunkRef{keepA, MakeChunk(0x404, 1, []byte{22, 23, 24})}},
-					{Name: "hyb", Correct: 700, Total: 1500, Header: nil,
-						Chunks: []ChunkRef{MakeChunk(0, 0, bytes.Repeat([]byte{0xCD}, 48))}},
-				},
-			},
-			{
-				Shard:  1,
-				Events: 250,
-				PCs:    parent.Shards[1].PCs,
-				Preds: []DeltaPred{
-					{Name: "l", Correct: 1, Total: 250, Header: []byte{3},
-						Chunks: []ChunkRef{ref(parent.Shards[1].Preds[0].Chunks[0])}},
-					{Name: "hyb", Correct: 2, Total: 250, Header: nil,
-						Chunks: []ChunkRef{keepHyb1}},
-				},
-			},
-		},
-	}
-}
-
-// blobOf reconstructs the expected canonical state blob for one
-// predictor of a delta, pulling reference bytes from src chunks.
-func blobOf(p *DeltaPred, pool map[[HashSize]byte][]byte) []byte {
-	var out []byte
-	out = append(out, p.Header...)
-	for i := range p.Chunks {
-		c := &p.Chunks[i]
-		if c.Inline() {
-			out = append(out, c.Data...)
-		} else {
-			out = append(out, pool[c.Hash]...)
+func newLiveBank(t testing.TB, shards int, names ...string) *liveBank {
+	lb := &liveBank{names: names}
+	for range shards {
+		sh := &liveShard{}
+		for _, name := range names {
+			f, ok := core.FactoryByName(name)
+			if !ok {
+				t.Fatalf("predictor %q not in registry", name)
+			}
+			sh.preds = append(sh.preds, f.New())
 		}
+		sh.bank = core.NewBank(sh.preds...)
+		sh.bank.SetDirtyTracking(true)
+		lb.shards = append(lb.shards, sh)
 	}
-	return out
+	return lb
 }
 
-func poolOf(ds ...*Delta) map[[HashSize]byte][]byte {
-	pool := make(map[[HashSize]byte][]byte)
-	for _, d := range ds {
-		for si := range d.Shards {
-			for pi := range d.Shards[si].Preds {
-				for _, c := range d.Shards[si].Preds[pi].Chunks {
-					if c.Inline() {
-						pool[c.Hash] = c.Data
-					}
-				}
+// step feeds each event to the shard owning its PC (pc/4 mod shards).
+func (lb *liveBank) step(pcs, vals []uint64) {
+	for i, pc := range pcs {
+		sh := lb.shards[int(pc/4)%len(lb.shards)]
+		sh.bank.StepBatch(pcs[i:i+1], vals[i:i+1])
+		sh.pcs.Add(pc)
+		sh.events++
+	}
+}
+
+// cut writes a checkpoint into dir — a delta on the previous cut, or a
+// root — and returns its path, the snapshot as written and every
+// predictor's full SaveState blob at the cut ([shard][pred]).
+func (lb *liveBank) cut(t testing.TB, dir string, delta bool) (string, *Snapshot, [][][]byte) {
+	t.Helper()
+	s := &Snapshot{Meta: Meta{CreatedUnixNano: 1_700_000_000_000_000_000, Predictors: lb.names}}
+	if delta {
+		s.Meta.ParentID, s.Meta.Depth = lb.prev.Meta.ID, lb.prev.Meta.Depth+1
+	}
+	if lb.prev != nil {
+		s.Meta.CreatedUnixNano = lb.prev.Meta.CreatedUnixNano + 1
+	}
+	full := make([][][]byte, len(lb.shards))
+	for si, sh := range lb.shards {
+		st := ShardState{Shard: si, Events: sh.events, PCs: sh.pcs.AppendSorted(nil)}
+		correct := sh.bank.Correct()
+		for pi, p := range sh.preds {
+			var blob, whole bytes.Buffer
+			var err error
+			if delta {
+				_, err = p.SaveDelta(&blob, sh.bank.PCDirty)
+			} else {
+				err = p.SaveState(&blob)
+			}
+			if err == nil {
+				err = p.SaveState(&whole)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Preds = append(st.Preds, PredState{Name: lb.names[pi], Correct: correct[pi], Total: sh.events, State: blob.Bytes()})
+			full[si] = append(full[si], whole.Bytes())
+		}
+		sh.bank.ResetDirty()
+		s.Shards = append(s.Shards, st)
+	}
+	path, err := WriteFileAtomic(dir, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb.prev = s
+	return path, s, full
+}
+
+// chainTraffic is a deterministic event stream over a few dozen PCs with
+// strides, constants, periodic and noisy values; seg picks a segment.
+func chainTraffic(seg, n int) (pcs, vals []uint64) {
+	for i := 0; i < n; i++ {
+		pc := uint64((i*7+seg*13)%(24+4*seg)) * 4
+		var v uint64
+		switch pc % 16 {
+		case 0:
+			v = uint64(i+seg*n) * 8
+		case 4:
+			v = 42
+		case 8:
+			v = []uint64{3, 1, 4, 1, 5}[i%5]
+		default:
+			v = uint64(i*i+seg) % 11
+		}
+		pcs, vals = append(pcs, pc), append(vals, v)
+	}
+	return pcs, vals
+}
+
+// writeChain cuts a root and two deltas into dir, with traffic between
+// the cuts; it returns each cut's path, snapshot and full blobs.
+func writeChain(t *testing.T, dir string) (paths []string, snaps []*Snapshot, full [][][][]byte) {
+	t.Helper()
+	lb := newLiveBank(t, 2, "l", "s2", "fcm2")
+	for cut := 0; cut < 3; cut++ {
+		lb.step(chainTraffic(cut, 3000))
+		path, s, f := lb.cut(t, dir, cut > 0)
+		paths, snaps, full = append(paths, path), append(snaps, s), append(full, f)
+	}
+	return paths, snaps, full
+}
+
+// checkState fails unless got holds exactly want's tallies and events
+// with the full blobs wantFull.
+func checkState(t *testing.T, got, want *Snapshot, wantFull [][][]byte) {
+	t.Helper()
+	if got.Meta.ID != want.Meta.ID || got.Meta.Events != want.Meta.Events || got.Meta.ParentID != "" {
+		t.Fatalf("resolved meta %+v, want the state of %s", got.Meta, want.Meta.ID)
+	}
+	for si, sh := range got.Shards {
+		w := want.Shards[si]
+		if sh.Events != w.Events || !slices.Equal(sh.PCs, w.PCs) {
+			t.Fatalf("shard %d events/PCs differ", si)
+		}
+		for pi, ps := range sh.Preds {
+			if ps.Correct != w.Preds[pi].Correct || ps.Total != w.Preds[pi].Total {
+				t.Fatalf("shard %d %s tallies %d/%d, want %d/%d", si, ps.Name,
+					ps.Correct, ps.Total, w.Preds[pi].Correct, w.Preds[pi].Total)
+			}
+			if !bytes.Equal(ps.State, wantFull[si][pi]) {
+				t.Fatalf("shard %d %s: resolved state %d bytes differs from the live %d",
+					si, ps.Name, len(ps.State), len(wantFull[si][pi]))
 			}
 		}
 	}
-	return pool
 }
 
+// TestDeltaEncodeDecodeRoundTrip: a delta's parent and depth survive the
+// container, and re-encoding a decoded delta is byte-identical.
 func TestDeltaEncodeDecodeRoundTrip(t *testing.T) {
-	full := sampleFull()
+	_, snaps, _ := writeChain(t, t.TempDir())
+	d := snaps[2]
 	var buf bytes.Buffer
-	id, err := EncodeDelta(&buf, full)
+	id, err := Encode(&buf, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Meta.ID != id || full.Meta.Events != 1250 || full.Meta.Shards != 2 {
-		t.Fatalf("EncodeDelta did not normalize meta: %+v", full.Meta)
-	}
-	got, err := DecodeDelta(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Meta.ID != id || got.Meta.FormatVersion != DeltaFormatVersion || got.Meta.Depth != 0 {
+	if got.Meta.ID != id || got.Meta.FormatVersion != FormatVersion ||
+		got.Meta.ParentID != snaps[1].Meta.ID || got.Meta.Depth != 2 {
 		t.Fatalf("meta = %+v", got.Meta)
 	}
-	// Normalize nil-vs-empty the wire cannot distinguish.
-	norm := func(d *Delta) {
-		for si := range d.Shards {
-			for pi := range d.Shards[si].Preds {
-				if len(d.Shards[si].Preds[pi].Header) == 0 {
-					d.Shards[si].Preds[pi].Header = nil
-				}
-			}
-		}
+	if !reflect.DeepEqual(got.Shards, d.Shards) {
+		t.Fatal("shards differ after the round trip")
 	}
-	want := sampleFull()
-	if _, err := EncodeDelta(&bytes.Buffer{}, want); err != nil {
-		t.Fatal(err)
+	var re bytes.Buffer
+	if id2, err := Encode(&re, got); err != nil || id2 != id || !bytes.Equal(re.Bytes(), buf.Bytes()) {
+		t.Fatalf("re-encode: id %s (want %s), err %v, identical %v", id2, id, err, bytes.Equal(re.Bytes(), buf.Bytes()))
 	}
-	norm(want)
-	norm(got)
-	if !reflect.DeepEqual(got.Shards, want.Shards) {
-		t.Fatalf("shards differ:\n got %+v\nwant %+v", got.Shards, want.Shards)
+}
+
+// TestDecodeReadsVersion1: a root written before checkpoints could name
+// a parent (format version 1, no parent or depth field) still decodes,
+// as a root with the same shards.
+func TestDecodeReadsVersion1(t *testing.T) {
+	s := sample()
+	_, data := encodeOK(t, s)
+	payload := data[len(Magic) : len(data)-8]
+	// Version 2 is: version, created, events, parent "" (one zero byte),
+	// depth 0 (one zero byte), then the version-1 tail.
+	head := 1
+	for range 2 {
+		_, n := binary.Uvarint(payload[head:])
+		head += n
 	}
-	var buf2 bytes.Buffer
-	id2, err := EncodeDelta(&buf2, got)
+	if payload[0] != 2 || payload[head] != 0 || payload[head+1] != 0 {
+		t.Fatalf("unexpected version-2 prefix % x", payload[:head+2])
+	}
+	v1 := append([]byte{1}, payload[1:head]...)
+	v1 = append(v1, payload[head+2:]...)
+	got, err := DecodeBytes(rewrap(v1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id2 != id || !bytes.Equal(buf2.Bytes(), buf.Bytes()) {
-		t.Fatal("re-encode is not byte-identical")
+	want, err := DecodeBytes(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := got.Stats()
-	if st.Inline != 4 || st.Refs != 1 {
-		t.Fatalf("stats = %+v, want 4 inline / 1 ref", st)
+	if got.Meta.FormatVersion != 1 || got.Meta.ParentID != "" || got.Meta.Depth != 0 ||
+		got.Meta.Events != want.Meta.Events || !reflect.DeepEqual(got.Shards, want.Shards) {
+		t.Fatalf("version-1 decode = %+v, want the shards of %+v", got.Meta, want.Meta)
 	}
 }
 
 func TestDeltaEncodeRejectsMalformed(t *testing.T) {
-	for name, mutate := range map[string]func(*Delta){
-		"no shards":          func(d *Delta) { d.Shards = nil },
-		"no predictors":      func(d *Delta) { d.Meta.Predictors = nil },
-		"shard id gap":       func(d *Delta) { d.Shards[1].Shard = 2 },
-		"pred name mismatch": func(d *Delta) { d.Shards[1].Preds[0].Name = "zzz" },
-		"unsorted pcs":       func(d *Delta) { d.Shards[0].PCs = []uint64{8, 4} },
-		"full with depth":    func(d *Delta) { d.Meta.Depth = 1 },
-		"delta depth zero":   func(d *Delta) { d.Meta.ParentID = "abc" },
-		"chunk len mismatch": func(d *Delta) { d.Shards[0].Preds[0].Chunks[0].Len++ },
+	for name, mutate := range map[string]func(*Snapshot){
+		"root with depth":   func(s *Snapshot) { s.Meta.Depth = 1 },
+		"delta depth zero":  func(s *Snapshot) { s.Meta.ParentID = "abc" },
+		"depth past bound":  func(s *Snapshot) { s.Meta.ParentID, s.Meta.Depth = "abc", maxChainDepth+1 },
+		"negative depth":    func(s *Snapshot) { s.Meta.ParentID, s.Meta.Depth = "abc", -1 },
+		"parent ID too big": func(s *Snapshot) { s.Meta.ParentID, s.Meta.Depth = strings.Repeat("a", maxNameLen+1), 1 },
 	} {
-		d := sampleFull()
-		mutate(d)
-		if _, err := EncodeDelta(&bytes.Buffer{}, d); err == nil {
-			t.Errorf("%s: EncodeDelta accepted", name)
+		s := sample()
+		mutate(s)
+		if _, err := Encode(&bytes.Buffer{}, s); err == nil {
+			t.Errorf("%s: Encode accepted", name)
 		}
 	}
 }
 
 func TestDeltaDecodeRejectsCorrupt(t *testing.T) {
+	_, snaps, _ := writeChain(t, t.TempDir())
 	var buf bytes.Buffer
-	if _, err := EncodeDelta(&buf, sampleFull()); err != nil {
+	if _, err := Encode(&buf, snaps[1]); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -204,213 +250,261 @@ func TestDeltaDecodeRejectsCorrupt(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[0] ^= 0x40
-		if _, err := DecodeDeltaBytes(mut); err == nil || errors.Is(err, ErrChecksum) {
+		if _, err := DecodeBytes(mut); err == nil || errors.Is(err, ErrChecksum) {
 			t.Fatalf("got %v, want a magic error", err)
 		}
 	})
 	t.Run("flipped payload byte fails checksum", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
-		mut[len(DeltaMagic)+3] ^= 0x01
-		if _, err := DecodeDeltaBytes(mut); !errors.Is(err, ErrChecksum) {
+		mut[len(Magic)+3] ^= 0x01
+		if _, err := DecodeBytes(mut); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("got %v, want ErrChecksum", err)
 		}
 	})
 	t.Run("truncations", func(t *testing.T) {
 		for cut := 0; cut < len(data); cut++ {
-			if _, err := DecodeDeltaBytes(data[:cut]); err == nil {
+			if _, err := DecodeBytes(data[:cut]); err == nil {
 				t.Fatalf("truncation to %d bytes accepted", cut)
 			}
 		}
 	})
 	t.Run("trailing garbage", func(t *testing.T) {
-		if _, err := DecodeDeltaBytes(append(append([]byte(nil), data...), 0xEE)); err == nil {
+		if _, err := DecodeBytes(append(append([]byte(nil), data...), 0xEE)); err == nil {
 			t.Fatal("trailing garbage accepted")
+		}
+	})
+	t.Run("delta without depth", func(t *testing.T) {
+		var p []byte
+		p = binary.AppendUvarint(p, FormatVersion)
+		p = binary.AppendUvarint(p, 0) // created
+		p = binary.AppendUvarint(p, 0) // events
+		p = binary.AppendUvarint(p, 3)
+		p = append(p, "abc"...)        // parent ID
+		p = binary.AppendUvarint(p, 0) // depth
+		if _, err := DecodeBytes(rewrap(p)); err == nil || !strings.Contains(err.Error(), "depth 0") {
+			t.Fatalf("got %v, want a depth error", err)
 		}
 	})
 }
 
-// writeChain writes full + child into dir and returns their paths.
-func writeChain(t *testing.T) (dir, fullPath, childPath string, full, child *Delta) {
-	t.Helper()
-	dir = t.TempDir()
-	full = sampleFull()
-	fullPath, err := WriteDeltaFileAtomic(dir, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	child = sampleChild(full)
-	childPath, err = WriteDeltaFileAtomic(dir, child)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir, fullPath, childPath, full, child
-}
-
+// TestResolveChain: resolving each cut of a root + two-delta chain
+// yields exactly the live state at that cut, through the registry.
 func TestResolveChain(t *testing.T) {
-	_, fullPath, childPath, full, child := writeChain(t)
-
-	snap, info, err := ResolveChain(childPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Depth != 1 || info.Tip == nil || info.Tip.Meta.ID != child.Meta.ID {
-		t.Fatalf("chain info = %+v", info)
-	}
-	if len(info.Files) != 2 || info.Files[0] != fullPath || info.Files[1] != childPath {
-		t.Fatalf("chain files = %v", info.Files)
-	}
-	if snap.Meta.ID != child.Meta.ID || snap.Meta.Events != child.Meta.Events {
-		t.Fatalf("snapshot meta = %+v", snap.Meta)
-	}
-	pool := poolOf(full, child)
-	for si := range child.Shards {
-		for pi := range child.Shards[si].Preds {
-			want := blobOf(&child.Shards[si].Preds[pi], pool)
-			got := snap.Shards[si].Preds[pi].State
-			if !bytes.Equal(want, got) {
-				t.Fatalf("shard %d pred %d blob differs (%d vs %d bytes)", si, pi, len(got), len(want))
+	paths, snaps, full := writeChain(t, t.TempDir())
+	for i, path := range paths {
+		got, info, err := ResolveChain(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Depth != i || !slices.Equal(info.Files, paths[:i+1]) || len(info.Records) != i {
+			t.Fatalf("cut %d: chain info = %+v", i, info)
+		}
+		for _, n := range info.Records {
+			if n == 0 {
+				t.Fatalf("cut %d: a delta carried no records: %v", i, info.Records)
 			}
 		}
+		checkState(t, got, snaps[i], full[i])
 	}
-
-	// Resolving the full directly is a single-file chain.
-	snapF, infoF, err := ResolveChain(fullPath)
+	// A root resolves to itself, read as is.
+	root, _, err := ResolveChain(paths[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infoF.Depth != 0 || len(infoF.Files) != 1 {
-		t.Fatalf("full chain info = %+v", infoF)
-	}
-	if snapF.Meta.ID != full.Meta.ID {
-		t.Fatalf("full snapshot id = %s", snapF.Meta.ID)
+	if !reflect.DeepEqual(root.Shards, snaps[0].Shards) {
+		t.Fatal("a root did not resolve to its own contents")
 	}
 }
 
 func TestResolveChainRejectsBrokenChains(t *testing.T) {
 	t.Run("missing parent file", func(t *testing.T) {
-		_, fullPath, childPath, _, _ := writeChain(t)
-		if err := os.Remove(fullPath); err != nil {
+		paths, _, _ := writeChain(t, t.TempDir())
+		if err := os.Remove(paths[1]); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ResolveChain(childPath); err == nil ||
+		if _, _, err := ResolveChain(paths[2]); err == nil ||
 			!strings.Contains(err.Error(), "chain broken") {
 			t.Fatalf("got %v, want chain-broken error", err)
 		}
 	})
-	t.Run("missing chunk", func(t *testing.T) {
+	t.Run("corrupt delta record", func(t *testing.T) {
+		// A delta blob that is not a valid delta, in a file whose CRC is
+		// consistent: only applying the records can catch it.
 		dir := t.TempDir()
-		full := sampleFull()
-		if _, err := WriteDeltaFileAtomic(dir, full); err != nil {
-			t.Fatal(err)
-		}
-		child := sampleChild(full)
-		// Point one reference at a hash no ancestor carries.
-		c := &child.Shards[0].Preds[0].Chunks[0]
-		c.Hash[0] ^= 0xFF
-		childPath, err := WriteDeltaFileAtomic(dir, child)
+		_, snaps, _ := writeChain(t, dir)
+		bad := *snaps[2]
+		bad.Meta.CreatedUnixNano++
+		bad.Shards = slices.Clone(bad.Shards)
+		bad.Shards[1].Preds = slices.Clone(bad.Shards[1].Preds)
+		bad.Shards[1].Preds[2].State = []byte{2, 1, 1, 0x40}
+		path, err := WriteFileAtomic(dir, &bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ResolveChain(childPath); err == nil ||
-			!strings.Contains(err.Error(), "missing from chain") {
-			t.Fatalf("got %v, want missing-chunk error", err)
+		if _, _, err := ResolveChain(path); err == nil || !strings.Contains(err.Error(), "fcm2") {
+			t.Fatalf("got %v, want an fcm2 apply error", err)
 		}
 	})
-	t.Run("corrupt manifest chunk hash", func(t *testing.T) {
-		dir := t.TempDir()
-		full := sampleFull()
-		// An inline chunk whose recorded hash does not match its bytes:
-		// the file CRC is consistent (the lie is in the manifest itself),
-		// so only per-chunk verification can catch it.
-		full.Shards[0].Preds[0].Chunks[1].Hash[3] ^= 0x10
-		path, err := WriteDeltaFileAtomic(dir, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := ResolveChain(path); !errors.Is(err, ErrChecksum) {
+	t.Run("flipped delta byte", func(t *testing.T) {
+		paths, _, _ := writeChain(t, t.TempDir())
+		flipByte(t, paths[2])
+		if _, _, err := ResolveChain(paths[2]); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("got %v, want ErrChecksum", err)
 		}
 	})
 	t.Run("reference crc mismatch", func(t *testing.T) {
-		dir := t.TempDir()
-		full := sampleFull()
-		if _, err := WriteDeltaFileAtomic(dir, full); err != nil {
-			t.Fatal(err)
-		}
-		child := sampleChild(full)
-		c := &child.Shards[0].Preds[0].Chunks[0] // a reference
-		c.CRC ^= 0xDEAD
-		childPath, err := WriteDeltaFileAtomic(dir, child)
+		// The tip names its parent by the CRC-64 of the parent's payload.
+		// Another valid checkpoint under the parent's file name passes its
+		// own CRC, so only comparing it with the reference can catch it.
+		paths, _, _ := writeChain(t, t.TempDir())
+		other, err := os.ReadFile(paths[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ResolveChain(childPath); !errors.Is(err, ErrChecksum) {
+		if err := os.WriteFile(paths[1], other, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ResolveChain(paths[2]); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("got %v, want ErrChecksum", err)
+		}
+	})
+	t.Run("changed predictor set", func(t *testing.T) {
+		dir := t.TempDir()
+		_, snaps, _ := writeChain(t, dir)
+		bad := *snaps[2]
+		bad.Meta.CreatedUnixNano++
+		bad.Meta.Predictors = []string{"l", "s2", "fcm3"}
+		bad.Shards = slices.Clone(bad.Shards)
+		for si := range bad.Shards {
+			bad.Shards[si].Preds = slices.Clone(bad.Shards[si].Preds)
+			bad.Shards[si].Preds[2].Name = "fcm3"
+		}
+		path, err := WriteFileAtomic(dir, &bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ResolveChain(path); err == nil || !strings.Contains(err.Error(), "predictor set") {
+			t.Fatalf("got %v, want a predictor-set error", err)
 		}
 	})
 	t.Run("depth gap", func(t *testing.T) {
 		dir := t.TempDir()
-		full := sampleFull()
-		if _, err := WriteDeltaFileAtomic(dir, full); err != nil {
-			t.Fatal(err)
-		}
-		child := sampleChild(full)
-		child.Meta.Depth = 5
-		childPath, err := WriteDeltaFileAtomic(dir, child)
+		_, snaps, _ := writeChain(t, dir)
+		bad := *snaps[2]
+		bad.Meta.CreatedUnixNano++
+		bad.Meta.Depth = 5
+		path, err := WriteFileAtomic(dir, &bad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ResolveChain(childPath); err == nil ||
+		if _, _, err := ResolveChain(path); err == nil ||
 			!strings.Contains(err.Error(), "chain depth") {
 			t.Fatalf("got %v, want depth error", err)
 		}
 	})
 }
 
-func TestLatestAnyAndSweepSuperseded(t *testing.T) {
+// flipByte corrupts one payload byte of the checkpoint file at path.
+func flipByte(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x20
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResolveLatestFallsBack is the restore fallback: checkpoints are
+// tried newest-first and the first whose chain resolves wins. A flipped
+// byte in the newest delta restores its parent's state; a chain whose
+// root is gone is skipped whole, down to the older chain.
+func TestResolveLatestFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := LatestAny(dir); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("LatestAny on empty dir = %v, want fs.ErrNotExist", err)
+	if _, _, err := ResolveLatest(dir, nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("empty dir: %v, want fs.ErrNotExist", err)
 	}
+	// An older chain (root, delta), then a newer one (root, two deltas).
+	lb := newLiveBank(t, 2, "l", "fcm2")
+	var paths []string
+	var snaps []*Snapshot
+	var full [][][][]byte
+	for cut := 0; cut < 5; cut++ {
+		lb.step(chainTraffic(cut, 2000))
+		path, s, f := lb.cut(t, dir, cut != 0 && cut != 2)
+		paths, snaps, full = append(paths, path), append(snaps, s), append(full, f)
+	}
+	var skipped []string
+	skip := func(path string, err error) {
+		if err == nil {
+			t.Errorf("%s skipped with no error", path)
+		}
+		skipped = append(skipped, path)
+	}
+	got, _, err := ResolveLatest(dir, skip)
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("intact dir: err %v, skipped %v", err, skipped)
+	}
+	checkState(t, got, snaps[4], full[4])
 
-	// A v1 snapshot at 1250 events, then a v2 chain reaching 1750.
-	v1 := sample()
-	v1Path, err := WriteFileAtomic(dir, v1)
+	flipByte(t, paths[4])
+	got, chain, err := ResolveLatest(dir, skip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := sampleFull()
-	fullPath, err := WriteDeltaFileAtomic(dir, full)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(skipped, paths[4:5]) || chain.Depth != 1 {
+		t.Fatalf("skipped %v (chain depth %d), want only the corrupt tip", skipped, chain.Depth)
 	}
-	child := sampleChild(full)
-	childPath, err := WriteDeltaFileAtomic(dir, child)
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkState(t, got, snaps[3], full[3])
 
-	latest, err := LatestAny(dir)
+	skipped = nil
+	if err := os.Remove(paths[2]); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err = ResolveLatest(dir, skip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if latest != childPath {
-		t.Fatalf("LatestAny = %s, want %s", latest, childPath)
+	if !slices.Equal(skipped, []string{paths[4], paths[3]}) {
+		t.Fatalf("skipped %v, want the newer chain's deltas", skipped)
 	}
+	checkState(t, got, snaps[1], full[1])
 
-	found, err := FindByID(dir, full.Meta.ID)
-	if err != nil || found != fullPath {
-		t.Fatalf("FindByID = %s, %v; want %s", found, err, fullPath)
+	flipByte(t, paths[0])
+	skipped = nil
+	if _, _, err := ResolveLatest(dir, skip); err == nil || len(skipped) != 4 {
+		t.Fatalf("nothing resolves: err %v, skipped %v", err, skipped)
+	}
+}
+
+func TestLatestAndSweepSuperseded(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Latest(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Latest on empty dir = %v, want fs.ErrNotExist", err)
+	}
+	paths, snaps, _ := writeChain(t, dir)
+	// Latest orders roots and deltas alike by events, then time.
+	latest, err := Latest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest != paths[2] {
+		t.Fatalf("Latest = %s, want %s", latest, paths[2])
+	}
+	found, err := FindByID(dir, snaps[1].Meta.ID)
+	if err != nil || found != paths[1] {
+		t.Fatalf("FindByID = %s, %v; want %s", found, err, paths[1])
 	}
 	if _, err := FindByID(dir, "ffffffffffffffff"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("FindByID unknown = %v, want fs.ErrNotExist", err)
 	}
 
-	// A new full at higher event count supersedes everything before it.
-	super := sampleFull()
-	super.Shards[0].Events = 9000
-	super.Meta.CreatedUnixNano += 10
-	superPath, err := WriteDeltaFileAtomic(dir, super)
+	// A new root at a higher event count supersedes everything before it.
+	super := sample()
+	super.Shards[0].Events = 1 << 20
+	superPath, err := WriteFileAtomic(dir, super)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,12 +515,12 @@ func TestLatestAnyAndSweepSuperseded(t *testing.T) {
 	if removed != 3 {
 		t.Fatalf("SweepSuperseded removed %d, want 3", removed)
 	}
-	for _, gone := range []string{v1Path, fullPath, childPath} {
+	for _, gone := range paths {
 		if _, err := os.Stat(gone); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("%s survived the sweep", filepath.Base(gone))
 		}
 	}
 	if _, err := os.Stat(superPath); err != nil {
-		t.Fatalf("sweep removed the new full: %v", err)
+		t.Fatalf("sweep removed the new root: %v", err)
 	}
 }

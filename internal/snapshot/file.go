@@ -10,20 +10,12 @@ import (
 	"strings"
 )
 
-// Ext is the snapshot file extension.
+// Ext is the checkpoint file extension, of roots and deltas alike.
 const Ext = ".vpsnap"
 
-// DeltaExt is the v2 (delta-chain) checkpoint file extension. Full
-// checkpoints cut in delta mode use it too: they are v2 files with an
-// empty parent ID.
-const DeltaExt = ".vpdelta"
-
-// tmpPattern / deltaTmpPattern name in-progress checkpoint files;
-// SweepTemp removes strays a crashed writer left behind.
-const (
-	tmpPattern      = ".vpsnap-tmp-*"
-	deltaTmpPattern = ".vpdelta-tmp-*"
-)
+// tmpPattern names in-progress checkpoint files; SweepTemp removes
+// strays a crashed writer left behind.
+const tmpPattern = ".vpsnap-tmp-*"
 
 // SweepTemp removes orphaned in-progress checkpoint files from dir and
 // reports how many it deleted. A writer killed between CreateTemp and
@@ -32,18 +24,16 @@ const (
 // directory belongs to one server at a time (Latest would conflate
 // several anyway), so any temp file found at startup is dead.
 func SweepTemp(dir string) (int, error) {
+	strays, err := filepath.Glob(filepath.Join(dir, tmpPattern))
+	if err != nil {
+		return 0, fmt.Errorf("snapshot: %w", err)
+	}
 	removed := 0
-	for _, pattern := range []string{tmpPattern, deltaTmpPattern} {
-		strays, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
+	for _, path := range strays {
+		if err := os.Remove(path); err == nil {
+			removed++
+		} else if !os.IsNotExist(err) {
 			return removed, fmt.Errorf("snapshot: %w", err)
-		}
-		for _, path := range strays {
-			if err := os.Remove(path); err == nil {
-				removed++
-			} else if !os.IsNotExist(err) {
-				return removed, fmt.Errorf("snapshot: %w", err)
-			}
 		}
 	}
 	return removed, nil
@@ -57,11 +47,11 @@ func Filename(events uint64, createdUnixNano int64, id string) string {
 	return fmt.Sprintf("snap-%020d-%020d-%s%s", events, createdUnixNano, id, Ext)
 }
 
-// WriteFileAtomic encodes the snapshot into dir under its canonical name
-// using the temp-file-plus-rename protocol: a reader (or a crashed
-// writer) can never observe a partial snapshot. The file is fsynced
-// before the rename and the directory after it, so a completed write
-// also survives power loss.
+// WriteFileAtomic encodes the snapshot (a root or a delta) into dir under
+// its canonical name using the temp-file-plus-rename protocol: a reader
+// (or a crashed writer) can never observe a partial snapshot. The file is
+// fsynced before the rename and the directory after it, so a completed
+// write also survives power loss.
 func WriteFileAtomic(dir string, s *Snapshot) (path string, err error) {
 	f, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
@@ -126,48 +116,76 @@ func ReadFile(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// Latest returns the newest checkpoint file in dir, by the canonical
-// name ordering (event count, then ID). fs.ErrNotExist is returned when
-// the directory holds no snapshots.
-func Latest(dir string) (string, error) {
+// checkpointNames returns the canonical checkpoint file names in dir, in
+// checkpoint order: event count, then creation time, then ID.
+func checkpointNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, Ext) {
-			names = append(names, name)
+		if _, _, _, ok := parseCkptName(e.Name()); ok && !e.IsDir() {
+			names = append(names, e.Name())
 		}
+	}
+	sort.Strings(names)
+	return names, nil
+}
+
+// Latest returns the newest checkpoint file in dir, root or delta, by
+// the canonical name ordering (event count, then creation time, then ID).
+// fs.ErrNotExist is returned when the directory holds no checkpoints.
+func Latest(dir string) (string, error) {
+	names, err := checkpointNames(dir)
+	if err != nil {
+		return "", err
 	}
 	if len(names) == 0 {
 		return "", fmt.Errorf("snapshot: no %s files in %s: %w", Ext, dir, fs.ErrNotExist)
 	}
-	sort.Strings(names)
 	return filepath.Join(dir, names[len(names)-1]), nil
 }
 
-// DeltaFilename returns the canonical file name for a v2 checkpoint:
-// the same events-then-time-then-ID scheme as Filename, so lexicographic
-// order within each extension is checkpoint order.
-func DeltaFilename(events uint64, createdUnixNano int64, id string) string {
-	return fmt.Sprintf("delta-%020d-%020d-%s%s", events, createdUnixNano, id, DeltaExt)
+// ResolveLatest restores from a checkpoint directory that may hold
+// damage: it tries the checkpoints newest-first and returns the first
+// whose chain resolves (ResolveChain), reporting each one it passes over
+// to skipped (which may be nil) with the reason. A corrupt delta thus
+// falls back to its parent's state, and a chain whose root is gone is
+// skipped whole. fs.ErrNotExist is returned when the directory holds no
+// checkpoints; an error naming the newest failure when none resolves.
+func ResolveLatest(dir string, skipped func(path string, err error)) (*Snapshot, *ChainInfo, error) {
+	names, err := checkpointNames(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(names) == 0 {
+		return nil, nil, fmt.Errorf("snapshot: no %s files in %s: %w", Ext, dir, fs.ErrNotExist)
+	}
+	var first error
+	for i := len(names) - 1; i >= 0; i-- {
+		path := filepath.Join(dir, names[i])
+		snap, chain, err := ResolveChain(path)
+		if err == nil {
+			return snap, chain, nil
+		}
+		if first == nil {
+			first = err
+		}
+		if skipped != nil {
+			skipped(path, err)
+		}
+	}
+	return nil, nil, fmt.Errorf("snapshot: none of the %d checkpoints in %s resolves; newest: %w", len(names), dir, first)
 }
 
 // parseCkptName extracts the ordering key from a canonical checkpoint
-// file name of either generation ("snap-<events>-<created>-<id>.vpsnap"
-// or "delta-<events>-<created>-<id>.vpdelta").
+// file name ("snap-<events>-<created>-<id>.vpsnap").
 func parseCkptName(name string) (events uint64, createdUnixNano int64, id string, ok bool) {
-	switch {
-	case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, Ext):
-		name = name[len("snap-") : len(name)-len(Ext)]
-	case strings.HasPrefix(name, "delta-") && strings.HasSuffix(name, DeltaExt):
-		name = name[len("delta-") : len(name)-len(DeltaExt)]
-	default:
+	if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, Ext) {
 		return 0, 0, "", false
 	}
-	parts := strings.SplitN(name, "-", 3)
+	parts := strings.SplitN(name[len("snap-"):len(name)-len(Ext)], "-", 3)
 	if len(parts) != 3 || len(parts[0]) != 20 || len(parts[1]) != 20 || parts[2] == "" {
 		return 0, 0, "", false
 	}
@@ -179,41 +197,6 @@ func parseCkptName(name string) (events uint64, createdUnixNano int64, id string
 		return 0, 0, "", false
 	}
 	return events, int64(created), parts[2], true
-}
-
-// LatestAny returns the newest checkpoint file in dir across both
-// generations (.vpsnap and .vpdelta), ordered by event count then
-// creation time parsed from the canonical names — a mixed directory
-// (e.g. a server upgraded to delta mode over existing full snapshots)
-// restores from whichever checkpoint is furthest along. fs.ErrNotExist
-// is returned when the directory holds no checkpoints.
-func LatestAny(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	best := ""
-	var bestEvents uint64
-	var bestCreated int64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		events, created, _, ok := parseCkptName(name)
-		if !ok {
-			continue
-		}
-		if best == "" || events > bestEvents ||
-			(events == bestEvents && (created > bestCreated ||
-				(created == bestCreated && name > best))) {
-			best, bestEvents, bestCreated = name, events, created
-		}
-	}
-	if best == "" {
-		return "", fmt.Errorf("snapshot: no %s or %s files in %s: %w", Ext, DeltaExt, dir, fs.ErrNotExist)
-	}
-	return filepath.Join(dir, best), nil
 }
 
 // FindByID locates the checkpoint file in dir whose content-addressed ID
@@ -235,64 +218,11 @@ func FindByID(dir, id string) (string, error) {
 	return "", fmt.Errorf("snapshot: no checkpoint with id %s in %s: %w", id, dir, fs.ErrNotExist)
 }
 
-// WriteDeltaFileAtomic encodes a v2 checkpoint into dir under its
-// canonical name with the same temp-file, fsync, rename, dir-sync
-// protocol as WriteFileAtomic.
-func WriteDeltaFileAtomic(dir string, d *Delta) (path string, err error) {
-	f, err := os.CreateTemp(dir, deltaTmpPattern)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	id, err := EncodeDelta(bw, d)
-	if err != nil {
-		return "", err
-	}
-	if err = bw.Flush(); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	path = filepath.Join(dir, DeltaFilename(d.Meta.Events, d.Meta.CreatedUnixNano, id))
-	if err = os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	if err = syncDir(dir); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	return path, nil
-}
-
-// ReadDeltaFile decodes and verifies one v2 checkpoint file.
-func ReadDeltaFile(path string) (*Delta, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	d, err := DecodeDeltaBytes(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w (in %s)", err, path)
-	}
-	return d, nil
-}
-
-// SweepSuperseded removes checkpoint files of either generation whose
-// event count is at or below events, keeping keepPath itself — the chunk
-// GC a server runs after a successful full checkpoint, when every older
-// chain (and any chunk only reachable through it) is superseded. Returns
-// how many files were removed.
+// SweepSuperseded removes the checkpoint files whose event count is at or
+// below events, keeping keepPath itself — the retention rule a server
+// applies after every durable root checkpoint, which supersedes every
+// older root and every delta chained on one. Returns how many files were
+// removed.
 func SweepSuperseded(dir, keepPath string, events uint64) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package snapshot is the durability layer for predictor state: a
-// versioned, checksummed, varint-packed binary codec for the full learned
-// state of a sharded predictor bank, plus atomic file helpers for
-// checkpoint directories.
+// versioned, checksummed, varint-packed binary codec for the learned
+// state of a sharded predictor bank, either whole (a root) or as a delta
+// on top of a parent checkpoint, plus atomic file helpers, discovery and
+// chain resolution for checkpoint directories.
 //
 // In the information-theoretic framing the reproduction follows (Bialek &
 // Tishby's predictive information), a predictor's tables are the
@@ -18,16 +19,21 @@
 //	8 bytes   little-endian CRC-64/ECMA of the payload
 //
 // The payload is, in order: format version, creation time (unix nanos),
-// total events, shard count, the predictor name list, then one section
+// total events, the parent checkpoint's ID (empty for a root) and the
+// chain depth, shard count, the predictor name list, then one section
 // per shard: shard id, shard events, the shard's sorted unique PCs
 // (delta-encoded), and per predictor its lifetime tallies and an opaque
-// state blob produced by core.Stateful.SaveState. Everything inside a
-// blob is private to the predictor type; this package only frames,
-// versions and checksums.
+// state blob. A root's blobs are core.Stateful.SaveState streams; a
+// delta's are core.DeltaStateful.SaveDelta streams, which hold only what
+// changed since the parent. Everything inside a blob is private to the
+// predictor type; this package frames, versions and checksums it, and
+// resolves chains through the predictor registry (chain.go). Version 1
+// payloads, written before checkpoints could name a parent, lack the
+// parent and depth fields and decode as roots.
 //
 // A snapshot's ID is the hex CRC-64 of its payload — content-addressed,
 // so two snapshots of identical state (and creation time) share an ID and
-// any corruption changes it.
+// any corruption changes it. A delta names its parent by that ID.
 package snapshot
 
 import (
@@ -43,7 +49,7 @@ import (
 const Magic = "VPSNAP01"
 
 // FormatVersion is the payload schema version written by Encode.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Decoding limits: generous for real deployments, tight enough that a
 // hostile header cannot demand absurd allocations before the bytes
@@ -52,6 +58,9 @@ const (
 	maxShards     = 1 << 16
 	maxPredictors = 1024
 	maxNameLen    = 256
+	// maxChainDepth bounds a delta's depth and parent walks, so a corrupt
+	// or adversarial parent graph cannot loop forever.
+	maxChainDepth = 4096
 )
 
 // ErrChecksum reports a payload whose trailer CRC does not match.
@@ -67,6 +76,12 @@ type Meta struct {
 	// ID is the content-addressed snapshot identifier (hex CRC-64 of the
 	// payload). Filled by Encode and Decode; ignored as input.
 	ID string
+	// ParentID names the checkpoint a delta applies on top of; empty for
+	// a root, whose state blobs are complete.
+	ParentID string
+	// Depth is the number of deltas between this checkpoint and its
+	// chain's root: 0 for a root, the parent's depth + 1 for a delta.
+	Depth int
 	// CreatedUnixNano is the checkpoint wall-clock time.
 	CreatedUnixNano int64
 	// Events is the total event count across shards at checkpoint time.
@@ -85,7 +100,8 @@ type PredState struct {
 	// Correct and Total are the predictor's lifetime tally on this shard.
 	Correct uint64
 	Total   uint64
-	// State is the opaque core.Stateful blob.
+	// State is the opaque predictor blob: a SaveState stream in a root,
+	// a SaveDelta stream in a delta.
 	State []byte
 }
 
@@ -131,6 +147,9 @@ func Encode(w io.Writer, s *Snapshot) (string, error) {
 	if len(s.Meta.Predictors) == 0 || len(s.Meta.Predictors) > maxPredictors {
 		return "", fmt.Errorf("snapshot: invalid predictor count %d", len(s.Meta.Predictors))
 	}
+	if err := checkLink(s.Meta.ParentID, s.Meta.Depth); err != nil {
+		return "", err
+	}
 
 	var b []byte
 	b = binary.AppendUvarint(b, FormatVersion)
@@ -140,6 +159,9 @@ func Encode(w io.Writer, s *Snapshot) (string, error) {
 		events += sh.Events
 	}
 	b = binary.AppendUvarint(b, events)
+	b = binary.AppendUvarint(b, uint64(len(s.Meta.ParentID)))
+	b = append(b, s.Meta.ParentID...)
+	b = binary.AppendUvarint(b, uint64(s.Meta.Depth))
 	b = binary.AppendUvarint(b, uint64(len(s.Shards)))
 	b = binary.AppendUvarint(b, uint64(len(s.Meta.Predictors)))
 	for _, name := range s.Meta.Predictors {
@@ -246,13 +268,22 @@ func decodePayload(b []byte) (*Snapshot, error) {
 	d := &sdec{p: payload}
 	s := &Snapshot{}
 	version := d.uvarint()
-	if d.err == nil && version != FormatVersion {
-		return nil, fmt.Errorf("snapshot: unsupported format version %d (supported: %d)", version, FormatVersion)
+	if d.err == nil && (version == 0 || version > FormatVersion) {
+		return nil, fmt.Errorf("snapshot: unsupported format version %d (supported: 1..%d)", version, FormatVersion)
 	}
 	s.Meta.FormatVersion = int(version)
 	s.Meta.ID = fmt.Sprintf("%016x", crc)
 	s.Meta.CreatedUnixNano = int64(d.uvarint())
 	s.Meta.Events = d.uvarint()
+	if version >= 2 {
+		s.Meta.ParentID = string(d.bytes(d.count(maxNameLen)))
+		s.Meta.Depth = int(d.count(maxChainDepth))
+		if d.err == nil {
+			if err := checkLink(s.Meta.ParentID, s.Meta.Depth); err != nil {
+				return nil, err
+			}
+		}
+	}
 	nshards := d.count(maxShards)
 	npred := d.count(maxPredictors)
 	if d.err == nil && (nshards == 0 || npred == 0) {
@@ -300,6 +331,22 @@ func decodePayload(b []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: header claims %d events, shards sum to %d", s.Meta.Events, sumEvents)
 	}
 	return s, nil
+}
+
+// checkLink validates a checkpoint's place in its chain: a root has no
+// parent and depth 0, a delta has both.
+func checkLink(parentID string, depth int) error {
+	switch {
+	case len(parentID) > maxNameLen:
+		return fmt.Errorf("snapshot: parent ID of %d bytes", len(parentID))
+	case depth < 0 || depth > maxChainDepth:
+		return fmt.Errorf("snapshot: chain depth %d out of range", depth)
+	case parentID == "" && depth != 0:
+		return fmt.Errorf("snapshot: root checkpoint with depth %d", depth)
+	case parentID != "" && depth == 0:
+		return errors.New("snapshot: delta checkpoint with depth 0")
+	}
+	return nil
 }
 
 // sdec is a sticky-error cursor over the in-memory payload. Counts are

@@ -198,18 +198,22 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	// must reject it without attempting the allocation.
 	var payload []byte
 	payload = binary.AppendUvarint(payload, FormatVersion)
-	payload = binary.AppendUvarint(payload, 0)          // created
-	payload = binary.AppendUvarint(payload, 0)          // events
-	payload = binary.AppendUvarint(payload, 1)          // shards
-	payload = binary.AppendUvarint(payload, 1<<40)      // predictors
-	if _, err := DecodeBytes(rewrap(payload)); err == nil {
-		t.Fatal("absurd predictor count accepted")
+	payload = binary.AppendUvarint(payload, 0)     // created
+	payload = binary.AppendUvarint(payload, 0)     // events
+	payload = binary.AppendUvarint(payload, 0)     // parent ID length
+	payload = binary.AppendUvarint(payload, 0)     // depth
+	payload = binary.AppendUvarint(payload, 1)     // shards
+	payload = binary.AppendUvarint(payload, 1<<40) // predictors
+	if _, err := DecodeBytes(rewrap(payload)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("absurd predictor count: got %v, want a count-limit error", err)
 	}
 	// Claim more PCs than the file has bytes left.
 	payload = nil
 	payload = binary.AppendUvarint(payload, FormatVersion)
 	payload = binary.AppendUvarint(payload, 0) // created
 	payload = binary.AppendUvarint(payload, 0) // events
+	payload = binary.AppendUvarint(payload, 0) // parent ID length
+	payload = binary.AppendUvarint(payload, 0) // depth
 	payload = binary.AppendUvarint(payload, 1) // shards
 	payload = binary.AppendUvarint(payload, 1) // predictors
 	payload = binary.AppendUvarint(payload, 1)
@@ -217,8 +221,8 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	payload = binary.AppendUvarint(payload, 0)     // shard id
 	payload = binary.AppendUvarint(payload, 0)     // shard events
 	payload = binary.AppendUvarint(payload, 1<<30) // npcs far beyond payload size
-	if _, err := DecodeBytes(rewrap(payload)); err == nil {
-		t.Fatal("PC count beyond payload size accepted")
+	if _, err := DecodeBytes(rewrap(payload)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("PC count beyond payload size: got %v, want a count-limit error", err)
 	}
 }
 
