@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -44,14 +43,9 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		metrics  = flag.Bool("metrics", false, "dump engine instrumentation (Prometheus text) to stderr after the run")
 		logLevel = flag.String("log-level", "", "minimum log level (debug|info|warn|error; default $"+obs.LogLevelEnv+", then info)")
-		arenaStr = flag.String("arena", "", "predictor slab backing: heap (default) or mmap (large tables leave the GC-scanned heap)")
 	)
 	flag.Parse()
 
-	if err := core.SetSlabArena(*arenaStr); err != nil {
-		fmt.Fprintln(os.Stderr, "vpredict:", err)
-		os.Exit(1)
-	}
 	lvl, err := obs.ResolveLevel(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vpredict:", err)

@@ -75,7 +75,6 @@ func main() {
 	traceRing := flag.Int("trace-span-ring", 0, "provisional span ring size per shard lane (0 = 4096)")
 	blockRate := flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate argument for /debug/pprof/block (0 = off)")
 	mutexFrac := flag.Int("mutex-profile-fraction", 0, "runtime.SetMutexProfileFraction argument for /debug/pprof/mutex (0 = off)")
-	arenaStr := flag.String("arena", "", "predictor slab backing: heap (default) or mmap (large tables leave the GC-scanned heap)")
 	list := flag.Bool("list", false, "list known predictors and exit")
 	flag.Parse()
 
@@ -159,7 +158,6 @@ func main() {
 		TraceSlowNs:      traceSlow.Nanoseconds(),
 		TraceRetain:      *traceRetain,
 		TraceSpanRing:    *traceRing,
-		Arena:            *arenaStr,
 	})
 	if err != nil {
 		fatal(err)

@@ -7,8 +7,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
-	"repro/internal/arena"
 	"repro/internal/core/kernel"
 )
 
@@ -32,9 +32,9 @@ const MaxFCMOrder = 16
 //
 // Storage is flat and allocation-free in steady state: per-PC state lives
 // in a slab indexed by one open-addressed pc→handle table, contexts live
-// in per-order slabs indexed by open-addressed fingerprint tables, and
-// each context's (value, count) list is one contiguous run of a shared
-// slab. The context signature of every order is maintained incrementally
+// in per-order paged slabs indexed by open-addressed fingerprint tables,
+// and each context's (value, count) list is one contiguous run of a
+// shared paged slab (fcmpages.go). The context signature of every order is maintained incrementally
 // — O(1) per order per event — instead of re-concatenating the history;
 // a probe skips every slot whose fingerprint differs without touching the
 // context slab, and a fingerprint hit is verified against the owning PC
@@ -62,17 +62,13 @@ type FCM struct {
 }
 
 // fcmStore is the FCM's entire mutable storage, grouped so LoadState can
-// build a fresh store and swap it in atomically. Every pointer-free slab
-// (pcs, vals, the per-order ctxs/keys/slots, the pcTable slots) grows
-// through the store's arena; vidx stays on the heap because fcmValIdx
-// holds a slice header the collector must see.
+// build a fresh store and swap it in atomically.
 type fcmStore struct {
-	idx   pcTable
-	pcs   []fcmPCState    // per-PC slab, indexed by pcTable handles
-	ords  []fcmOrderStore // per-order context stores, index 0..order
-	vals  []fcmVal        // shared (value, count) slab; each context owns one contiguous run
-	vidx  []fcmValIdx     // value→ordinal indexes of promoted (large) contexts
-	arena *arena.Arena    // slab backing; nil = plain heap
+	idx  pcTable
+	pcs  []fcmPCState    // per-PC slab, indexed by pcTable handles
+	ords []fcmOrderStore // per-order context stores, index 0..order
+	vals fcmValSlab      // shared (value, count) runs; each context owns one
+	vidx []fcmValIdx     // value→ordinal indexes of promoted (large) contexts
 }
 
 // fcmPCState is the per-static-instruction state: the value history, the
@@ -88,8 +84,9 @@ type fcmPCState struct {
 }
 
 // fcmOrderStore holds every context of one order across all PCs: an
-// open-addressed slot table over a context slab, plus the exact context
-// values (order values per context) for alias-free verification. Each
+// open-addressed slot table over a paged context slab, plus the exact
+// context values (order values per context, in key pages parallel to the
+// context pages) for alias-free verification. Each
 // slot word packs the upper 32 bits of the context's probe hash (its
 // fingerprint) above handle+1, and a probe starts at the hash's top
 // log2(len(slots)) bits. A probe therefore reads the context slab only
@@ -102,12 +99,12 @@ type fcmPCState struct {
 // learned them — so the ctxs and keys slab offsets a run walks are
 // monotonically increasing, which the hardware prefetcher follows.
 type fcmOrderStore struct {
-	slots []uint64     // fingerprint<<32 | context handle+1; 0 = empty
-	shift uint8        // 64 - log2(len(slots)): a probe starts at hash>>shift
-	ctxs  []fcmCtxEnt  // context slab; handle order = insertion order
-	keys  []uint64     // exact context values, order per context
-	arena *arena.Arena // shared with the owning fcmStore; nil = heap
-	canon fcmCanon     // canonical save order, kept across saves
+	slots []uint64              // fingerprint<<32 | context handle+1; 0 = empty
+	shift uint8                 // 64 - log2(len(slots)): a probe starts at hash>>shift
+	n     int32                 // contexts held; handle order = insertion order
+	ctxs  []*[pageLen]fcmCtxEnt // context pages: handle h is ctxs[h>>pageShift][h&pageMask]
+	keys  [][]uint64            // key pages, parallel to ctxs: pageLen contexts' keys, order values each
+	canon fcmCanon              // canonical save order, kept across saves
 }
 
 // fcmCanon is one order's canonical-order index: the handles of the
@@ -129,11 +126,11 @@ type fcmCanon struct {
 // fcmCtxEnt is one context's 20-byte entry: its owner (which a
 // fingerprint hit is verified against), its value run in the shared slab
 // and the run ordinal of its prediction. The prediction's value and count
-// are read from vals[valOff+best], and the run's reserved length is
+// are read from the run at ordinal best, and the run's reserved length is
 // always nvals rounded up to a power of two, so neither is stored here.
 type fcmCtxEnt struct {
 	pcIdx  int32 // owning PC handle
-	valOff int32 // start of this context's run in the value slab
+	valOff int32 // this context's run in the value slab (an fcmValSlab offset)
 	nvals  int32 // live values in the run
 	best   int32 // run ordinal of the prediction
 	// vh is the value-index handle+1 once promoted (0 = scan the run),
@@ -145,16 +142,6 @@ type fcmCtxEnt struct {
 // ctxDirty is the change mark in fcmCtxEnt.vh: set by every count
 // update, cleared by SaveState and SaveDelta.
 const ctxDirty int32 = math.MinInt32
-
-// fcmVal is one (value, count) pair. Contexts typically see very few
-// distinct values, so lists are scanned linearly; keeping each context's
-// list as one contiguous slab run makes that scan sequential in memory. A
-// full run relocates to a doubled run at the slab's end (the hole is left
-// behind), so growth is amortized O(1) with no per-context allocation.
-type fcmVal struct {
-	value uint64
-	count uint32
-}
 
 // fcmHashThreshold is the run length past which a context gets a
 // value→ordinal hash index: short lists (the overwhelmingly common case)
@@ -194,9 +181,9 @@ func (t *fcmValIdx) lookup(v uint64) (int32, bool) {
 
 // insert records v at ord; when v is already present the first ordinal is
 // kept, mirroring the find-first semantics of the linear scan.
-func (t *fcmValIdx) insert(a *arena.Arena, v uint64, ord int32) {
+func (t *fcmValIdx) insert(v uint64, ord int32) {
 	if 4*(t.n+1) > 3*len(t.slots) {
-		t.grow(a)
+		t.grow()
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i := mix64(v) & mask; ; i = (i + 1) & mask {
@@ -212,13 +199,13 @@ func (t *fcmValIdx) insert(a *arena.Arena, v uint64, ord int32) {
 	}
 }
 
-func (t *fcmValIdx) grow(a *arena.Arena) {
+func (t *fcmValIdx) grow() {
 	size := 4 * fcmHashThreshold
 	if len(t.slots) > 0 {
 		size = 2 * len(t.slots)
 	}
 	old := t.slots
-	t.slots = arena.Make[vhSlot](a, size)
+	t.slots = make([]vhSlot, size)
 	mask := uint64(size - 1)
 	for _, s := range old {
 		if s.ref == 0 {
@@ -231,7 +218,12 @@ func (t *fcmValIdx) grow(a *arena.Arena) {
 			}
 		}
 	}
-	arena.Free(a, old)
+}
+
+// bytes accounts the index: occupied slots used, every slot reserved.
+func (t *fcmValIdx) bytes() MemBytes {
+	w := int64(unsafe.Sizeof(vhSlot{}))
+	return MemBytes{Used: int64(t.n) * w, Reserved: int64(len(t.slots)) * w}
 }
 
 // Rolling signature: sig(v1..vo) = Σ sigMix(vi)·sigMult^(o-i) mod 2^64.
@@ -283,15 +275,7 @@ func NewFCMNoBlend(order int) *FCM {
 }
 
 func newFCMStore(order int) fcmStore {
-	st := fcmStore{
-		ords:  make([]fcmOrderStore, order+1),
-		arena: arena.New(slabArenaKind),
-	}
-	st.idx.arena = st.arena
-	for i := range st.ords {
-		st.ords[i].arena = st.arena
-	}
-	return st
+	return fcmStore{ords: make([]fcmOrderStore, order+1), vals: newValSlab()}
 }
 
 // Name implements Predictor.
@@ -340,10 +324,11 @@ func (st *fcmOrderStore) find(pcIdx int32, sig uint64, key []uint64) int32 {
 			continue
 		}
 		ref := int32(uint32(w)) - 1
-		if st.ctxs[ref].pcIdx != pcIdx {
+		pg, i := ref>>pageShift, ref&pageMask
+		if st.ctxs[pg][i].pcIdx != pcIdx {
 			continue
 		}
-		k := st.keys[int(ref)*o : int(ref+1)*o]
+		k := st.keys[pg][int(i)*o : int(i)*o+o]
 		match := true
 		for j := range k {
 			if k[j] != key[j] {
@@ -360,12 +345,10 @@ func (st *fcmOrderStore) find(pcIdx int32, sig uint64, key []uint64) int32 {
 // insert adds a context (which must not be present) and returns its
 // handle.
 func (st *fcmOrderStore) insert(pcIdx int32, sig uint64, key []uint64) int32 {
-	if 4*(len(st.ctxs)+1) > 3*len(st.slots) {
+	if 4*(int(st.n)+1) > 3*len(st.slots) {
 		st.grow()
 	}
-	h := int32(len(st.ctxs))
-	st.ctxs = append(arena.Grow(st.arena, st.ctxs, 1), fcmCtxEnt{pcIdx: pcIdx})
-	st.keys = append(arena.Grow(st.arena, st.keys, len(key)), key...)
+	h := st.push(pcIdx, key)
 	st.place(ctxSlotHash(sig, pcIdx)>>32<<32 | uint64(h+1))
 	return h
 }
@@ -385,9 +368,7 @@ func (st *fcmOrderStore) place(w uint64) {
 // insertPlain appends a keyless context (order 0; addressed through
 // fcmPCState.ctx0, never probed).
 func (st *fcmOrderStore) insertPlain(pcIdx int32) int32 {
-	h := int32(len(st.ctxs))
-	st.ctxs = append(arena.Grow(st.arena, st.ctxs, 1), fcmCtxEnt{pcIdx: pcIdx})
-	return h
+	return st.push(pcIdx, nil)
 }
 
 // grow doubles the slot table, rehashing from the slot words alone: a
@@ -400,14 +381,13 @@ func (st *fcmOrderStore) grow() {
 		size = 2 * len(st.slots)
 	}
 	old := st.slots
-	st.slots = arena.Make[uint64](st.arena, size)
+	st.slots = make([]uint64, size)
 	st.shift = uint8(64 - bits.TrailingZeros(uint(size)))
 	for _, w := range old {
 		if w != 0 {
 			st.place(w)
 		}
 	}
-	arena.Free(st.arena, old)
 }
 
 // Predict implements Predictor. With blending, the highest order whose
@@ -447,8 +427,8 @@ func (p *FCM) lookupCtx(s *fcmPCState, pcIdx int32) (value uint64, matched int, 
 				continue
 			}
 		}
-		if c := &p.ords[o].ctxs[h]; c.nvals > 0 {
-			return p.vals[c.valOff+c.best].value, o, h, true
+		if c := p.ords[o].ctx(h); c.nvals > 0 {
+			return p.vals.vals[c.valOff>>pageShift][c.valOff&pageMask+c.best], o, h, true
 		}
 	}
 	return 0, -1, -1, false
@@ -486,7 +466,7 @@ func (p *FCM) updateCtxs(s *fcmPCState, pcIdx int32, value uint64, matched int, 
 				hnd = st.insert(pcIdx, s.sigs[o], key)
 			}
 		}
-		p.addValue(&p.ords[o].ctxs[hnd], value)
+		p.addValue(p.ords[o].ctx(hnd), value)
 	}
 	s.pushValue(value, p.order)
 	s.updates++
@@ -498,7 +478,7 @@ func (p *FCM) Update(pc uint64, value uint64) {
 	pcIdx, ok := p.idx.lookup(pc)
 	if !ok {
 		pcIdx = p.idx.insert(pc)
-		p.pcs = append(arena.Grow(p.arena, p.pcs, 1), fcmPCState{pc: pc, ctx0: -1})
+		p.pcs = append(p.pcs, fcmPCState{pc: pc, ctx0: -1})
 	}
 	s := &p.pcs[pcIdx]
 	_, matched, mhnd, hit := p.lookupCtx(s, pcIdx)
@@ -521,7 +501,7 @@ func (p *FCM) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	pcIdx, ok := p.idx.lookup(pc)
 	if !ok {
 		pcIdx = p.idx.insert(pc)
-		p.pcs = append(arena.Grow(p.arena, p.pcs, 1), fcmPCState{pc: pc, ctx0: -1})
+		p.pcs = append(p.pcs, fcmPCState{pc: pc, ctx0: -1})
 	}
 	// p.pcs cannot grow during the run (only the insert above appends),
 	// so the state pointer is loop-invariant.
@@ -543,8 +523,8 @@ func (p *FCM) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 		// The whole constant prefix is therefore one count addition.
 		if okc && pred == v && matched == order && histConst(s, v, order) {
 			m := kernel.ConstPrefixLen(values[k:], v)
-			c := &p.ords[order].ctxs[mhnd]
-			p.vals[c.valOff+c.best].count += uint32(m)
+			c := p.ords[order].ctx(mhnd)
+			p.vals.cnts[c.valOff>>pageShift][c.valOff&pageMask+c.best] += uint32(m)
 			c.vh |= ctxDirty
 			s.updates += uint64(m)
 			kernel.SetOnes(hits[k : k+m])
@@ -587,14 +567,15 @@ func (st *fcmStore) addValue(c *fcmCtxEnt, v uint64) {
 			return
 		}
 		st.appendNewValue(c, v)
-		st.vidx[vh-1].insert(st.arena, v, c.nvals-1)
+		st.vidx[vh-1].insert(v, c.nvals-1)
 		return
 	}
-	run := st.vals[c.valOff : c.valOff+c.nvals]
-	for i := range run {
-		if run[i].value == v {
-			st.bumpValue(c, int32(i))
-			return
+	if c.nvals > 0 {
+		for i, x := range st.vals.values(c.valOff, c.nvals) {
+			if x == v {
+				st.bumpValue(c, int32(i))
+				return
+			}
 		}
 	}
 	st.appendNewValue(c, v)
@@ -607,9 +588,10 @@ func (st *fcmStore) addValue(c *fcmCtxEnt, v uint64) {
 // prediction there when it now reaches the predicted value's count (the
 // most-recently-updated tie-break).
 func (st *fcmStore) bumpValue(c *fcmCtxEnt, ord int32) {
-	e := &st.vals[c.valOff+ord]
-	e.count++
-	if e.count >= st.vals[c.valOff+c.best].count {
+	cnts := st.vals.cnts[c.valOff>>pageShift]
+	i := c.valOff & pageMask
+	cnts[i+ord]++
+	if cnts[i+ord] >= cnts[i+c.best] {
 		c.best = ord
 	}
 }
@@ -620,9 +602,13 @@ func (st *fcmStore) appendNewValue(c *fcmCtxEnt, v uint64) {
 	if c.nvals&(c.nvals-1) == 0 {
 		st.relocateRun(c)
 	}
-	st.vals[c.valOff+c.nvals] = fcmVal{value: v, count: 1}
+	d, i := c.valOff>>pageShift, c.valOff&pageMask
+	st.vals.vals[d][i+c.nvals] = v
+	cnts := st.vals.cnts[d]
+	cnts[i+c.nvals] = 1
 	c.nvals++
-	if c.nvals == 1 || st.vals[c.valOff+c.best].count <= 1 {
+	st.vals.live++
+	if c.nvals == 1 || cnts[i+c.best] <= 1 {
 		c.best = c.nvals - 1
 	}
 }
@@ -638,27 +624,25 @@ func (st *fcmStore) promote(c *fcmCtxEnt) {
 
 // indexRun inserts c's run into value index t, which must be empty.
 func (st *fcmStore) indexRun(c *fcmCtxEnt, t *fcmValIdx) {
-	run := st.vals[c.valOff : c.valOff+c.nvals]
-	for i := range run {
-		t.insert(st.arena, run[i].value, int32(i))
+	for i, v := range st.vals.values(c.valOff, c.nvals) {
+		t.insert(v, int32(i))
 	}
 }
 
 // relocateRun moves c's full value run (nvals is 0 or a power of two,
-// its reserved length) to a doubled reservation at the slab's end. The
-// old run becomes a dead hole; total slab size stays within a small
-// constant factor of the live values, the standard doubling amortization.
+// its reserved length) to a run of twice that length, taken from the
+// free list of its class or carved from the value pages; the vacated run
+// goes on the free list of its own class. Growth is amortized O(1) with
+// no per-context allocation.
 func (st *fcmStore) relocateRun(c *fcmCtxEnt) {
 	newCap := max(2*c.nvals, 1)
-	// Grow first, then copy within the (possibly relocated) slab: the
-	// source run must be re-sliced from the grown slab, because Grow
-	// unmaps a replaced arena backing as soon as it has copied it.
-	st.vals = arena.Grow(st.arena, st.vals, int(newCap))
-	off := int32(len(st.vals))
-	st.vals = append(st.vals, st.vals[c.valOff:c.valOff+c.nvals]...)
-	for i := c.nvals; i < newCap; i++ {
-		st.vals = append(st.vals, fcmVal{})
+	off := st.vals.alloc(newCap)
+	if c.nvals > 0 {
+		copy(st.vals.values(off, c.nvals), st.vals.values(c.valOff, c.nvals))
+		copy(st.vals.counts(off, c.nvals), st.vals.counts(c.valOff, c.nvals))
+		st.vals.release(c.valOff, c.nvals)
 	}
+	st.vals.held += int64(newCap - c.nvals)
 	c.valOff = off
 }
 
@@ -672,25 +656,28 @@ func runCap(n int) int {
 	return 1 << bits.Len32(uint32(n-1))
 }
 
-// loadRun installs a decoded (value, count) list as c's run with the
-// prediction at ordinal best, replacing any run c held; a loaded or
-// applied run is saved state, so c is marked clean. A run that fits c's
-// current reservation is rewritten in place; a longer one is reserved
-// once, at runCap, at the slab's end. A promoted context's value index is
-// rebuilt, and a run reaching fcmHashThreshold is promoted.
-func (st *fcmStore) loadRun(c *fcmCtxEnt, run []fcmVal, best int32) {
+// loadRun installs a decoded run (values vals, counts cnts) as c's run
+// with the prediction at ordinal best, replacing any run c held; a loaded
+// or applied run is saved state, so c is marked clean. A run of the same
+// length class as c's current one is rewritten in place; otherwise the
+// old run is vacated and the new one reserved once, at runCap. A promoted
+// context's value index is rebuilt, and a run reaching fcmHashThreshold
+// is promoted.
+func (st *fcmStore) loadRun(c *fcmCtxEnt, vals []uint64, cnts []uint32, best int32) {
 	c.best = best
 	c.vh &^= ctxDirty
-	if len(run) <= runCap(int(c.nvals)) {
-		copy(st.vals[c.valOff:], run)
-	} else {
-		capRun := runCap(len(run))
-		st.vals = arena.Grow(st.arena, st.vals, capRun)
-		c.valOff = int32(len(st.vals))
-		st.vals = append(st.vals, run...)
-		st.vals = append(st.vals, make([]fcmVal, capRun-len(run))...)
+	n := int32(len(vals))
+	if oldCap, newCap := int32(runCap(int(c.nvals))), int32(runCap(len(vals))); newCap != oldCap {
+		st.vals.release(c.valOff, oldCap)
+		c.valOff = st.vals.alloc(newCap)
+		st.vals.held += int64(newCap - oldCap)
 	}
-	c.nvals = int32(len(run))
+	if n > 0 {
+		copy(st.vals.values(c.valOff, n), vals)
+		copy(st.vals.counts(c.valOff, n), cnts)
+	}
+	st.vals.live += int64(n - c.nvals)
+	c.nvals = n
 	if c.vh != 0 {
 		t := &st.vidx[c.vh-1]
 		clear(t.slots)
@@ -723,17 +710,17 @@ func (s *fcmPCState) pushValue(v uint64, order int) {
 }
 
 // Reset implements Resetter: every slab and table is emptied in place,
-// keeping capacity.
+// keeping its capacity and pages.
 func (p *FCM) Reset() {
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
-	p.vals = p.vals[:0]
+	p.vals.reset()
+	clear(p.vidx) // hand the value indexes' slots to the collector
 	p.vidx = p.vidx[:0]
 	for i := range p.ords {
 		st := &p.ords[i]
 		clear(st.slots)
-		st.ctxs = st.ctxs[:0]
-		st.keys = st.keys[:0]
+		st.n = 0
 		st.canon = fcmCanon{hs: st.canon.hs[:0], starts: st.canon.starts[:0]}
 	}
 }
@@ -743,7 +730,7 @@ func (p *FCM) Reset() {
 func (p *FCM) TableEntries() (static, total int) {
 	static = p.idx.len()
 	for o := range p.ords {
-		total += len(p.ords[o].ctxs)
+		total += int(p.ords[o].n)
 	}
 	return static, total
 }
@@ -756,11 +743,6 @@ func (p *FCM) sortedPCHandles() []int32 {
 	}
 	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(p.pcs[a].pc, p.pcs[b].pc) })
 	return hs
-}
-
-// key returns the values of context h of order o.
-func (st *fcmOrderStore) key(o int, h int32) []uint64 {
-	return st.keys[int(h)*o : (int(h)+1)*o]
 }
 
 // canonCmp orders two equal-length context keys by their canonical wire
@@ -794,15 +776,15 @@ func (p *FCM) syncCanon(o int) {
 			c.hs[h] = int32(h)
 		}
 		c.starts = append(c.starts[:0], make([]int32, npc+1)...)
-		for i := range st.ctxs[:c.loaded] {
-			c.starts[st.ctxs[i].pcIdx+1]++
+		for h := range int32(c.loaded) {
+			c.starts[st.ctx(h).pcIdx+1]++
 		}
 		for h := 1; h <= npc; h++ {
 			c.starts[h] += c.starts[h-1]
 		}
 		c.loaded = 0
 	}
-	n, nctx := len(c.hs), len(st.ctxs)
+	n, nctx := len(c.hs), int(st.n)
 	for len(c.starts) <= npc {
 		c.starts = append(c.starts, int32(n)) // PCs added since: empty buckets
 	}
@@ -812,15 +794,15 @@ func (p *FCM) syncCanon(o int) {
 	// Group the new handles by owning PC: PC h's group is
 	// add[ends[h-1]:ends[h]] (ends[-1] = 0), each in key order.
 	ends := append(p.endsBuf[:0], make([]int32, npc)...)
-	for i := range st.ctxs[n:] {
-		ends[st.ctxs[n+i].pcIdx]++
+	for h := int32(n); h < int32(nctx); h++ {
+		ends[st.ctx(h).pcIdx]++
 	}
 	for h := 1; h < npc; h++ {
 		ends[h] += ends[h-1]
 	}
 	add := append(p.addBuf[:0], make([]int32, nctx-n)...)
 	for h := nctx - 1; h >= n; h-- {
-		pcIdx := st.ctxs[h].pcIdx
+		pcIdx := st.ctx(int32(h)).pcIdx
 		ends[pcIdx]--
 		add[ends[pcIdx]] = int32(h)
 	}
@@ -869,9 +851,13 @@ func (p *FCM) syncCanon(o int) {
 func (p *FCM) encodeCtx(e *stateEncoder, c *fcmCtxEnt) {
 	e.uvarint(uint64(c.nvals))
 	e.uvarint(uint64(c.best))
-	for _, v := range p.vals[c.valOff : c.valOff+c.nvals] {
-		e.uvarint(v.value)
-		e.uvarint(uint64(v.count))
+	if c.nvals == 0 {
+		return
+	}
+	cnts := p.vals.counts(c.valOff, c.nvals)
+	for i, v := range p.vals.values(c.valOff, c.nvals) {
+		e.uvarint(v)
+		e.uvarint(uint64(cnts[i]))
 	}
 }
 
@@ -918,14 +904,17 @@ func (p *FCM) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
 	byPC := make([][]int32, p.order+1)
 	at := make([][]int32, p.order+1)
 	for o := range p.ords {
-		ctxs := p.ords[o].ctxs
+		st := &p.ords[o]
 		var changed []int32
 		starts := make([]int32, npc+1)
-		for i := range ctxs {
-			if c := &ctxs[i]; c.vh < 0 {
-				c.vh &^= ctxDirty
-				changed = append(changed, int32(i))
-				starts[c.pcIdx+1]++
+		for pg := range st.pages() {
+			base, page := int32(pg*pageLen), st.page(pg)
+			for i := range page {
+				if c := &page[i]; c.vh < 0 {
+					c.vh &^= ctxDirty
+					changed = append(changed, base+int32(i))
+					starts[c.pcIdx+1]++
+				}
 			}
 		}
 		for h := 1; h <= npc; h++ {
@@ -934,7 +923,7 @@ func (p *FCM) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
 		next := slices.Clone(starts[:npc])
 		grouped := make([]int32, len(changed))
 		for _, ch := range changed {
-			h := ctxs[ch].pcIdx
+			h := st.ctx(ch).pcIdx
 			grouped[next[h]] = ch
 			next[h]++
 		}
@@ -980,10 +969,12 @@ func (p *FCM) writeRecords(w io.Writer, hs []int32, ctxsOf func(h int32, o int) 
 			cs := ctxsOf(h, o)
 			e.uvarint(uint64(len(cs)))
 			for _, ch := range cs {
-				for _, kv := range st.key(o, ch) {
-					e.le64(kv) // full concatenation: exactly 8*o bytes
+				if o > 0 {
+					for _, kv := range st.key(o, ch) {
+						e.le64(kv) // full concatenation: exactly 8*o bytes
+					}
 				}
-				c := &st.ctxs[ch]
+				c := st.ctx(ch)
 				c.vh &^= ctxDirty
 				p.encodeCtx(&e, c)
 			}
@@ -1037,21 +1028,30 @@ func (p *FCM) checkHeader(d *stateDecoder) error {
 	return nil
 }
 
-// decodeRun reads one context's value list and best ordinal (encodeCtx's
-// layout) into run's storage, which grows only with decoded input.
-func decodeRun(d *stateDecoder, run []fcmVal) ([]fcmVal, int32) {
+// fcmRun is a decoded value list: the values and their counts. Its
+// storage is reused from context to context and grows only with decoded
+// input.
+type fcmRun struct {
+	vals []uint64
+	cnts []uint32
+}
+
+// decode reads one context's value list and best ordinal (encodeCtx's
+// layout) into r.
+func (r *fcmRun) decode(d *stateDecoder) int32 {
 	nv := d.uvarint()
 	best := d.uvarint()
 	if d.err == nil && best >= max(nv, 1) {
 		d.err = fmt.Errorf("best index %d out of range for %d values", best, nv)
 	}
-	run = run[:0]
+	r.vals, r.cnts = r.vals[:0], r.cnts[:0]
 	for vi := uint64(0); vi < nv && d.err == nil; vi++ {
 		value := d.uvarint()
 		count := d.count(1<<32 - 1)
-		run = append(run, fcmVal{value: value, count: uint32(count)})
+		r.vals = append(r.vals, value)
+		r.cnts = append(r.cnts, uint32(count))
 	}
-	return run, int32(best)
+	return int32(best)
 }
 
 // ApplyDelta implements DeltaStateful: each record finds or inserts its
@@ -1065,7 +1065,7 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 	}
 	npc := d.uvarint()
 	records := 0
-	var run []fcmVal
+	var run fcmRun
 	var key [MaxFCMOrder]uint64
 	var pc uint64
 	for i := uint64(0); i < npc && d.err == nil; i++ {
@@ -1086,7 +1086,7 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 		pcIdx, ok := p.idx.lookup(pc)
 		if !ok {
 			pcIdx = p.idx.insert(pc)
-			p.pcs = append(arena.Grow(p.arena, p.pcs, 1), fcmPCState{pc: pc, ctx0: -1})
+			p.pcs = append(p.pcs, fcmPCState{pc: pc, ctx0: -1})
 		}
 		s := &p.pcs[pcIdx]
 		s.hist, s.n, s.updates = hist, int32(n), updates
@@ -1102,8 +1102,7 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 				for j := 0; j < o; j++ {
 					key[j] = d.le64()
 				}
-				var best int32
-				run, best = decodeRun(d, run)
+				best := run.decode(d)
 				if d.err != nil {
 					break
 				}
@@ -1120,7 +1119,7 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 						hnd = st.insert(pcIdx, sig, key[:o])
 					}
 				}
-				p.loadRun(&st.ctxs[hnd], run, best)
+				p.loadRun(st.ctx(hnd), run.vals, run.cnts, best)
 				records++
 			}
 		}
@@ -1151,7 +1150,7 @@ func (p *FCM) LoadState(r io.Reader) error {
 	npc := d.uvarint()
 	store := newFCMStore(p.order)
 	var unsorted [MaxFCMOrder + 1]bool
-	var run []fcmVal // one context's value list; grows only with decoded input
+	var run fcmRun
 	var pc uint64
 	for i := uint64(0); i < npc && d.err == nil; i++ {
 		pc += d.uvarint()
@@ -1162,7 +1161,7 @@ func (p *FCM) LoadState(r io.Reader) error {
 			return errState(p.Name(), errDuplicatePC(pc))
 		}
 		pcIdx := store.idx.insert(pc)
-		store.pcs = append(arena.Grow(store.arena, store.pcs, 1), fcmPCState{pc: pc, ctx0: -1})
+		store.pcs = append(store.pcs, fcmPCState{pc: pc, ctx0: -1})
 		s := &store.pcs[pcIdx]
 		s.n = int32(d.count(uint64(p.order)))
 		for j := 0; j < int(s.n); j++ {
@@ -1197,7 +1196,7 @@ func (p *FCM) LoadState(r io.Reader) error {
 					if k > 0 {
 						// A PC's contexts of one order get consecutive
 						// handles, so the previous key is the last one stored.
-						c := canonCmp(st.keys[len(st.keys)-o:], key[:o])
+						c := canonCmp(st.key(o, st.n-1), key[:o])
 						dup = c == 0
 						if c > 0 {
 							ascending, unsorted[o] = false, true
@@ -1208,10 +1207,9 @@ func (p *FCM) LoadState(r io.Reader) error {
 					}
 					hnd = st.insert(pcIdx, sig, key[:o])
 				}
-				var best int32
-				run, best = decodeRun(d, run)
+				best := run.decode(d)
 				if d.err == nil {
-					store.loadRun(&store.ords[o].ctxs[hnd], run, best)
+					store.loadRun(store.ords[o].ctx(hnd), run.vals, run.cnts, best)
 				}
 			}
 		}
@@ -1221,10 +1219,9 @@ func (p *FCM) LoadState(r io.Reader) error {
 	}
 	for o := 1; o <= p.order; o++ {
 		if !unsorted[o] {
-			store.ords[o].canon.loaded = len(store.ords[o].ctxs)
+			store.ords[o].canon.loaded = int(store.ords[o].n)
 		}
 	}
-	p.fcmStore.arena.Release()
 	p.fcmStore = store
 	return nil
 }
@@ -1241,8 +1238,11 @@ func (p *FCM) PCEntries() map[uint64]int {
 		out[p.pcs[i].pc] = n
 	}
 	for o := 1; o <= p.order; o++ {
-		for i := range p.ords[o].ctxs {
-			out[p.pcs[p.ords[o].ctxs[i].pcIdx].pc]++
+		st := &p.ords[o]
+		for pg := range st.pages() {
+			for _, c := range st.page(pg) {
+				out[p.pcs[c.pcIdx].pc]++
+			}
 		}
 	}
 	return out

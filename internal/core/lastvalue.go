@@ -71,6 +71,11 @@ func (p *LastValue) Reset() {
 	p.vals = p.vals[:0]
 }
 
+// StateBytes implements Sized.
+func (p *LastValue) StateBytes() MemBytes {
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.vals))
+}
+
 // TableEntries implements Sized.
 func (p *LastValue) TableEntries() (static, total int) {
 	return len(p.vals), len(p.vals)
@@ -234,6 +239,11 @@ func (p *LastValueCounter) Reset() {
 	p.entries = p.entries[:0]
 }
 
+// StateBytes implements Sized.
+func (p *LastValueCounter) StateBytes() MemBytes {
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
+}
+
 // TableEntries implements Sized.
 func (p *LastValueCounter) TableEntries() (static, total int) {
 	return len(p.entries), len(p.entries)
@@ -394,6 +404,11 @@ func (p *LastValueConsecutive) Reset() {
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
 	p.entries = p.entries[:0]
+}
+
+// StateBytes implements Sized.
+func (p *LastValueConsecutive) StateBytes() MemBytes {
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
 }
 
 // TableEntries implements Sized.

@@ -3,8 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
-
-	"repro/internal/arena"
+	"unsafe"
 )
 
 // This file holds the flat storage primitives shared by every predictor in
@@ -46,7 +45,6 @@ type pcSlot struct {
 type pcTable struct {
 	slots []pcSlot
 	n     int
-	arena *arena.Arena // optional slab backing for the slot array; nil = heap
 }
 
 // lookup returns the handle for pc, if present.
@@ -88,7 +86,7 @@ func (t *pcTable) grow() {
 		size = 2 * len(t.slots)
 	}
 	old := t.slots
-	t.slots = arena.Make[pcSlot](t.arena, size)
+	t.slots = make([]pcSlot, size)
 	mask := uint64(size - 1)
 	for _, s := range old {
 		if s.ref == 0 {
@@ -101,7 +99,6 @@ func (t *pcTable) grow() {
 			}
 		}
 	}
-	arena.Free(t.arena, old)
 }
 
 // reset empties the table in place, keeping the slot array's capacity.
@@ -112,6 +109,12 @@ func (t *pcTable) reset() {
 
 // len returns the number of tracked PCs.
 func (t *pcTable) len() int { return t.n }
+
+// bytes accounts the slot array: occupied slots used, every slot reserved.
+func (t *pcTable) bytes() MemBytes {
+	w := int64(unsafe.Sizeof(pcSlot{}))
+	return MemBytes{Used: int64(t.n) * w, Reserved: int64(len(t.slots)) * w}
+}
 
 // sortedHandles returns slab handles ordered by ascending PC — the
 // canonical SaveState iteration order. pcs is the predictor's
@@ -198,3 +201,6 @@ func (s *PCSet) AppendSorted(dst []uint64) []uint64 {
 
 // Reset empties the set in place, keeping capacity.
 func (s *PCSet) Reset() { s.t.reset() }
+
+// StateBytes returns the set's exact byte account.
+func (s *PCSet) StateBytes() MemBytes { return s.t.bytes() }

@@ -76,13 +76,17 @@ type Resetter interface {
 	Reset()
 }
 
-// Sized reports how many table entries a predictor holds; used by the
-// value-characteristics analysis and by memory accounting in the
-// experiment harness and the serving tier.
+// Sized reports how many table entries a predictor holds and the bytes
+// its tables take; used by the value-characteristics analysis and by
+// memory accounting in the experiment harness and the serving tier.
 type Sized interface {
 	// TableEntries returns the number of static instructions tracked and
 	// the total number of internal table entries (contexts, counters...).
 	TableEntries() (static, total int)
+	// StateBytes returns the exact byte account of the predictor's
+	// tables: the bytes its live entries use and every byte its tables
+	// hold allocated.
+	StateBytes() MemBytes
 }
 
 // Factory constructs a fresh predictor instance. Experiment runners use

@@ -118,6 +118,11 @@ func (p *StrideSimple) Reset() {
 	p.entries = p.entries[:0]
 }
 
+// StateBytes implements Sized.
+func (p *StrideSimple) StateBytes() MemBytes {
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
+}
+
 // TableEntries implements Sized.
 func (p *StrideSimple) TableEntries() (static, total int) {
 	return len(p.entries), len(p.entries)
@@ -304,6 +309,11 @@ func (p *Stride2Delta) Reset() {
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
 	p.entries = p.entries[:0]
+}
+
+// StateBytes implements Sized.
+func (p *Stride2Delta) StateBytes() MemBytes {
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
 }
 
 // TableEntries implements Sized.
@@ -499,6 +509,11 @@ func (p *StrideCounter) Reset() {
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
 	p.entries = p.entries[:0]
+}
+
+// StateBytes implements Sized.
+func (p *StrideCounter) StateBytes() MemBytes {
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
 }
 
 // TableEntries implements Sized.

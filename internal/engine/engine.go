@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 )
 
 // Config parameterizes a concurrent suite run.
@@ -42,18 +41,11 @@ type Config struct {
 	// Progress, when non-nil, is called with each benchmark's name as it
 	// starts. With Workers > 1 calls may come from concurrent goroutines.
 	Progress func(name string)
-	// Arena selects the predictor slab backing ("", "heap" or "mmap");
-	// see core.SetSlabArena. Process-global: it applies to every
-	// predictor constructed after RunSuite starts.
-	Arena string
 }
 
 // RunSuite runs every configured benchmark once and returns results in
 // reporting order regardless of completion order.
 func RunSuite(cfg Config) (*analysis.Suite, error) {
-	if err := core.SetSlabArena(cfg.Arena); err != nil {
-		return nil, err
-	}
 	acfg := cfg.Analysis.WithDefaults()
 	if cfg.Workers == 1 {
 		return analysis.RunSuite(acfg, cfg.Progress)

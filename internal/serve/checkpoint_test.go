@@ -336,12 +336,12 @@ func TestStatsReportsRestoreProvenance(t *testing.T) {
 	if cold.RestoredSnapshotID != "" || cold.RestoredAt != "" {
 		t.Fatalf("cold server claims restore provenance: %+v", cold)
 	}
-	if cold.StartedAt == "" || cold.ApproxStateBytes <= 0 {
+	if cold.StartedAt == "" || cold.StateBytes.Used <= 0 || cold.StateBytes.Reserved < cold.StateBytes.Used {
 		t.Fatalf("missing started_at or state size: %+v", cold)
 	}
 	for _, st := range cold.PerShard {
-		if st.ApproxStateBytes <= 0 {
-			t.Fatalf("shard %d reports no resident state", st.Shard)
+		if st.StateBytes.Used <= 0 || st.StateBytes.Reserved < st.StateBytes.Used {
+			t.Fatalf("shard %d reports no resident state: %+v", st.Shard, st.StateBytes)
 		}
 	}
 

@@ -129,6 +129,22 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(body, "vp_events_total "+strconv.Itoa(len(evs))+"\n") {
 		t.Errorf("vp_events_total does not report %d driven events", len(evs))
 	}
+	// The byte-account gauges carry the figures /stats reports (no
+	// traffic runs in between).
+	for _, sh := range s.Stats().PerShard {
+		for i, ps := range sh.Predictors {
+			for _, kv := range []struct {
+				kind string
+				v    int64
+			}{{"used", ps.StateBytes.Used}, {"reserved", ps.StateBytes.Reserved}} {
+				want := "vp_state_bytes{kind=\"" + kv.kind + "\",pred=\"" + s.predNames[i] + "\",shard=\"" +
+					strconv.Itoa(sh.Shard) + "\"} " + strconv.FormatInt(kv.v, 10) + "\n"
+				if kv.v <= 0 || !strings.Contains(body, want) {
+					t.Errorf("expected sample %q in /metrics", want)
+				}
+			}
+		}
+	}
 }
 
 // TestEventsEndpoint asserts checkpoint stage events land in the trace

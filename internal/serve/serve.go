@@ -33,6 +33,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -130,11 +131,6 @@ type Config struct {
 	// retained. The monitor adapts the threshold upward to the live
 	// p99 of vp_request_ns, never below this floor (0 = 10ms).
 	TraceSlowNs int64
-	// Arena selects the predictor slab backing: "heap" (or empty, the
-	// default) for ordinary GC-managed slabs, "mmap" to back large slabs
-	// with anonymous mappings the collector never scans. Process-global:
-	// it applies to every predictor constructed after New.
-	Arena string
 }
 
 // Health configuration defaults.
@@ -214,9 +210,6 @@ type Server struct {
 // New validates the configuration and builds the shard set (not yet
 // listening; call Start).
 func New(cfg Config) (*Server, error) {
-	if err := core.SetSlabArena(cfg.Arena); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -294,12 +287,29 @@ func New(cfg Config) (*Server, error) {
 			s.shards[i].bank.SetObserver(s.shards[i].pstat)
 		}
 	}
+	s.metrics.reg.OnScrape(s.fillStateBytes)
 	if !cfg.PredstatDisabled {
 		// Predictability families are rebuilt from the live trackers on
 		// each scrape, so their cost lands on /metrics, not the event path.
 		s.metrics.reg.OnScrape(s.fillPredstatMetrics)
 	}
 	return s, nil
+}
+
+// fillStateBytes refreshes the scrape-derived vp_state_bytes family from
+// a stats capture, the one /stats makes: each predictor's byte account
+// per shard. The series register on the first scrape after Start, which
+// keeps them off server construction.
+func (s *Server) fillStateBytes() {
+	const help = "predictor table bytes, per shard and predictor: used by live entries, or reserved (allocated, used included)"
+	for _, st := range s.Stats().PerShard {
+		sid := strconv.Itoa(st.Shard)
+		for i, ps := range st.Predictors {
+			name := s.predNames[i]
+			s.metrics.reg.Gauge("vp_state_bytes", help, "shard", sid, "pred", name, "kind", "used").Set(ps.StateBytes.Used)
+			s.metrics.reg.Gauge("vp_state_bytes", help, "shard", sid, "pred", name, "kind", "reserved").Set(ps.StateBytes.Reserved)
+		}
+	}
 }
 
 // fillPredstatMetrics refreshes the scrape-derived predictability
@@ -671,13 +681,13 @@ func (s *Server) Stats() Snapshot {
 	for _, st := range snap.PerShard {
 		snap.Events += st.Events
 		snap.UniquePCs += st.UniquePCs // shards own disjoint PCs, so the sum is exact
-		snap.ApproxStateBytes += st.ApproxStateBytes
+		snap.StateBytes = snap.StateBytes.Plus(st.StateBytes)
 		for i, ps := range st.Predictors {
 			snap.Predictors[i].Correct += ps.Correct
 			snap.Predictors[i].Total += ps.Total
 			snap.Predictors[i].StaticPCs += ps.StaticPCs
 			snap.Predictors[i].TableEntries += ps.TableEntries
-			snap.Predictors[i].ApproxStateBytes += ps.ApproxStateBytes
+			snap.Predictors[i].StateBytes = snap.Predictors[i].StateBytes.Plus(ps.StateBytes)
 		}
 	}
 	for i := range snap.Predictors {

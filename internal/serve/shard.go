@@ -257,12 +257,6 @@ func (sh *shard) observeBatch(pcs []uint64, counts []uint64, stepNs int64) {
 	}
 }
 
-// approxEntryBytes is the nominal resident width of one predictor table
-// entry (8-byte key, 8-byte value, ~8 bytes of per-entry metadata and
-// container overhead). /stats reports entries × this width as the
-// approximate state footprint; it is an estimate, not an accounting.
-const approxEntryBytes = 24
-
 // snapshot captures the shard's stats; called on the shard goroutine.
 func (sh *shard) snapshot() ShardStats {
 	st := ShardStats{
@@ -286,11 +280,11 @@ func (sh *shard) snapshot() ShardStats {
 			ps.HitRateEWMA = sh.ewma[i]
 		}
 		ps.StaticPCs, ps.TableEntries = p.TableEntries()
-		ps.ApproxStateBytes = int64(ps.StaticPCs)*8 + int64(ps.TableEntries)*approxEntryBytes
-		st.ApproxStateBytes += ps.ApproxStateBytes
+		ps.StateBytes = p.StateBytes()
+		st.StateBytes = st.StateBytes.Plus(ps.StateBytes)
 		st.Predictors[i] = ps
 	}
-	st.ApproxStateBytes += int64(sh.pcs.Len()) * 8 // the unique-PC set itself
+	st.StateBytes = st.StateBytes.Plus(sh.pcs.StateBytes()) // the unique-PC set itself
 	return st
 }
 
@@ -383,9 +377,9 @@ type PredStat struct {
 	// (history depth / context growth) when the predictor reports it.
 	StaticPCs    int `json:"static_pcs,omitempty"`
 	TableEntries int `json:"table_entries,omitempty"`
-	// ApproxStateBytes estimates the resident table footprint as
-	// entries × nominal entry width.
-	ApproxStateBytes int64 `json:"approx_state_bytes,omitempty"`
+	// StateBytes is the predictor's exact byte account: the bytes its
+	// live table entries use and every byte its tables hold allocated.
+	StateBytes core.MemBytes `json:"state_bytes"`
 	// HitRateEWMA is the per-batch hit-rate EWMA — the live
 	// predictability signal tracking the paper's per-predictor accuracy
 	// tables as the stream drifts (0 until the first batch lands).
@@ -398,9 +392,9 @@ type ShardStats struct {
 	Events     uint64     `json:"events"`
 	UniquePCs  int        `json:"unique_pcs"`
 	Predictors []PredStat `json:"predictors"`
-	// ApproxStateBytes estimates this shard's resident predictor state
-	// (all banks plus the unique-PC set), entries × entry width.
-	ApproxStateBytes int64 `json:"approx_state_bytes"`
+	// StateBytes sums this shard's predictor byte accounts and its
+	// unique-PC set's.
+	StateBytes core.MemBytes `json:"state_bytes"`
 	// MailboxDepth is the queued mailbox entries at capture;
 	// MailboxHighWater the deepest queue ever observed on this shard.
 	MailboxDepth     int `json:"mailbox_depth"`
@@ -454,8 +448,8 @@ type Snapshot struct {
 	UniquePCs    int          `json:"unique_pcs"`
 	Predictors   []PredStat   `json:"predictors"`
 	PerShard     []ShardStats `json:"per_shard"`
-	// ApproxStateBytes sums the per-shard resident-state estimates.
-	ApproxStateBytes int64 `json:"approx_state_bytes"`
+	// StateBytes sums the per-shard byte accounts.
+	StateBytes core.MemBytes `json:"state_bytes"`
 	// Protocol and Checkpoints surface the transport and durability
 	// counters the /metrics endpoint exports, inlined here so a JSON
 	// /stats poll sees the same picture.
