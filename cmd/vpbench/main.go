@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -49,8 +50,9 @@ type BenchResult struct {
 // Report is one run's record: where and when it ran plus its results.
 type Report struct {
 	// Commit is the HEAD commit SHA at run time (empty outside a git
-	// checkout) and Time the run's UTC timestamp — together they place
-	// the record on the perf trajectory.
+	// checkout, suffixed "-dirty" when tracked files differ from HEAD)
+	// and Time the run's UTC timestamp — together they place the record
+	// on the perf trajectory.
 	Commit    string `json:"commit,omitempty"`
 	Time      string `json:"time"`
 	GoVersion string `json:"go_version"`
@@ -175,13 +177,58 @@ func ratchetCheck(prior []Report, cur Report, re *regexp.Regexp, pct float64, w 
 }
 
 // headCommit returns the checkout's HEAD SHA, best-effort: perf records
-// remain useful (just unplaced) outside a git checkout.
-func headCommit() string {
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+// remain useful (just unplaced) outside a git checkout. When a tracked
+// file other than the history file itself differs from HEAD, the SHA
+// carries a "-dirty" suffix: the figures were measured on code HEAD does
+// not hold, and must not be read as HEAD's. Untracked files are not
+// looked at.
+func headCommit(history string) string {
+	out, err := exec.Command("git", "rev-parse", "HEAD", "--show-toplevel").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	f := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(f) != 2 {
+		return ""
+	}
+	sha, top := f[0], f[1]
+	diff, err := exec.Command("git", "diff", "--name-only", "-z", "HEAD").Output()
+	if err != nil {
+		return sha
+	}
+	if changedBesides(top, strings.Split(string(diff), "\x00"), history) {
+		return sha + "-dirty"
+	}
+	return sha
+}
+
+// changedBesides reports whether changed, paths relative to the checkout
+// root top, names any file other than history.
+func changedBesides(top string, changed []string, history string) bool {
+	hist := ""
+	if history != "" && history != "-" {
+		hist = realPath(history)
+	}
+	top = realPath(top)
+	for _, c := range changed {
+		if c != "" && filepath.Join(top, c) != hist {
+			return true
+		}
+	}
+	return false
+}
+
+// realPath is p made absolute with its directory's symlinks resolved, so
+// the working directory's spelling and git's compare equal.
+func realPath(p string) string {
+	abs, err := filepath.Abs(p)
+	if err != nil {
+		return p
+	}
+	if dir, err := filepath.EvalSymlinks(filepath.Dir(abs)); err == nil {
+		return filepath.Join(dir, filepath.Base(abs))
+	}
+	return abs
 }
 
 // loadHistory reads an existing history file. A file written by the old
@@ -243,7 +290,7 @@ func main() {
 	}
 
 	report := Report{
-		Commit:     headCommit(),
+		Commit:     headCommit(*out),
 		Time:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -57,5 +58,30 @@ func TestBestPriorNsZeroIgnored(t *testing.T) {
 	prior := []Report{rep(8, BenchResult{Name: "B", NsPerOp: 0})}
 	if _, ok := bestPriorNs(prior, rep(8), "B"); ok {
 		t.Fatal("zero ns/op records must not seed the ratchet")
+	}
+}
+
+func TestChangedBesidesHistory(t *testing.T) {
+	top := t.TempDir()
+	hist := filepath.Join(top, "BENCH_core.json")
+	for _, c := range []struct {
+		changed []string
+		history string
+		dirty   bool
+	}{
+		{[]string{""}, hist, false},
+		{[]string{"BENCH_core.json", ""}, hist, false},
+		{[]string{"BENCH_core.json", "internal/core/fcm.go", ""}, hist, true},
+		{[]string{"BENCH_core.json", ""}, filepath.Join(top, "other.json"), true},
+		{[]string{"BENCH_core.json", ""}, "-", true},
+	} {
+		if got := changedBesides(top, c.changed, c.history); got != c.dirty {
+			t.Errorf("changedBesides(%q, history %q) = %t, want %t", c.changed, c.history, got, c.dirty)
+		}
+	}
+	// -out is usually relative to the checkout root.
+	t.Chdir(top)
+	if changedBesides(top, []string{"BENCH_core.json", ""}, "BENCH_core.json") {
+		t.Error("the relative history path counts as another changed file")
 	}
 }

@@ -106,9 +106,7 @@ func (s *Server) checkpointShards(dir string) (CheckpointInfo, error) {
 }
 
 // assembleCheckpoint drains the shard replies, writes the checkpoint (a
-// root, or a delta on the chain tip) and advances the chain. A delta cut
-// that finds no event applied since the tip would carry no record: it
-// writes nothing, leaves the chain as it is and returns the tip. tctx is the
+// root, or a delta on the chain tip) and advances the chain. tctx is the
 // checkpoint's own minted trace: cut and encode become spans on the
 // control lane and the trace is always retained, so checkpoint
 // interference shows up in GET /trace alongside the requests it delayed.
@@ -156,11 +154,6 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, de
 		s.ring.Add(obs.StageEvent{Kind: evCheckpointError, Shard: -1, Detail: firstErr.Error()})
 		s.tracer.Promote(tctx, cutStartNs, cutNs, events, "checkpoint_error")
 		return CheckpointInfo{}, firstErr
-	}
-	if delta && events == s.chain.tip.Events {
-		s.log.Info("checkpoint skipped: no events since the chain tip",
-			"tip", s.chain.tip.ID, "depth", s.chain.depth, "events", events)
-		return s.chain.tip, nil
 	}
 	encT0 := time.Now()
 	path, err := snapshot.WriteFileAtomic(dir, snap)
@@ -213,12 +206,11 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, de
 			s.log.Info("checkpoint sweep", "removed", removed, "keep", snap.Meta.ID)
 		}
 	}
-	s.chain.tip = CheckpointInfo{
+	return CheckpointInfo{
 		ID: snap.Meta.ID, Path: path, Events: snap.Meta.Events, Shards: len(snap.Shards),
 		Kind: kind, Depth: snap.Meta.Depth, ParentID: snap.Meta.ParentID,
 		ChunksWritten: written, ChunksDeduped: skipped,
-	}
-	return s.chain.tip, nil
+	}, nil
 }
 
 // Restore loads a decoded snapshot into a server that has not started

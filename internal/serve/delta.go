@@ -28,9 +28,6 @@ type chainState struct {
 	// write failed (shards may have reset dirty bits for a checkpoint
 	// that never landed) and cleared by the next durable root.
 	poisoned bool
-	// tip describes the chain tip's file, which a delta cut with nothing
-	// to carry returns instead of writing a new link.
-	tip CheckpointInfo
 }
 
 // cutDelta reports whether the next checkpoint is a delta on the chain

@@ -354,59 +354,3 @@ func fileSize(t *testing.T, path string) int64 {
 	}
 	return fi.Size()
 }
-
-// TestIdleDeltaCutWritesNothing: a delta cut with no event applied since
-// the chain tip has nothing to carry, so it writes no file, leaves the
-// tip and depth as they are and returns the tip; the next delta after
-// traffic continues the chain from there.
-func TestIdleDeltaCutWritesNothing(t *testing.T) {
-	evs, _ := capturedStream(t)
-	dir := t.TempDir()
-	s, err := New(Config{Shards: 2, DeltaCheckpoints: true, CheckpointDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start("127.0.0.1:0", ""); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	driveAll(t, s, evs[:2000], 1)
-	full, err := s.WriteFullCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveAll(t, s, evs[2000:3000], 1)
-	delta, err := s.WriteCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta.Kind != "delta" || delta.Depth != 1 || delta.ParentID != full.ID {
-		t.Fatalf("second cut = %+v, want a depth-1 delta on %s", delta, full.ID)
-	}
-	for i := 0; i < 2; i++ {
-		idle, err := s.WriteCheckpoint(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idle != delta {
-			t.Fatalf("idle cut %d returned %+v, want the tip %+v", i, idle, delta)
-		}
-	}
-	if files := checkpointFiles(t, dir); len(files) != 2 {
-		t.Fatalf("after two idle cuts the dir holds %v, want the full and one delta", files)
-	}
-	if d := s.Stats().Checkpoints.ChainDepth; d != 1 {
-		t.Fatalf("chain_depth after idle cuts = %d, want 1", d)
-	}
-	driveAll(t, s, evs[3000:3001], 1)
-	next, err := s.WriteCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.Kind != "delta" || next.Depth != 2 || next.ParentID != delta.ID {
-		t.Fatalf("cut after one more request = %+v, want a depth-2 delta on %s", next, delta.ID)
-	}
-	if files := checkpointFiles(t, dir); len(files) != 3 {
-		t.Fatalf("dir holds %v, want three chain links", files)
-	}
-}
