@@ -151,7 +151,20 @@ func Encode(w io.Writer, s *Snapshot) (string, error) {
 		return "", err
 	}
 
-	var b []byte
+	// Size the buffer up front: grown by append, a checkpoint of N bytes
+	// left several times N of transient garbage behind every cut.
+	const v = binary.MaxVarintLen64
+	size := 8*v + len(s.Meta.ParentID)
+	for _, name := range s.Meta.Predictors {
+		size += v + len(name)
+	}
+	for _, sh := range s.Shards {
+		size += 3*v + v*len(sh.PCs)
+		for _, ps := range sh.Preds {
+			size += 3*v + len(ps.State)
+		}
+	}
+	b := make([]byte, 0, size)
 	b = binary.AppendUvarint(b, FormatVersion)
 	b = binary.AppendUvarint(b, uint64(s.Meta.CreatedUnixNano))
 	var events uint64

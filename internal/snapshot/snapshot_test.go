@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -92,6 +94,30 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	id2, data2 := encodeOK(t, got)
 	if id2 != id || !bytes.Equal(data2, data) {
 		t.Fatal("re-encode is not byte-identical")
+	}
+}
+
+// TestEncodeSizesItsBuffer: Encode builds the file in one buffer sized
+// up front, so a cut of N bytes allocates about N, not the several times
+// N an append-grown buffer leaves behind.
+func TestEncodeSizesItsBuffer(t *testing.T) {
+	s := sample()
+	s.Meta.ParentID, s.Meta.Depth = "0123456789abcdef", 3
+	for i := range s.Shards[0].Preds {
+		s.Shards[0].Preds[i].State = bytes.Repeat([]byte{byte(i)}, 300_000<<i)
+	}
+	_, data := encodeOK(t, s)
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := Encode(io.Discard, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > uint64(len(data))*9/8 {
+		t.Fatalf("Encode allocated %d bytes for a %d-byte snapshot, want at most 9/8 of it", per, len(data))
 	}
 }
 
