@@ -151,8 +151,9 @@ func Encode(w io.Writer, s *Snapshot) (string, error) {
 		return "", err
 	}
 
-	// Size the buffer up front: grown by append, a checkpoint of N bytes
-	// left several times N of transient garbage behind every cut.
+	// Size the buffer up front (every uvarint at its longest): grown by
+	// append, it would allocate several times a checkpoint's bytes per
+	// cut, garbage that paces the collector on a live server.
 	const v = binary.MaxVarintLen64
 	size := 8*v + len(s.Meta.ParentID)
 	for _, name := range s.Meta.Predictors {
