@@ -159,6 +159,7 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 		n = len(values)
 	}
 	if n == 0 {
+		b.gpc = b.gpc[:0]
 		return
 	}
 	b.events += uint64(n)
@@ -210,6 +211,12 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 		}
 	}
 }
+
+// BatchPCs returns the distinct PCs of the most recent batch in
+// first-appearance order: one per same-PC run the bank stepped, read off
+// the grouping StepBatchCollect already did. The slice is the bank's
+// scratch, valid until the next step; callers must not modify it.
+func (b *Bank) BatchPCs() []uint64 { return b.gpc }
 
 // group buckets one batch by PC: a counting sort over the bank's pc
 // table, stable within each PC, leaving contiguous per-PC value runs in
@@ -295,6 +302,7 @@ func (b *Bank) Reset() {
 	clear(b.correct)
 	b.events = 0
 	b.idx.reset()
+	b.gpc = b.gpc[:0]
 	b.epoch = b.epoch[:0]
 	b.gid = b.gid[:0]
 	b.stamp = 0

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -209,5 +210,29 @@ func TestBankMultiPredictorAndReset(t *testing.T) {
 			t.Errorf("after Reset, predictor %d (%s): bank %d correct, want %d",
 				i, preds[i].Name(), b.correct[i], refCorrect[i])
 		}
+	}
+}
+
+// TestBankBatchPCs pins the accessor the serving tier reads its unique-PC
+// set and run counts from: the last batch's distinct PCs in
+// first-appearance order, emptied by an empty batch and by Reset.
+func TestBankBatchPCs(t *testing.T) {
+	b := NewBank(NewLastValue())
+	b.StepBatch([]uint64{8, 4, 8, 12, 4}, []uint64{1, 2, 3, 4, 5})
+	if got := b.BatchPCs(); !slices.Equal(got, []uint64{8, 4, 12}) {
+		t.Fatalf("BatchPCs = %v, want [8 4 12]", got)
+	}
+	b.StepBatch([]uint64{12, 12}, []uint64{6, 7})
+	if got := b.BatchPCs(); !slices.Equal(got, []uint64{12}) {
+		t.Fatalf("BatchPCs after a one-PC batch = %v, want [12]", got)
+	}
+	b.StepBatch(nil, nil)
+	if got := b.BatchPCs(); len(got) != 0 {
+		t.Fatalf("BatchPCs after an empty batch = %v", got)
+	}
+	b.StepBatch([]uint64{4}, []uint64{1})
+	b.Reset()
+	if got := b.BatchPCs(); len(got) != 0 {
+		t.Fatalf("BatchPCs after Reset = %v", got)
 	}
 }

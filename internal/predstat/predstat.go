@@ -25,8 +25,8 @@
 // "this stream deserves a different predictor" signal a future
 // meta-chooser consumes.
 //
-// ObserveRun is allocation-free in steady state; all reporting
-// (Report, Merge) is cold-path.
+// ObserveRun is allocation-free in steady state; reporting (Report, and
+// Report.Merge across shard trackers) is cold-path.
 package predstat
 
 import (
@@ -149,8 +149,8 @@ type pcState struct {
 }
 
 // Tracker is a bounded-memory streaming predictability estimator over
-// every PC it observes. It is single-writer: ObserveRun, Report and Merge
-// must not race (in serve each shard owns one Tracker).
+// every PC it observes. It is single-writer: ObserveRun and Report must
+// not race (in serve each shard owns one Tracker).
 type Tracker struct {
 	cfg     Config
 	base    uint64 // MaxValues+1; symbol MaxValues is the escape
@@ -163,7 +163,6 @@ type Tracker struct {
 	st   []pcState  // handle → scalars
 	win  []uint64   // handle*Window trailing-value ring
 	dict []symSlot  // handle*dictCap value→symbol slots
-	symv []uint64   // handle*MaxValues symbol→value (for Merge remap)
 	hist []uint16   // handle*MaxOrder most-recent-first symbols
 	cnt  []ctxEntry // handle*(MaxOrder+1)*MaxCtx count tables
 	fill []uint32   // handle*(MaxOrder+1) occupied slots per table
@@ -220,7 +219,6 @@ func (t *Tracker) handle(pc uint64) int32 {
 	t.st = append(t.st, pcState{})
 	t.win = append(t.win, make([]uint64, t.cfg.Window)...)
 	t.dict = append(t.dict, make([]symSlot, t.dictCap)...)
-	t.symv = append(t.symv, make([]uint64, t.cfg.MaxValues)...)
 	t.hist = append(t.hist, make([]uint16, t.cfg.MaxOrder)...)
 	t.cnt = append(t.cnt, make([]ctxEntry, (t.cfg.MaxOrder+1)*t.cfg.MaxCtx)...)
 	t.fill = append(t.fill, make([]uint32, t.cfg.MaxOrder+1)...)
@@ -245,7 +243,6 @@ func (t *Tracker) symbolFor(h int32, v uint64) uint16 {
 			s.syms++
 			sl.val = v
 			sl.ref = sym + 1
-			t.symv[int(h)*t.cfg.MaxValues+int(sym)] = v
 			return sym
 		}
 		if sl.val == v {
@@ -254,9 +251,9 @@ func (t *Tracker) symbolFor(h int32, v uint64) uint16 {
 	}
 }
 
-// bumpN adds n occurrences of key to the (handle, order) count table,
+// bump counts one occurrence of key in the (handle, order) count table,
 // spilling to the overflow counter when the table is 3/4 full.
-func (t *Tracker) bumpN(h int32, order int, key uint64, n uint32) {
+func (t *Tracker) bump(h int32, order int, key uint64) {
 	tb := t.table(h, order)
 	mask := uint64(t.cfg.MaxCtx - 1)
 	fi := int(h)*(t.cfg.MaxOrder+1) + order
@@ -264,16 +261,16 @@ func (t *Tracker) bumpN(h int32, order int, key uint64, n uint32) {
 		e := &tb[i]
 		if e.n == 0 {
 			if 4*int(t.fill[fi]+1) > 3*t.cfg.MaxCtx {
-				t.ovf[fi] += uint64(n)
+				t.ovf[fi]++
 				return
 			}
 			e.key = key
-			e.n = n
+			e.n = 1
 			t.fill[fi]++
 			return
 		}
 		if e.key == key {
-			e.n += n
+			e.n++
 			return
 		}
 	}
@@ -338,7 +335,7 @@ func (t *Tracker) ObserveRun(pc uint64, values []uint64, hits [][]byte) {
 		ctx, mul := uint64(0), uint64(1)
 		for o := 0; o <= K; o++ {
 			if uint64(o) <= s.events {
-				t.bumpN(h, o, ctx*t.base+uint64(sym), 1)
+				t.bump(h, o, ctx*t.base+uint64(sym))
 			}
 			if o < K {
 				ctx += uint64(hist[o]) * mul
@@ -477,7 +474,6 @@ func (t *Tracker) Reset() {
 	t.st = t.st[:0]
 	t.win = t.win[:0]
 	t.dict = t.dict[:0]
-	t.symv = t.symv[:0]
 	t.hist = t.hist[:0]
 	t.cnt = t.cnt[:0]
 	t.fill = t.fill[:0]
@@ -504,81 +500,4 @@ func (t *Tracker) classOf(h int32) seqclass.Kind {
 		buf = append(buf, win[(start+i)%t.cfg.Window])
 	}
 	return seqclass.Classify(buf, t.cfg.Window/2)
-}
-
-// Merge folds o's observations into t. Both trackers must share the same
-// normalized Config shape (MaxOrder, MaxValues, MaxCtx, Window) and
-// predictor list. Count statistics merge exactly (and associatively) as
-// long as neither side overflowed its tables or alphabet; stream-tail
-// state (previous value/delta, history, window) is taken from whichever
-// side has seen more events at that PC.
-func (t *Tracker) Merge(o *Tracker) {
-	if o == nil || o.idx.Len() == 0 {
-		return
-	}
-	if t.npred == 0 {
-		t.setPreds(o.names)
-	}
-	K := t.cfg.MaxOrder
-	W := t.cfg.Window
-	for oh := int32(0); int(oh) < len(o.pcs); oh++ {
-		pc := o.pcs[oh]
-		_, existed := t.idx.Lookup(pc)
-		h := t.handle(pc)
-		os := &o.st[oh]
-		if !existed {
-			// Fast path: byte-copy every slab for a PC only o has seen.
-			t.st[h] = *os
-			copy(t.win[int(h)*W:(int(h)+1)*W], o.win[int(oh)*W:(int(oh)+1)*W])
-			copy(t.dict[int(h)*t.dictCap:(int(h)+1)*t.dictCap], o.dict[int(oh)*o.dictCap:(int(oh)+1)*o.dictCap])
-			copy(t.symv[int(h)*t.cfg.MaxValues:(int(h)+1)*t.cfg.MaxValues], o.symv[int(oh)*o.cfg.MaxValues:(int(oh)+1)*o.cfg.MaxValues])
-			copy(t.hist[int(h)*K:(int(h)+1)*K], o.hist[int(oh)*K:(int(oh)+1)*K])
-			cw := (K + 1) * t.cfg.MaxCtx
-			copy(t.cnt[int(h)*cw:(int(h)+1)*cw], o.cnt[int(oh)*cw:(int(oh)+1)*cw])
-			copy(t.fill[int(h)*(K+1):(int(h)+1)*(K+1)], o.fill[int(oh)*(K+1):(int(oh)+1)*(K+1)])
-			copy(t.ovf[int(h)*(K+1):(int(h)+1)*(K+1)], o.ovf[int(oh)*(K+1):(int(oh)+1)*(K+1)])
-			copy(t.predHits[int(h)*t.npred:(int(h)+1)*t.npred], o.predHits[int(oh)*o.npred:(int(oh)+1)*o.npred])
-			continue
-		}
-		// Slow path: same PC on both sides. Remap o's symbols into t's
-		// alphabet, then re-key and sum every count.
-		remap := make([]uint16, o.cfg.MaxValues+1)
-		for sym := 0; sym < int(os.syms); sym++ {
-			remap[sym] = t.symbolFor(h, o.symv[int(oh)*o.cfg.MaxValues+sym])
-		}
-		remap[o.cfg.MaxValues] = uint16(t.cfg.MaxValues) // escape stays escape
-		for order := 0; order <= K; order++ {
-			for _, e := range o.table(oh, order) {
-				if e.n == 0 {
-					continue
-				}
-				key, mul := uint64(0), uint64(1)
-				rk := e.key
-				for d := 0; d <= order; d++ {
-					key += uint64(remap[rk%o.base]) * mul
-					rk /= o.base
-					mul *= t.base
-				}
-				t.bumpN(h, order, key, e.n)
-			}
-			t.ovf[int(h)*(K+1)+order] += o.ovf[int(oh)*(K+1)+order]
-		}
-		for i := 0; i < t.npred; i++ {
-			t.predHits[int(h)*t.npred+i] += o.predHits[int(oh)*o.npred+i]
-		}
-		ts := &t.st[h]
-		if os.events > ts.events {
-			ts.prev, ts.prevDelta = os.prev, os.prevDelta
-			ts.winLen, ts.winPos = os.winLen, os.winPos
-			copy(t.win[int(h)*W:(int(h)+1)*W], o.win[int(oh)*W:(int(oh)+1)*W])
-			for j := 0; j < K; j++ { // o's history carries o's symbol IDs
-				t.hist[int(h)*K+j] = remap[o.hist[int(oh)*K+j]]
-			}
-		}
-		ts.events += os.events
-		ts.lvHits += os.lvHits
-		ts.stHits += os.stHits
-		ts.gapHigh = ts.gapHigh || os.gapHigh
-	}
-	t.events += o.events
 }

@@ -1,8 +1,11 @@
 package predstat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -120,129 +123,59 @@ func TestLastValueStrideCeilings(t *testing.T) {
 	}
 }
 
-// mergeStats extracts the order-dependent-free statistics compared by the
-// associativity tests.
-type mergeStats struct {
-	events  uint64
-	entropy map[uint64][4]float64 // pc → entropy at orders 0..3
-	ceil    map[uint64][4]float64
-	gaps    []PredGap
-}
-
-func statsOf(tr *Tracker) mergeStats {
-	ms := mergeStats{
-		events:  tr.events,
-		entropy: map[uint64][4]float64{},
-		ceil:    map[uint64][4]float64{},
-	}
-	for h := int32(0); int(h) < len(tr.pcs); h++ {
-		var e, c [4]float64
-		for o := 0; o <= 3; o++ {
-			e[o], c[o], _ = tr.orderStats(h, o)
-		}
-		ms.entropy[tr.pcs[h]] = e
-		ms.ceil[tr.pcs[h]] = c
-	}
-	ms.gaps = tr.Report(100).GapByPred
-	return ms
-}
-
-func (a mergeStats) equal(t *testing.T, b mergeStats, label string) {
+// sameReport fails t unless got and want agree field by field, with
+// floating-point fields within 1e-9: a merge sums them in another order.
+// EntropyBits holds one unordered sample per PC, so both are compared
+// sorted.
+func sameReport(t *testing.T, got, want *Report) {
 	t.Helper()
-	if a.events != b.events {
-		t.Errorf("%s: events %d vs %d", label, a.events, b.events)
-	}
-	if len(a.entropy) != len(b.entropy) {
-		t.Fatalf("%s: pc count %d vs %d", label, len(a.entropy), len(b.entropy))
-	}
-	for pc, e := range a.entropy {
-		be, ok := b.entropy[pc]
-		if !ok {
-			t.Fatalf("%s: pc %d missing", label, pc)
-		}
-		for o := range e {
-			if math.Abs(e[o]-be[o]) > 1e-9 {
-				t.Errorf("%s: pc %d order %d entropy %.12f vs %.12f", label, pc, o, e[o], be[o])
+	slices.Sort(got.EntropyBits)
+	slices.Sort(want.EntropyBits)
+	var walk func(path string, g, w reflect.Value)
+	walk = func(path string, g, w reflect.Value) {
+		switch g.Kind() {
+		case reflect.Float64:
+			if math.Abs(g.Float()-w.Float()) > 1e-9 {
+				t.Errorf("%s = %.12g, want %.12g", path, g.Float(), w.Float())
 			}
-			if math.Abs(a.ceil[pc][o]-b.ceil[pc][o]) > 1e-9 {
-				t.Errorf("%s: pc %d order %d ceiling mismatch", label, pc, o)
+		case reflect.Pointer:
+			walk(path, g.Elem(), w.Elem())
+		case reflect.Struct:
+			for i := 0; i < g.NumField(); i++ {
+				walk(path+"."+g.Type().Field(i).Name, g.Field(i), w.Field(i))
+			}
+		case reflect.Slice:
+			if g.Len() != w.Len() {
+				t.Errorf("%s has %d entries, want %d", path, g.Len(), w.Len())
+				return
+			}
+			for i := 0; i < g.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), g.Index(i), w.Index(i))
+			}
+		case reflect.Map:
+			if g.Len() != w.Len() {
+				t.Errorf("%s has %d keys, want %d", path, g.Len(), w.Len())
+				return
+			}
+			for _, k := range w.MapKeys() {
+				if !g.MapIndex(k).IsValid() {
+					t.Errorf("%s lacks key %v", path, k)
+					continue
+				}
+				walk(fmt.Sprintf("%s[%v]", path, k), g.MapIndex(k), w.MapIndex(k))
+			}
+		default:
+			if g.Interface() != w.Interface() {
+				t.Errorf("%s = %v, want %v", path, g.Interface(), w.Interface())
 			}
 		}
 	}
-	for i := range a.gaps {
-		if a.gaps[i].Hits != b.gaps[i].Hits || a.gaps[i].Events != b.gaps[i].Events ||
-			math.Abs(a.gaps[i].CeilWeighted-b.gaps[i].CeilWeighted) > 1e-6 {
-			t.Errorf("%s: pred %s gap sums differ", label, a.gaps[i].Name)
-		}
-	}
+	walk("Report", reflect.ValueOf(got), reflect.ValueOf(want))
 }
 
-// TestMergeAssociativity checks that folding shard trackers together is
-// associative in every count-derived statistic, across both disjoint and
-// shared PCs (shared PCs exercise the symbol-remapping path: each stream
-// meets the values in a different order, so symbol IDs differ per side).
-func TestMergeAssociativity(t *testing.T) {
-	cfg := Config{MaxOrder: 3, MaxValues: 16, MaxCtx: 1024, MinEvents: 1, PredNames: []string{"l", "fcm3"}}
-	rng := rand.New(rand.NewSource(11))
-	streams := make(map[int]map[uint64][]uint64) // part → pc → values
-	for part := 0; part < 3; part++ {
-		streams[part] = map[uint64][]uint64{}
-		for _, pc := range []uint64{100 + uint64(part), 500, 600} { // 500/600 shared
-			n := 64 + rng.Intn(200)
-			vals := make([]uint64, n)
-			for i := range vals {
-				vals[i] = uint64(rng.Intn(5)) * 77
-			}
-			streams[part][pc] = vals
-		}
-	}
-	build := func(part int) *Tracker {
-		tr := NewTracker(cfg)
-		for pc, vals := range streams[part] {
-			hits := [][]byte{make([]byte, 0), make([]byte, 0)}
-			for range vals {
-				hits[0] = append(hits[0], byte(rng.Intn(2)))
-				hits[1] = append(hits[1], 1)
-			}
-			// deliver as one run per stream for simplicity
-			tr.ObserveRun(pc, vals, hits)
-		}
-		return tr
-	}
-	// hits are randomized per build call; freeze them by seeding per part
-	buildDet := func(part int) *Tracker {
-		rng = rand.New(rand.NewSource(int64(1000 + part)))
-		return build(part)
-	}
-
-	ab := buildDet(0)
-	ab.Merge(buildDet(1))
-	abc := ab
-	abc.Merge(buildDet(2))
-
-	bc := buildDet(1)
-	bc.Merge(buildDet(2))
-	abc2 := buildDet(0)
-	abc2.Merge(bc)
-
-	statsOf(abc).equal(t, statsOf(abc2), "(a+b)+c vs a+(b+c)")
-
-	// And against the union computed directly: a tracker that saw each
-	// part's stream per PC back to back would differ at run boundaries,
-	// so instead compare the merged order-0 totals, which are boundary-free.
-	want := uint64(0)
-	for part := 0; part < 3; part++ {
-		for _, vals := range streams[part] {
-			want += uint64(len(vals))
-		}
-	}
-	if abc.events != want {
-		t.Errorf("merged events %d, want %d", abc.events, want)
-	}
-}
-
-// TestMergeDisjointMatchesSingle: merging trackers over disjoint PC sets
-// is exactly the tracker that saw everything (same single-writer order).
+// TestMergeDisjointMatchesSingle: the reports of trackers over disjoint
+// PC sets, merged with Report.Merge as the server merges its shards',
+// equal the report of one tracker that saw every PC.
 func TestMergeDisjointMatchesSingle(t *testing.T) {
 	cfg := Config{MinEvents: 1, PredNames: []string{"l"}}
 	rng := rand.New(rand.NewSource(3))
@@ -261,21 +194,11 @@ func TestMergeDisjointMatchesSingle(t *testing.T) {
 		one.ObserveRun(pc, vals, hits)
 		parts[pc%2].ObserveRun(pc, vals, hits)
 	}
-	merged := NewTracker(cfg)
-	merged.Merge(parts[0])
-	merged.Merge(parts[1])
-	statsOf(one).equal(t, statsOf(merged), "single vs merged-disjoint")
-	// Disjoint merge copies tail state too, so full reports agree.
-	a, b := one.Report(10), merged.Report(10)
-	if a.Reported != b.Reported || a.PCs != b.PCs {
-		t.Fatalf("report shape differs: %+v vs %+v", a, b)
+	merged := &Report{}
+	for _, p := range parts {
+		merged.Merge(p.Report(10), 10)
 	}
-	for i := range a.Hardest {
-		if a.Hardest[i].PC != b.Hardest[i].PC || a.Hardest[i].Class != b.Hardest[i].Class ||
-			math.Abs(a.Hardest[i].EntropyBits-b.Hardest[i].EntropyBits) > 1e-9 {
-			t.Errorf("hardest[%d] differs: %+v vs %+v", i, a.Hardest[i], b.Hardest[i])
-		}
-	}
+	sameReport(t, merged, one.Report(10))
 }
 
 // TestClassLabeling checks the live window labeling against the paper's

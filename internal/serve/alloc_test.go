@@ -1,28 +1,41 @@
 package serve
 
 import (
+	"fmt"
 	"testing"
 )
 
-// TestClientSteadyStateZeroAlloc pins the client-side half of the
-// serving hot path (the ROADMAP's "client-side (driver) buffer pooling"
-// item): once the send scratch, receive scratch and result buffers have
-// grown to the workload's batch size, a synchronous send → flush →
-// receive round trip allocates nothing on the client goroutine. The
-// server side's steady state is covered separately (its pending/event
-// buffers are pooled); AllocsPerRun only counts the calling goroutine.
+// TestClientSteadyStateZeroAlloc pins the serving hot path's steady
+// state end to end: once the client's send and receive scratch, the
+// server's decode scratch and its pooled request arrays have grown to
+// the workload's batch size, a synchronous send → flush → receive round
+// trip allocates nothing. testing.AllocsPerRun reads the process-wide
+// malloc count, so this gates both sides of every round trip: the
+// client's encode and decode, and the server's decode → dispatch → shard
+// step → reply path. It runs with two shards and with one, which has no
+// path of its own.
 func TestClientSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s, err := New(Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{2, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, err := New(Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Start("127.0.0.1:0", ""); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			roundTripZeroAlloc(t, s)
+		})
 	}
-	if err := s.Start("127.0.0.1:0", ""); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+}
+
+// roundTripZeroAlloc warms one connection to s, then fails if a
+// steady-state round trip allocates.
+func roundTripZeroAlloc(t *testing.T, s *Server) {
 	c, err := Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +74,6 @@ func TestClientSteadyStateZeroAlloc(t *testing.T) {
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("client round trip allocates %.1f allocs in steady state", allocs)
+		t.Fatalf("round trip allocates %.1f allocs in steady state", allocs)
 	}
 }

@@ -256,7 +256,6 @@ func (s *Server) Restore(snap *snapshot.Snapshot) error {
 		events += snap.Shards[i].Events
 	}
 	dur := time.Since(t0)
-	s.eventsServed.Store(events)
 	s.restoredID = snap.Meta.ID
 	s.restoredAt = time.Now()
 	s.metrics.restoreTotal.Inc()
@@ -324,20 +323,19 @@ func (s *Server) RestoredFrom() string { return s.restoredID }
 // It is the offline half of the warm-restart parity check: feed it the
 // post-checkpoint remainder of a stream and its tallies must match what
 // a server restored from the same snapshot returns for that remainder.
-// Replay runs through core.Bank.StepBatch — the same batch path the
+// Replay buckets events by shard with the server's dispatch function and
+// runs them through core.Bank.StepBatch — the same batch path the
 // server's shard loop uses — so online serving and offline warm replay
 // execute identical code.
 type WarmBank struct {
 	names  []string
 	shards []*core.Bank
 	events uint64
-	// Batch scratch: shard bucketing counters/cursors and the SoA split,
-	// grouped by shard, all reused across StepBatch calls.
-	cnt   []int
-	pos   []int
-	spcs  []uint64
-	svals []uint64
-	one   [2]uint64 // Step's 1-event batch (pc, value)
+	// Batch scratch, reused across StepBatch calls: one chunk's pcs and
+	// values, the same chunk bucketed by shard, and the shard ends.
+	pcs, vals   []uint64
+	spcs, svals []uint64
+	ends        []int
 }
 
 // warmChunk bounds the events one StepBatch call buckets at once, so
@@ -366,8 +364,7 @@ func NewWarmBank(snap *snapshot.Snapshot) (*WarmBank, error) {
 	b := &WarmBank{
 		names:  append([]string(nil), snap.Meta.Predictors...),
 		shards: make([]*core.Bank, len(banks)),
-		cnt:    make([]int, len(banks)),
-		pos:    make([]int, len(banks)),
+		ends:   make([]int, len(banks)),
 	}
 	for si, preds := range banks {
 		b.shards[si] = core.NewBank(preds...)
@@ -379,62 +376,30 @@ func NewWarmBank(snap *snapshot.Snapshot) (*WarmBank, error) {
 // predictions exactly like the server's shard loop. Streams long enough
 // to batch should go through StepBatch.
 func (b *WarmBank) Step(pc, value uint64) {
-	bank := b.shards[0]
-	if len(b.shards) > 1 {
-		bank = b.shards[ShardOf(pc, len(b.shards))]
-	}
-	b.one[0], b.one[1] = pc, value
-	bank.StepBatch(b.one[:1], b.one[1:2])
-	b.events++
+	b.StepBatch([]Event{{PC: pc, Value: value}})
 }
 
 // StepBatch replays a batch of events: each chunk is bucketed stably by
-// owning shard (the transformation the server's dispatch applies) and
-// fed to the per-shard banks through the shared batch path.
+// owning shard through bucketByShard, the function the server's dispatch
+// uses, and each shard's run is fed to its bank through the shared batch
+// path.
 func (b *WarmBank) StepBatch(evs []Event) {
-	nshards := len(b.shards)
 	for off := 0; off < len(evs); off += warmChunk {
 		chunk := evs[off:min(off+warmChunk, len(evs))]
-		n := len(chunk)
-		if cap(b.spcs) < n {
-			b.spcs = make([]uint64, n)
-			b.svals = make([]uint64, n)
-		}
-		pcs, vals := b.spcs[:n], b.svals[:n]
-		if nshards == 1 {
-			for j, ev := range chunk {
-				pcs[j] = ev.PC
-				vals[j] = ev.Value
-			}
-			b.shards[0].StepBatch(pcs, vals)
-			b.events += uint64(n)
-			continue
-		}
-		for i := range b.cnt {
-			b.cnt[i] = 0
-		}
+		b.pcs, b.vals = b.pcs[:0], b.vals[:0]
 		for _, ev := range chunk {
-			b.cnt[ShardOf(ev.PC, nshards)]++
+			b.pcs = append(b.pcs, ev.PC)
+			b.vals = append(b.vals, ev.Value)
 		}
-		o := 0
-		for i, c := range b.cnt {
-			b.pos[i] = o
-			o += c
-		}
-		for _, ev := range chunk {
-			sh := ShardOf(ev.PC, nshards)
-			pcs[b.pos[sh]] = ev.PC
-			vals[b.pos[sh]] = ev.Value
-			b.pos[sh]++
-		}
-		o = 0
-		for i, c := range b.cnt {
-			if c > 0 {
-				b.shards[i].StepBatch(pcs[o:o+c], vals[o:o+c])
+		b.spcs, b.svals = bucketByShard(b.pcs, b.vals, b.spcs, b.svals, b.ends)
+		lo := 0
+		for i, hi := range b.ends {
+			if hi > lo {
+				b.shards[i].StepBatch(b.spcs[lo:hi], b.svals[lo:hi])
 			}
-			o += c
+			lo = hi
 		}
-		b.events += uint64(n)
+		b.events += uint64(len(chunk))
 	}
 }
 

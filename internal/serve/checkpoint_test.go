@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"slices"
@@ -393,6 +394,44 @@ func TestStatsReportsRestoreProvenance(t *testing.T) {
 	}
 	if warm.Events != 8000 {
 		t.Fatalf("restored server reports %d events, want 8000", warm.Events)
+	}
+}
+
+// TestStatsRateCountsServedEventsOnly: a warm server's events_per_sec
+// is a serving rate, so the events its restore loaded must not count.
+// Restored from N events and then served M, /stats reports N+M events
+// but a rate whose product with the uptime is M.
+func TestStatsRateCountsServedEventsOnly(t *testing.T) {
+	evs, _ := capturedStream(t)
+	const restored, served = 6000, 4000
+	a := startTestServer(t, 2, "")
+	driveAll(t, a, evs[:restored], 1)
+	info, err := a.Shutdown(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.ReadFile(info.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	driveAll(t, b, evs[restored:restored+served], 2)
+	st := b.Stats()
+	if st.Events != restored+served {
+		t.Fatalf("stats events = %d, want %d", st.Events, restored+served)
+	}
+	if got := st.EventsPerSec * st.UptimeSec; math.Abs(got-served) > 1e-6*served {
+		t.Fatalf("events_per_sec × uptime_sec = %.3f, want the %d served events", got, served)
 	}
 }
 

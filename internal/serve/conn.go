@@ -16,14 +16,14 @@ import (
 const respQueueDepth = 32
 
 // handleConn speaks the binary protocol on one connection. The reader
-// (this goroutine) decodes each events frame, buckets it stably by shard
-// and dispatches the sub-batches; a writer goroutine emits results in
-// request order as shards complete them, so independent requests pipeline
-// while responses stay FIFO.
+// (this goroutine) decodes each events frame into pcs/vals arrays,
+// buckets them stably by shard and dispatches the sub-batches; a writer
+// goroutine emits results in request order as shards complete them, so
+// independent requests pipeline while responses stay FIFO.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	bw := bufio.NewWriterSize(conn, 1<<16)
-	hello := appendHello(nil, len(s.shards), s.eventsServed.Load(), s.predNames)
+	hello := appendHello(nil, len(s.shards), s.lifetimeEvents(), s.predNames)
 	if err := writeFrame(bw, hello); err != nil {
 		return
 	}
@@ -95,11 +95,9 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReaderSize(conn, 1<<16)
-	nshards := len(s.shards)
 	var frame []byte
-	var scratch []Event // conn-local decode target, reused every frame
-	cnt := make([]int, nshards)
-	pos := make([]int, nshards)
+	var pcs, vals []uint64 // conn-local decode target, reused every frame
+	ends := make([]int, len(s.shards))
 	var readErr error
 	for {
 		var err error
@@ -110,7 +108,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		s.metrics.framesIn.Inc()
 		s.metrics.bytesIn.Add(uint64(4 + len(frame)))
-		tctx, evs, err := decodeRequest(frame, scratch[:0])
+		var tctx otrace.Context
+		tctx, pcs, vals, err = decodeRequest(frame, pcs[:0], vals[:0])
 		if err != nil {
 			s.metrics.decodeErrors.Inc()
 			// A traced frame whose body failed to decode is a degraded
@@ -122,8 +121,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			readErr = err
 			break
 		}
-		scratch = evs
-		p := s.dispatch(evs, cnt, pos, tctx)
+		p := s.dispatch(pcs, vals, ends, tctx)
 		resp <- p
 		s.metrics.pipelineHW.SetMax(int64(len(resp)))
 	}
@@ -136,12 +134,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// dispatch copies one request's events into a pooled request-owned buffer
-// (bucketed stably by shard when there are several), and mails each
-// non-empty sub-batch. cnt and pos are caller-owned scratch (one slot per
-// shard); evs is the caller's decode scratch and may be reused as soon as
-// dispatch returns — the shards only ever see the pooled copy, which the
-// response writer recycles when the request completes.
+// dispatch buckets one request's events by shard into the arrays of a
+// pooled pending (the one copy between decode and the banks) and mails
+// each non-empty sub-batch. ends is caller-owned scratch, one slot per
+// shard; pcs and vals are the caller's decode scratch and may be reused
+// as soon as dispatch returns — the shards only ever see the pending's
+// arrays, which the response writer recycles when the request
+// completes.
 //
 // The shared cut lock is held across the sends so a concurrent
 // checkpoint's capture markers can never land between two shards of the
@@ -152,69 +151,34 @@ func (s *Server) handleConn(conn net.Conn) {
 // cut-lock acquisition + mailbox sends — where backpressure and
 // checkpoint interference surface) and marks the request degraded when
 // it lands on an already-full mailbox.
-func (s *Server) dispatch(evs []Event, cnt, pos []int, tctx otrace.Context) *pending {
+func (s *Server) dispatch(pcs, vals []uint64, ends []int, tctx otrace.Context) *pending {
 	startNs := time.Now().UnixNano()
-	s.eventsServed.Add(uint64(len(evs)))
-	s.metrics.events.Add(uint64(len(evs)))
-	nshards := len(s.shards)
+	s.metrics.events.Add(uint64(len(pcs)))
 	p := getPending()
 	p.ctx, p.start, p.degraded = tctx, startNs, ""
-	if cap(p.buf) < len(evs) {
-		p.buf = make([]Event, len(evs))
+	p.pcs, p.vals = bucketByShard(pcs, vals, p.pcs, p.vals, ends)
+	parts, lo := 0, 0
+	for _, hi := range ends {
+		if hi > lo {
+			parts++
+		}
+		lo = hi
 	}
-	owned := p.buf[:len(evs)]
-	p.buf = owned
-	if nshards == 1 {
-		copy(owned, evs)
-		p.init(len(s.predNames), len(evs), boolToInt(len(evs) > 0))
-		s.cutMu.RLock()
-		defer s.cutMu.RUnlock()
-		if len(evs) > 0 {
-			sh := s.shards[0]
+	p.init(len(s.predNames), len(pcs), parts)
+	s.cutMu.RLock()
+	defer s.cutMu.RUnlock()
+	lo = 0
+	for i, hi := range ends {
+		if hi > lo {
+			sh := s.shards[i]
 			if tctx.Valid() && len(sh.mailbox) == cap(sh.mailbox) {
 				p.degraded = "mailbox_saturated"
 			}
-			sh.mailbox <- shardMsg{events: owned, req: p, ctx: tctx, sentNs: startNs}
+			sh.mailbox <- shardMsg{pcs: p.pcs[lo:hi], vals: p.vals[lo:hi], req: p, ctx: tctx, sentNs: startNs}
 		}
-		s.recordEnqueue(tctx, startNs, len(evs))
-		return p
+		lo = hi
 	}
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for i := range evs {
-		cnt[ShardOf(evs[i].PC, nshards)]++
-	}
-	parts := 0
-	off := 0
-	for i, c := range cnt {
-		pos[i] = off
-		off += c
-		if c > 0 {
-			parts++
-		}
-	}
-	for i := range evs {
-		sh := ShardOf(evs[i].PC, nshards)
-		owned[pos[sh]] = evs[i]
-		pos[sh]++
-	}
-	p.init(len(s.predNames), len(evs), parts)
-	s.cutMu.RLock()
-	defer s.cutMu.RUnlock()
-	off = 0
-	for i, c := range cnt {
-		if c == 0 {
-			continue
-		}
-		sh := s.shards[i]
-		if tctx.Valid() && len(sh.mailbox) == cap(sh.mailbox) {
-			p.degraded = "mailbox_saturated"
-		}
-		sh.mailbox <- shardMsg{events: owned[off : off+c], req: p, ctx: tctx, sentNs: startNs}
-		off += c
-	}
-	s.recordEnqueue(tctx, startNs, len(evs))
+	s.recordEnqueue(tctx, startNs, len(pcs))
 	return p
 }
 
@@ -229,11 +193,4 @@ func (s *Server) recordEnqueue(tctx otrace.Context, startNs int64, events int) {
 		Stage: otrace.StageEnqueue, Shard: -1, Pred: -1,
 		Start: startNs, Dur: time.Now().UnixNano() - startNs, N: uint64(events),
 	})
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -21,9 +21,11 @@ const defaultFullEvery = 8
 // chainState tracks the live delta chain between checkpoints. Mutated
 // only under ckptMu.
 type chainState struct {
-	tipID     string
-	depth     int
-	sinceFull int
+	// tipID and depth name the chain tip and its delta links past the
+	// root: 0 right after a root, so depth also counts the deltas since
+	// the last full.
+	tipID string
+	depth int
 	// poisoned forces the next cut to be a root: set when a capture or
 	// write failed (shards may have reset dirty bits for a checkpoint
 	// that never landed) and cleared by the next durable root.
@@ -35,15 +37,13 @@ type chainState struct {
 func (s *Server) cutDelta(forceFull bool) bool {
 	st := &s.chain
 	return s.cfg.DeltaCheckpoints && !forceFull && !st.poisoned &&
-		st.tipID != "" && st.sinceFull < s.cfg.FullEvery
+		st.tipID != "" && st.depth < s.cfg.FullEvery
 }
 
 // advance makes the durable checkpoint described by m the chain tip.
 func (st *chainState) advance(m snapshot.Meta) {
 	st.tipID, st.depth = m.ID, m.Depth
 	if m.ParentID == "" {
-		st.sinceFull, st.poisoned = 0, false
-	} else {
-		st.sinceFull++
+		st.poisoned = false
 	}
 }

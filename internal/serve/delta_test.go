@@ -346,6 +346,39 @@ func TestFullCheckpointSweepsOlder(t *testing.T) {
 	}
 }
 
+// TestFullEveryBoundsTheChain: with FullEvery 2 and traffic between
+// cuts, the cut after two deltas roots a fresh chain, and that durable
+// full sweeps the old chain from the directory.
+func TestFullEveryBoundsTheChain(t *testing.T) {
+	evs, _ := capturedStream(t)
+	dir := t.TempDir()
+	s, err := New(Config{Shards: 2, DeltaCheckpoints: true, FullEvery: 2, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := []struct {
+		kind  string
+		depth int
+	}{{"full", 0}, {"delta", 1}, {"delta", 2}, {"full", 0}}
+	var last CheckpointInfo
+	for i, w := range want {
+		driveAll(t, s, evs[i*1000:(i+1)*1000], 1)
+		if last, err = s.WriteCheckpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+		if last.Kind != w.kind || last.Depth != w.depth {
+			t.Fatalf("cut %d is %s at depth %d, want %s at depth %d", i, last.Kind, last.Depth, w.kind, w.depth)
+		}
+	}
+	if files := checkpointFiles(t, dir); !slices.Equal(files, []string{last.Path}) {
+		t.Fatalf("after the forced full the dir holds %v, want only %s", files, last.Path)
+	}
+}
+
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
 	fi, err := os.Stat(path)

@@ -10,10 +10,10 @@ import (
 )
 
 // FuzzFrameDecode drives arbitrary bytes through the connection reader's
-// decode path — readFrame, then decodeRequest into reused scratch, the
-// two calls handleConn makes — frame after frame until the stream fails.
-// It must never panic, and every frame it accepts must re-encode to a
-// frame that decodes to the same trace context and events.
+// decode path — readFrame, then decodeRequest into reused pcs/vals
+// scratch, the two calls handleConn makes — frame after frame until the
+// stream fails. It must never panic, and every frame it accepts must
+// re-encode to a frame that decodes to the same trace context and events.
 func FuzzFrameDecode(f *testing.F) {
 	evs := []Event{{PC: 0x400, Value: 42}, {PC: 1 << 62, Value: ^uint64(0)}, {}}
 	var seed bytes.Buffer
@@ -45,19 +45,19 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		var frame []byte
-		var scratch []Event
+		var pcs, vals []uint64
 		for {
 			var err error
 			if frame, err = readFrame(br, frame); err != nil {
 				return
 			}
 			var ctx otrace.Context
-			if ctx, scratch, err = decodeRequest(frame, scratch[:0]); err != nil {
+			if ctx, pcs, vals, err = decodeRequest(frame, pcs[:0], vals[:0]); err != nil {
 				return
 			}
-			gotCtx, got, err := decodeRequest(appendEvents(nil, scratch, ctx), nil)
-			if err != nil || gotCtx != ctx || !slices.Equal(got, scratch) {
-				t.Fatalf("round trip: %+v, %d events, %v; want %+v, %d events", gotCtx, len(got), err, ctx, len(scratch))
+			gotCtx, gotPCs, gotVals, err := decodeRequest(appendEvents(nil, eventsOf(pcs, vals), ctx), nil, nil)
+			if err != nil || gotCtx != ctx || !slices.Equal(gotPCs, pcs) || !slices.Equal(gotVals, vals) {
+				t.Fatalf("round trip: %+v, %d events, %v; want %+v, %d events", gotCtx, len(gotPCs), err, ctx, len(pcs))
 			}
 		}
 	})

@@ -19,7 +19,7 @@ import (
 //	                monitor intervals, HTTP 503 with
 //	                {"status":"degraded","reasons":[...]}
 //	GET  /stats     full Snapshot (aggregate + per-shard accuracy, events/sec,
-//	                unique PCs, table occupancy, approximate state bytes,
+//	                unique PCs, table occupancy, exact state bytes,
 //	                protocol and checkpoint counters, restore provenance)
 //	GET  /metrics   Prometheus text exposition of every vp_* series
 //	GET  /events    the stage-event trace ring (checkpoints, restores,

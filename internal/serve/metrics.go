@@ -165,7 +165,7 @@ func newServerMetrics(start time.Time, nshards int, predNames []string) *serverM
 			// single-writer on the hot path, scrapes merge them.
 			batchEvents:  r.Histogram("vp_batch_events", "events per applied shard sub-batch"),
 			batchNs:      r.Histogram("vp_batch_ns", "ns per shard predict+update batch (core.Bank step)"),
-			batchPCRuns:  r.Histogram("vp_batch_pc_runs", "distinct same-PC runs per applied sub-batch (arrival order)"),
+			batchPCRuns:  r.Histogram("vp_batch_pc_runs", "same-PC runs the bank grouped each applied sub-batch into (its distinct PCs)"),
 			mailboxDepth: r.Gauge("vp_shard_mailbox_depth", "queued mailbox entries, per shard", "shard", sid),
 			mailboxHW:    r.Gauge("vp_shard_mailbox_highwater", "deepest mailbox observed, per shard", "shard", sid),
 			uniquePCs:    r.Gauge("vp_shard_unique_pcs", "distinct PCs seen, per shard", "shard", sid),

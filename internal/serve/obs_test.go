@@ -147,6 +147,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchPCRunsCountsDistinctPCs pins what vp_batch_pc_runs measures:
+// the same-PC runs the bank grouped a sub-batch into, one per distinct
+// PC, not the PC changes in arrival order. One request with PCs a, b, a,
+// b on a one-shard server is one sub-batch of two runs.
+func TestBatchPCRunsCountsDistinctPCs(t *testing.T) {
+	s := startTestServer(t, 1, "")
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Do([]Event{{PC: 4, Value: 1}, {PC: 8, Value: 2}, {PC: 4, Value: 3}, {PC: 8, Value: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if h := s.metrics.shards[0].batchPCRuns.Snapshot(); h.Count != 1 || h.Sum != 2 {
+		t.Fatalf("vp_batch_pc_runs holds %d samples summing to %d, want one sample of 2", h.Count, h.Sum)
+	}
+}
+
 // TestEventsEndpoint asserts checkpoint stage events land in the trace
 // ring and come back over GET /events.
 func TestEventsEndpoint(t *testing.T) {

@@ -4,8 +4,8 @@ import "sync"
 
 // pendingPool recycles request-lifetime objects so the serving hot path
 // is allocation-free in steady state: the pending itself, its per-request
-// event buffer (the copy the shards own until the request completes) and
-// the per-predictor tally slots are all reused. A pending returns to the
+// pcs/vals arrays (the bucketed copy the shards step until the request
+// completes) and the per-predictor tally slots are all reused. A pending returns to the
 // pool only after the response writer has consumed its done signal, so
 // reuse never races the shards.
 //

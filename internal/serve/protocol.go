@@ -186,56 +186,55 @@ func appendEvents(buf []byte, evs []Event, ctx otrace.Context) []byte {
 
 // decodeRequest is the connection reader's whole decode step for one
 // client frame payload as readFrame returns it (never empty): the type
-// byte, the trace header, then the events body, parsed into dst's backing
-// array as decodeEventsInto does. When only the body is malformed the
-// trace context is still returned, so a traced request that failed to
-// decode can be retained for inspection.
-func decodeRequest(p []byte, dst []Event) (otrace.Context, []Event, error) {
+// byte, the trace header, then the events body, parsed into the backing
+// arrays of pcs and vals as decodeEventsInto does. When only the body is
+// malformed the trace context is still returned, so a traced request
+// that failed to decode can be retained for inspection.
+func decodeRequest(p []byte, pcs, vals []uint64) (otrace.Context, []uint64, []uint64, error) {
 	if p[0] != msgEvents {
-		return otrace.Context{}, nil, fmt.Errorf("serve: unexpected message type %d", p[0])
+		return otrace.Context{}, nil, nil, fmt.Errorf("serve: unexpected message type %d", p[0])
 	}
 	ctx, body, err := decodeTraceHeader(p[1:])
 	if err != nil {
-		return otrace.Context{}, nil, err
+		return otrace.Context{}, nil, nil, err
 	}
-	evs, err := decodeEventsInto(body, dst)
-	return ctx, evs, err
+	pcs, vals, err = decodeEventsInto(body, pcs, vals)
+	return ctx, pcs, vals, err
 }
 
-// decodeEventsInto parses an events body (after the trace header) into
-// dst's backing array, growing it only when the batch outsizes every
-// previous one — the connection reader's steady state decodes with zero
-// allocation. The result is scratch: callers that need the events beyond
-// the next decode must copy them (dispatch copies into a pooled
-// request-owned buffer for the shards).
-func decodeEventsInto(p []byte, dst []Event) ([]Event, error) {
+// decodeEventsInto parses an events body (after the trace header)
+// straight into struct-of-arrays form, event j's PC in pcs[j] and its
+// value in vals[j], reusing both backing arrays and growing them only
+// when the batch outsizes every previous one — the connection reader's
+// steady state decodes with zero allocation. The result is scratch:
+// dispatch buckets it by shard into the request's own pooled arrays,
+// which is what the shards step.
+func decodeEventsInto(p []byte, pcs, vals []uint64) ([]uint64, []uint64, error) {
 	n, p, err := uvarint(p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Each event takes at least two bytes on the wire, so a count claiming
 	// more than len(p)/2 events is corrupt — reject it before allocating.
 	if n > uint64(len(p)/2) {
-		return nil, fmt.Errorf("serve: event count %d exceeds frame capacity", n)
+		return nil, nil, fmt.Errorf("serve: event count %d exceeds frame capacity", n)
 	}
-	if uint64(cap(dst)) < n {
-		dst = make([]Event, n)
+	if uint64(cap(pcs)) < n || uint64(cap(vals)) < n {
+		pcs, vals = make([]uint64, n), make([]uint64, n)
 	}
-	evs := dst[:n]
-	for i := range evs {
-		evs[i].PC, p, err = uvarint(p)
-		if err != nil {
-			return nil, err
+	pcs, vals = pcs[:n], vals[:n]
+	for i := range pcs {
+		if pcs[i], p, err = uvarint(p); err != nil {
+			return nil, nil, err
 		}
-		evs[i].Value, p, err = uvarint(p)
-		if err != nil {
-			return nil, err
+		if vals[i], p, err = uvarint(p); err != nil {
+			return nil, nil, err
 		}
 	}
 	if len(p) != 0 {
-		return nil, fmt.Errorf("serve: %d trailing bytes in events frame", len(p))
+		return nil, nil, fmt.Errorf("serve: %d trailing bytes in events frame", len(p))
 	}
-	return evs, nil
+	return pcs, vals, nil
 }
 
 // decodeTraceHeader splits an events payload (after the type byte) into

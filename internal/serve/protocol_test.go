@@ -26,13 +26,23 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// eventsOf zips decoded pcs/vals arrays back into the client's events.
+func eventsOf(pcs, vals []uint64) []Event {
+	evs := make([]Event, len(pcs))
+	for i := range evs {
+		evs[i] = Event{PC: pcs[i], Value: vals[i]}
+	}
+	return evs
+}
+
 func TestEventsRoundTrip(t *testing.T) {
 	in := []Event{{PC: 0x400, Value: 42}, {PC: 1 << 62, Value: ^uint64(0)}, {PC: 0, Value: 0}}
 	buf := appendEvents(nil, in, otrace.Context{})
-	ctx, out, err := decodeRequest(buf, nil)
+	ctx, pcs, vals, err := decodeRequest(buf, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := eventsOf(pcs, vals)
 	if ctx != (otrace.Context{}) || ctx.Valid() {
 		t.Fatalf("untraced frame decoded context %+v", ctx)
 	}
@@ -53,10 +63,11 @@ func TestEventsTracedRoundTrip(t *testing.T) {
 	if buf[0] != msgEvents {
 		t.Fatalf("type byte = %d", buf[0])
 	}
-	got, out, err := decodeRequest(buf, nil)
+	got, pcs, vals, err := decodeRequest(buf, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := eventsOf(pcs, vals)
 	if got != ctx {
 		t.Fatalf("context = %+v, want %+v", got, ctx)
 	}
@@ -77,14 +88,14 @@ func TestDecodeTraceHeaderMalformed(t *testing.T) {
 		if _, _, err := decodeTraceHeader(make([]byte, n)); err == nil {
 			t.Fatalf("truncated trace header (%d bytes) accepted", n)
 		}
-		if _, _, err := decodeRequest(append([]byte{msgEvents}, make([]byte, n)...), nil); err == nil {
+		if _, _, _, err := decodeRequest(append([]byte{msgEvents}, make([]byte, n)...), nil, nil); err == nil {
 			t.Fatalf("events frame with a %d-byte trace header accepted", n)
 		}
 	}
 	// Valid header, corrupt body: the error still carries the context.
 	ctx := otrace.Context{TraceID: 1, SpanID: 2}
 	buf := appendEvents(nil, []Event{{PC: 1, Value: 2}}, ctx)
-	got, _, err := decodeRequest(append(buf, 0xFF), nil)
+	got, _, _, err := decodeRequest(append(buf, 0xFF), nil, nil)
 	if err == nil {
 		t.Fatal("trailing bytes in traced body accepted")
 	}
@@ -123,21 +134,21 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	if _, err := decodeEventsInto([]byte{}, nil); err == nil {
+	if _, _, err := decodeEventsInto([]byte{}, nil, nil); err == nil {
 		t.Error("empty events payload accepted")
 	}
 	// Count says 2 events but only one follows.
-	if _, err := decodeEventsInto([]byte{2, 0x10, 0x20}, nil); err == nil {
+	if _, _, err := decodeEventsInto([]byte{2, 0x10, 0x20}, nil, nil); err == nil {
 		t.Error("short events payload accepted")
 	}
 	// Trailing garbage after a well-formed event.
 	buf := appendEvents(nil, []Event{{PC: 1, Value: 2}}, otrace.Context{})
-	if _, _, err := decodeRequest(append(buf, 0xFF), nil); err == nil {
+	if _, _, _, err := decodeRequest(append(buf, 0xFF), nil, nil); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// Any frame type but events (including v2's retired traced type 5).
 	for _, typ := range []byte{msgHello, msgResult, msgError, 5, 0x7F} {
-		if _, _, err := decodeRequest(append([]byte{typ}, buf[1:]...), nil); err == nil {
+		if _, _, _, err := decodeRequest(append([]byte{typ}, buf[1:]...), nil, nil); err == nil {
 			t.Errorf("client frame of type %d accepted", typ)
 		}
 	}
@@ -146,7 +157,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 	// Event count claiming more events than the frame could hold must be
 	// rejected before allocation.
-	if _, err := decodeEventsInto(binary.AppendUvarint(nil, 1<<20), nil); err == nil {
+	if _, _, err := decodeEventsInto(binary.AppendUvarint(nil, 1<<20), nil, nil); err == nil {
 		t.Error("oversized event count accepted")
 	}
 	if _, _, err := decodeResult([]byte{10}, 3); err == nil {

@@ -35,7 +35,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -73,6 +72,35 @@ func ShardOf(pc uint64, shards int) int {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return int(x % uint64(shards))
+}
+
+// bucketByShard copies the events (pcs[j], vals[j]) into dpcs and dvals,
+// grown as needed, grouped by owning shard in shard order and kept in
+// arrival order within each shard: the stable partition both dispatch
+// and WarmBank apply, at every shard count. ends has one slot per shard;
+// on return shard i's events are [ends[i-1], ends[i]) of the returned
+// arrays (from 0 for shard 0).
+func bucketByShard(pcs, vals, dpcs, dvals []uint64, ends []int) ([]uint64, []uint64) {
+	n := len(pcs)
+	if cap(dpcs) < n || cap(dvals) < n {
+		dpcs, dvals = make([]uint64, n), make([]uint64, n)
+	}
+	dpcs, dvals = dpcs[:n], dvals[:n]
+	clear(ends)
+	for _, pc := range pcs {
+		ends[ShardOf(pc, len(ends))]++
+	}
+	off := 0
+	for i, c := range ends { // counts to start offsets
+		ends[i] = off
+		off += c
+	}
+	for j, pc := range pcs { // each start advances to its shard's end
+		at := &ends[ShardOf(pc, len(ends))]
+		dpcs[*at], dvals[*at] = pc, vals[j]
+		*at++
+	}
+	return dpcs, dvals
 }
 
 // Config parameterizes a Server.
@@ -151,10 +179,6 @@ type Server struct {
 	predNames []string
 	shards    []*shard
 	start     time.Time
-	// eventsServed counts events dispatched over the server's lifetime;
-	// its connect-time value rides in the hello so clients can tell a
-	// fresh server from a warm one.
-	eventsServed atomic.Uint64
 
 	ln      net.Listener
 	httpLn  net.Listener
@@ -270,12 +294,11 @@ func New(cfg Config) (*Server, error) {
 		Registry: s.metrics.reg,
 	})
 	for i := range s.shards {
-		s.shards[i] = newShard(i, cfg.Predictors, cfg.MailboxDepth)
+		s.shards[i] = newShard(i, cfg.Predictors, cfg.MailboxDepth, s.metrics.shards[i])
 		if cfg.DeltaCheckpoints {
 			s.shards[i].dirtyTrack = true
 			s.shards[i].bank.SetDirtyTracking(true)
 		}
-		s.shards[i].met = s.metrics.shards[i]
 		s.shards[i].ring = s.ring
 		s.shards[i].tracer = s.tracer
 		if !cfg.PredstatDisabled {
@@ -529,7 +552,7 @@ func (s *Server) shutdown(ckptDir string) (CheckpointInfo, error) {
 		close(s.monitorStop)
 		<-s.monitorDone
 	}
-	s.ring.Add(obs.StageEvent{Kind: evDrain, Shard: -1, N: s.eventsServed.Load()})
+	s.ring.Add(obs.StageEvent{Kind: evDrain, Shard: -1, N: s.lifetimeEvents()})
 	// Drain in-flight HTTP handlers (which may be mid-Stats) before the
 	// mailboxes close underneath them.
 	if s.httpSrv != nil {
@@ -695,8 +718,19 @@ func (s *Server) Stats() Snapshot {
 			snap.Predictors[i].AccuracyPct = 100 * float64(snap.Predictors[i].Correct) / float64(t)
 		}
 	}
+	// The rate covers only what this process applied: each shard's
+	// events are its restored base plus its applied-events cell.
 	if snap.UptimeSec > 0 {
-		snap.EventsPerSec = float64(snap.Events) / snap.UptimeSec
+		served := snap.Events - uint64(s.metrics.restoredEvents.Load())
+		snap.EventsPerSec = float64(served) / snap.UptimeSec
 	}
 	return snap
+}
+
+// lifetimeEvents is the events of learning behind the server's state: the
+// restored base plus the events dispatched since start. Its value at
+// connect time rides in the hello, so clients can tell a fresh server
+// from a warm one.
+func (s *Server) lifetimeEvents() uint64 {
+	return uint64(s.metrics.restoredEvents.Load()) + s.metrics.events.Load()
 }

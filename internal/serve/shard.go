@@ -18,8 +18,10 @@ import (
 // signals done so the response writer can emit the result in request
 // order (and recycle the pending afterwards).
 type pending struct {
-	events    uint64
-	buf       []Event         // request-owned event copy the shards consume
+	events uint64
+	// pcs and vals are the request's events bucketed by shard, the
+	// request-owned arrays the shards step in place.
+	pcs, vals []uint64
 	correct   []atomic.Uint64 // per predictor, summed across shards
 	remaining atomic.Int32    // shards still working on this request
 	done      chan struct{}   // one-slot, signalled once per request
@@ -62,16 +64,17 @@ func (p *pending) finish(counts []uint64) {
 	}
 }
 
-// shardMsg is one mailbox entry: either a sub-batch of a request or a
-// control message (stats snapshot or checkpoint state capture).
+// shardMsg is one mailbox entry: either a sub-batch of a request (its
+// slices of the request's pcs and vals) or a control message (stats
+// snapshot or checkpoint state capture).
 type shardMsg struct {
-	events []Event
-	req    *pending
-	snap   chan<- ShardStats       // non-nil = stats request
-	state  chan<- shardStateMsg    // non-nil = checkpoint capture request
-	delta  bool                    // with state: capture a delta, not a root
-	pstat  chan<- *predstat.Report // non-nil = predictability report request
-	pstatN int                     // ranking size for pstat requests
+	pcs, vals []uint64
+	req       *pending
+	snap      chan<- ShardStats       // non-nil = stats request
+	state     chan<- shardStateMsg    // non-nil = checkpoint capture request
+	delta     bool                    // with state: capture a delta, not a root
+	pstat     chan<- *predstat.Report // non-nil = predictability report request
+	pstatN    int                     // ranking size for pstat requests
 	// ctx and sentNs carry the request's trace identity into the shard:
 	// the shard loop records a queue-wait+execute span (sentNs → applied)
 	// and a bank-step span when ctx is valid.
@@ -99,22 +102,24 @@ type shard struct {
 	names   []string // registry names, bank order (snapshot identity)
 	preds   []core.Predictor
 	bank    *core.Bank
-	acc     []core.Accuracy
 	pcs     core.PCSet
-	events  uint64
 	mailbox chan shardMsg
 	stopped chan struct{}
 	scratch []uint64 // per-request correct counts, reused
-	spcs    []uint64 // SoA split of one sub-batch, reused
-	svals   []uint64
 	// met holds this shard's metric cells (single-writer: only this
-	// goroutine and the monitor touch them); ewma is the shard-local
+	// goroutine and the monitor touch them). They are the shard's one
+	// tally of live traffic: its events and each predictor's hits and
+	// events since start. restored and restoredEvents hold what a warm
+	// restore loaded (zero after a cold start); stats and checkpoint
+	// captures report the two summed. ewma is the shard-local
 	// per-predictor hit-rate EWMA state behind the exported gauges; ring
 	// receives slow-batch stage events.
-	met       *shardMetrics
-	ewma      []float64
-	ewmaReady bool
-	ring      *obs.Ring
+	met            *shardMetrics
+	restored       []core.Accuracy
+	restoredEvents uint64
+	ewma           []float64
+	ewmaReady      bool
+	ring           *obs.Ring
 	// pstat, when non-nil, is this shard's predictability tracker,
 	// attached to the bank as its run observer (single-writer: only the
 	// shard goroutine touches it).
@@ -128,16 +133,17 @@ type shard struct {
 	dirtyTrack bool
 }
 
-func newShard(id int, facs []core.NamedFactory, depth int) *shard {
+func newShard(id int, facs []core.NamedFactory, depth int, met *shardMetrics) *shard {
 	sh := &shard{
-		id:      id,
-		names:   make([]string, len(facs)),
-		preds:   make([]core.Predictor, len(facs)),
-		acc:     make([]core.Accuracy, len(facs)),
-		mailbox: make(chan shardMsg, depth),
-		stopped: make(chan struct{}),
-		scratch: make([]uint64, len(facs)),
-		ewma:    make([]float64, len(facs)),
+		id:       id,
+		names:    make([]string, len(facs)),
+		preds:    make([]core.Predictor, len(facs)),
+		mailbox:  make(chan shardMsg, depth),
+		stopped:  make(chan struct{}),
+		scratch:  make([]uint64, len(facs)),
+		met:      met,
+		restored: make([]core.Accuracy, len(facs)),
+		ewma:     make([]float64, len(facs)),
 	}
 	for i, f := range facs {
 		sh.names[i] = f.Name
@@ -149,10 +155,10 @@ func newShard(id int, facs []core.NamedFactory, depth int) *shard {
 
 // run consumes the mailbox until it is closed. One sub-batch applies the
 // paper's protocol — predict, compare, update — for every predictor in the
-// bank through the batch path, tallying both shard-lifetime accuracy and
-// the request's reply. The mailbox is FIFO and sub-batches preserve
-// request order, so every predictor still observes each PC's exact value
-// subsequence.
+// bank through the batch path, stepping the request's own arrays in
+// place, and tallies the request's reply and the shard's metric cells.
+// The mailbox is FIFO and sub-batches preserve request order, so every
+// predictor still observes each PC's exact value subsequence.
 func (sh *shard) run() {
 	defer close(sh.stopped)
 	for msg := range sh.mailbox {
@@ -172,23 +178,11 @@ func (sh *shard) run() {
 			}
 			continue
 		}
-		n := len(msg.events)
-		if cap(sh.spcs) < n {
-			sh.spcs = make([]uint64, n)
-			sh.svals = make([]uint64, n)
-		}
-		pcs, vals := sh.spcs[:n], sh.svals[:n]
-		for j := range msg.events {
-			sh.pcs.Add(msg.events[j].PC)
-			pcs[j] = msg.events[j].PC
-			vals[j] = msg.events[j].Value
-		}
+		n := len(msg.pcs)
 		counts := sh.scratch
-		for i := range counts {
-			counts[i] = 0
-		}
+		clear(counts)
 		t0 := time.Now()
-		sh.bank.StepBatchCollect(pcs, vals, counts, nil)
+		sh.bank.StepBatchCollect(msg.pcs, msg.vals, counts, nil)
 		stepNs := time.Since(t0).Nanoseconds()
 		if msg.ctx.Valid() {
 			t0u := t0.UnixNano()
@@ -206,37 +200,30 @@ func (sh *shard) run() {
 				Start: t0u, Dur: stepNs, N: uint64(n),
 			})
 		}
-		for i := range sh.acc {
-			sh.acc[i].Correct += counts[i]
-			sh.acc[i].Total += uint64(n)
-		}
-		sh.events += uint64(n)
-		sh.observeBatch(pcs, counts, stepNs)
+		// The events cell moves before the request completes: a caller
+		// that has its reply finds its events counted.
+		sh.observeBatch(n, counts, stepNs)
 		msg.req.finish(counts)
 	}
 }
 
-// observeBatch records one applied sub-batch into the shard's metric
-// cells: all plain stores and uncontended atomic adds, nothing
-// allocates — the instrumentation rides inside the 0 allocs/op batch
+// observeBatch records one applied sub-batch of n events into the
+// shard's metric cells and adds its distinct PCs, which the bank's
+// grouping already found, to the unique-PC set: all plain stores and
+// uncontended atomic adds, nothing allocates once the set holds the
+// working set — the instrumentation rides inside the 0 allocs/op batch
 // path. Called on the shard goroutine.
-func (sh *shard) observeBatch(pcs []uint64, counts []uint64, stepNs int64) {
-	if sh.met == nil {
-		return
-	}
-	n := len(pcs)
-	runs := 0
-	for j := range pcs {
-		if j == 0 || pcs[j] != pcs[j-1] {
-			runs++
-		}
+func (sh *shard) observeBatch(n int, counts []uint64, stepNs int64) {
+	runs := sh.bank.BatchPCs()
+	for _, pc := range runs {
+		sh.pcs.Add(pc)
 	}
 	m := sh.met
 	m.events.Add(uint64(n))
 	m.batches.Inc()
 	m.batchEvents.Observe(uint64(n))
 	m.batchNs.ObserveInt(stepNs)
-	m.batchPCRuns.Observe(uint64(runs))
+	m.batchPCRuns.Observe(uint64(len(runs)))
 	m.mailboxDepth.Set(int64(len(sh.mailbox)))
 	m.mailboxHW.SetMax(int64(len(sh.mailbox)))
 	m.uniquePCs.Set(int64(sh.pcs.Len()))
@@ -257,25 +244,41 @@ func (sh *shard) observeBatch(pcs []uint64, counts []uint64, stepNs int64) {
 	}
 }
 
+// events returns the shard's lifetime event count: the restored base
+// plus the events applied since start. Called on the shard goroutine,
+// the cells' only writer, so it counts exactly the sub-batches applied
+// so far.
+func (sh *shard) events() uint64 {
+	return sh.restoredEvents + sh.met.events.Load()
+}
+
+// tally returns predictor i's lifetime correct/total, the restored base
+// plus its hit and event cells; called on the shard goroutine, as events.
+func (sh *shard) tally(i int) core.Accuracy {
+	return core.Accuracy{
+		Correct: sh.restored[i].Correct + sh.met.predHits[i].Load(),
+		Total:   sh.restored[i].Total + sh.met.predEvents[i].Load(),
+	}
+}
+
 // snapshot captures the shard's stats; called on the shard goroutine.
 func (sh *shard) snapshot() ShardStats {
 	st := ShardStats{
-		Shard:        sh.id,
-		Events:       sh.events,
-		UniquePCs:    sh.pcs.Len(),
-		Predictors:   make([]PredStat, len(sh.preds)),
-		MailboxDepth: len(sh.mailbox),
-	}
-	if sh.met != nil {
-		st.MailboxHighWater = int(sh.met.mailboxHW.Load())
+		Shard:            sh.id,
+		Events:           sh.events(),
+		UniquePCs:        sh.pcs.Len(),
+		Predictors:       make([]PredStat, len(sh.preds)),
+		MailboxDepth:     len(sh.mailbox),
+		MailboxHighWater: int(sh.met.mailboxHW.Load()),
 	}
 	for i, p := range sh.preds {
+		acc := sh.tally(i)
 		ps := PredStat{
-			Name:    p.Name(),
-			Correct: sh.acc[i].Correct,
-			Total:   sh.acc[i].Total,
+			Name:        p.Name(),
+			Correct:     acc.Correct,
+			Total:       acc.Total,
+			AccuracyPct: acc.Percent(),
 		}
-		ps.AccuracyPct = sh.acc[i].Percent()
 		if sh.ewmaReady {
 			ps.HitRateEWMA = sh.ewma[i]
 		}
@@ -298,7 +301,7 @@ func (sh *shard) snapshot() ShardStats {
 func (sh *shard) captureState(delta bool) shardStateMsg {
 	msg := shardStateMsg{st: snapshot.ShardState{
 		Shard:  sh.id,
-		Events: sh.events,
+		Events: sh.events(),
 		PCs:    sh.pcs.AppendSorted(make([]uint64, 0, sh.pcs.Len())),
 		Preds:  make([]snapshot.PredState, len(sh.preds)),
 	}}
@@ -317,10 +320,11 @@ func (sh *shard) captureState(delta bool) shardStateMsg {
 		if err != nil {
 			return shardStateMsg{err: fmt.Errorf("serve: shard %d: %w", sh.id, err)}
 		}
+		acc := sh.tally(i)
 		msg.st.Preds[i] = snapshot.PredState{
 			Name:    sh.names[i],
-			Correct: sh.acc[i].Correct,
-			Total:   sh.acc[i].Total,
+			Correct: acc.Correct,
+			Total:   acc.Total,
 			State:   buf.Bytes(),
 		}
 	}
@@ -343,13 +347,14 @@ func shardPCs(id int, list []uint64, nshards int) (core.PCSet, error) {
 }
 
 // install replaces the shard's state with predictors and a PC set loaded
-// from snapshot section st. Only legal before the shard goroutine starts.
+// from snapshot section st, whose tallies become the shard's restored
+// base. Only legal before the shard goroutine starts, so the metric
+// cells are still zero.
 func (sh *shard) install(st snapshot.ShardState, preds []core.Predictor, pcs core.PCSet) {
-	acc := make([]core.Accuracy, len(preds))
-	for i := range acc {
-		acc[i] = core.Accuracy{Correct: st.Preds[i].Correct, Total: st.Preds[i].Total}
+	for i := range sh.restored {
+		sh.restored[i] = core.Accuracy{Correct: st.Preds[i].Correct, Total: st.Preds[i].Total}
 	}
-	sh.preds, sh.acc, sh.pcs, sh.events = preds, acc, pcs, st.Events
+	sh.preds, sh.pcs, sh.restoredEvents = preds, pcs, st.Events
 	sh.bank = core.NewBank(preds...)
 	if sh.dirtyTrack {
 		sh.bank.SetDirtyTracking(true)
@@ -362,9 +367,7 @@ func (sh *shard) install(st snapshot.ShardState, preds []core.Predictor, pcs cor
 		sh.pstat.Reset()
 		sh.bank.SetObserver(sh.pstat)
 	}
-	if sh.met != nil {
-		sh.met.uniquePCs.Set(int64(sh.pcs.Len()))
-	}
+	sh.met.uniquePCs.Set(int64(sh.pcs.Len()))
 }
 
 // PredStat is one predictor's live tally, per shard or aggregated.

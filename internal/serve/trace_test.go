@@ -153,9 +153,10 @@ func TestTraceRetentionEndToEnd(t *testing.T) {
 
 // TestTraceHotPathZeroAlloc gates the acceptance criterion: a traced
 // request that is NOT promoted (fast, healthy, no head-sample flag) must
-// cost zero allocations on the client goroutine in steady state, same
-// bar as the untraced path. Server-side span recording is gated
-// separately (obs/trace TestSpanRecordZeroAlloc covers Record); this
+// cost zero allocations in steady state, same bar as the untraced path.
+// testing.AllocsPerRun reads the process-wide malloc count, so this
+// covers the whole round trip: the client's send and receive and the
+// server's decode, dispatch, shard step, span recording and reply. The
 // test additionally proves no promotion — the only allocating trace
 // path — happened while requests carried contexts.
 func TestTraceHotPathZeroAlloc(t *testing.T) {
