@@ -16,8 +16,6 @@ package core
 // transformation the Predictor contract's per-PC state is invariant under
 // (the same property that lets the serving tier shard by hash(pc)).
 
-import "repro/internal/core/kernel"
-
 // RunObserver is an optional tap on the bank's batch execution: after a
 // batch's predictors have all stepped, ObserveRun is called once per
 // same-PC value run with the run's values (stream order preserved within
@@ -48,20 +46,12 @@ func (b *Bank) SetObserver(o RunObserver) {
 // Observer returns the attached run observer, nil when none.
 func (b *Bank) Observer() RunObserver { return b.obs }
 
-// b2u8 is the branch-free bool→{0,1} conversion the kernels' inner
-// compare/count loops are written around.
+// b2u8 converts a bool to the 0/1 hit byte the StepRun loops write.
 func b2u8(b bool) byte {
 	if b {
 		return 1
 	}
 	return 0
-}
-
-// roundUp8 rounds a buffer length up to a multiple of 8 — the SWAR
-// kernels' block width — so grouped runs of any length sit in buffers
-// with whole blocks of capacity behind them.
-func roundUp8(n int) int {
-	return (n + 7) &^ 7
 }
 
 // stepOne applies the per-event protocol for one predictor and returns 1
@@ -175,7 +165,7 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 	if observing {
 		for i := range b.obsHits {
 			if cap(b.obsHits[i]) < n {
-				b.obsHits[i] = make([]byte, roundUp8(n))
+				b.obsHits[i] = make([]byte, n)
 			}
 		}
 	}
@@ -193,7 +183,9 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 		if bits != nil && bits[i] != nil {
 			bs := bits[i][:nw]
 			clear(bs)
-			kernel.Scatter(hits, b.order[:n], bs)
+			for k, j := range b.order[:n] {
+				bs[uint32(j)>>6] |= uint64(hits[k]) << (uint32(j) & 63)
+			}
 		}
 		b.correct[i] += hit
 		if counts != nil {
@@ -229,7 +221,7 @@ func (b *Bank) group(pcs, values []uint64, needOrder bool) {
 	b.gpc = b.gpc[:0]
 	b.cnt = b.cnt[:0]
 	if cap(b.egid) < n {
-		b.egid = make([]int32, roundUp8(n))
+		b.egid = make([]int32, n)
 	}
 	egid := b.egid[:n]
 	for j, pc := range pcs {
@@ -262,14 +254,10 @@ func (b *Bank) group(pcs, values []uint64, needOrder bool) {
 		starts[g+1] = starts[g] + b.cnt[g]
 	}
 	b.starts = starts
-	// Run buffers are sized to a multiple of 8, so word-parallel
-	// kernels always have whole blocks of capacity behind any
-	// odd-length run and never need a scalar tail-guard copy.
 	if cap(b.order) < n {
-		na := roundUp8(n)
-		b.order = make([]int32, na)
-		b.gvals = make([]uint64, na)
-		b.hits = make([]byte, na)
+		b.order = make([]int32, n)
+		b.gvals = make([]uint64, n)
+		b.hits = make([]byte, n)
 	}
 	gvals := b.gvals[:n]
 	fill := b.cnt // repurpose the counts as fill cursors

@@ -8,8 +8,6 @@ import (
 	"math/bits"
 	"slices"
 	"unsafe"
-
-	"repro/internal/core/kernel"
 )
 
 // MaxFCMOrder bounds the context length supported by FCM predictors. The
@@ -522,14 +520,18 @@ func (p *FCM) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 		// which leaves hist and every rolling signature bit-identical.
 		// The whole constant prefix is therefore one count addition.
 		if okc && pred == v && matched == order && histConst(s, v, order) {
-			m := kernel.ConstPrefixLen(values[k:], v)
+			j := k
+			for j < len(values) && values[j] == v {
+				hits[j] = 1
+				j++
+			}
+			m := j - k
 			c := p.ords[order].ctx(mhnd)
 			p.vals.cnts[c.valOff>>pageShift][c.valOff&pageMask+c.best] += uint32(m)
 			c.vh |= ctxDirty
 			s.updates += uint64(m)
-			kernel.SetOnes(hits[k : k+m])
 			n += uint64(m)
-			k += m
+			k = j
 			continue
 		}
 		h := b2u8(okc && pred == v)

@@ -4,9 +4,9 @@
 // Two families are provided, matching the paper's taxonomy:
 //
 //   - Computational predictors compute a function of previous values:
-//     LastValue (identity) and Stride (last value + delta), each with the
-//     hysteresis variants the paper describes (always-update, saturating
-//     counter, and the 2-delta stride of Eickemeyer & Vassiliadis).
+//     LastValue (identity, always update), StrideSimple (last value +
+//     delta, always update) and the 2-delta stride of Eickemeyer &
+//     Vassiliadis, Stride2Delta.
 //
 //   - Context-based predictors learn which value follows a finite ordered
 //     sequence of previous values: FCM (finite context method) with exact
@@ -96,19 +96,6 @@ type Factory struct {
 	Name string
 	// New returns a fresh, empty predictor.
 	New func() Predictor
-}
-
-// StandardFactories returns the predictor set the paper evaluates in
-// Figures 3-7: last value (always update), 2-delta stride, and FCM of
-// orders 1, 2 and 3.
-func StandardFactories() []Factory {
-	return []Factory{
-		{Name: "l", New: func() Predictor { return NewLastValue() }},
-		{Name: "s2", New: func() Predictor { return NewStride2Delta() }},
-		{Name: "fcm1", New: func() Predictor { return NewFCM(1) }},
-		{Name: "fcm2", New: func() Predictor { return NewFCM(2) }},
-		{Name: "fcm3", New: func() Predictor { return NewFCM(3) }},
-	}
 }
 
 // Accuracy is a simple correct/total tally helper shared by harnesses.

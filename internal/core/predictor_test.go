@@ -51,51 +51,6 @@ func TestLastValueStrideSequenceFails(t *testing.T) {
 	}
 }
 
-func TestLastValueCounterHysteresis(t *testing.T) {
-	p := NewLastValueCounter(3, 1)
-	// Build confidence in 5.
-	for i := 0; i < 4; i++ {
-		p.Update(1, 5)
-	}
-	// One blip must not replace the prediction (counter above threshold).
-	p.Update(1, 6)
-	if v, _ := p.Predict(1); v != 5 {
-		t.Fatalf("single blip replaced value: got %d, want 5", v)
-	}
-	// Repeated failures drain the counter and eventually replace.
-	for i := 0; i < 5; i++ {
-		p.Update(1, 6)
-	}
-	if v, _ := p.Predict(1); v != 6 {
-		t.Fatalf("persistent new value not adopted: got %d, want 6", v)
-	}
-}
-
-func TestLastValueConsecutiveAdoptsAfterRun(t *testing.T) {
-	p := NewLastValueConsecutive(3)
-	p.Update(1, 5)
-	if v, _ := p.Predict(1); v != 5 {
-		t.Fatal("first value must be adopted immediately")
-	}
-	p.Update(1, 9)
-	p.Update(1, 9)
-	if v, _ := p.Predict(1); v != 5 {
-		t.Fatalf("adopted after only 2 observations: got %d", v)
-	}
-	p.Update(1, 9)
-	if v, _ := p.Predict(1); v != 9 {
-		t.Fatalf("not adopted after 3 consecutive: got %d", v)
-	}
-	// An interrupted run must restart the count.
-	p.Update(1, 4)
-	p.Update(1, 4)
-	p.Update(1, 9)
-	p.Update(1, 4)
-	if v, _ := p.Predict(1); v != 9 {
-		t.Fatalf("interrupted run adopted: got %d", v)
-	}
-}
-
 // --- Stride ---------------------------------------------------------------
 
 func TestStrideSimpleLearnsStride(t *testing.T) {
@@ -187,20 +142,6 @@ func TestStride2DeltaMatchesFig2Trace(t *testing.T) {
 			t.Fatalf("step %d: predicted %d, want %d", i, pred, want[i])
 		}
 		p.Update(0, v)
-	}
-}
-
-func TestStrideCounterHoldsStrideThroughBlip(t *testing.T) {
-	p := NewStrideCounter(3, 1)
-	// Learn stride 5 with confidence.
-	for i := 0; i < 8; i++ {
-		p.Update(0, uint64(5*i))
-	}
-	// Wrap back (like an RS sequence boundary): one failure.
-	p.Update(0, 0)
-	// The held stride should still be 5 (counter hysteresis).
-	if v, ok := p.Predict(0); !ok || v != 5 {
-		t.Fatalf("after blip got (%d,%v), want (5,true)", v, ok)
 	}
 }
 
@@ -519,8 +460,7 @@ func TestPropertyFCMPerfectOnAnyShortCycle(t *testing.T) {
 func TestPropertyPredictIsPure(t *testing.T) {
 	// Calling Predict many times must not change any predictor's answer.
 	preds := []Predictor{
-		NewLastValue(), NewLastValueCounter(3, 1), NewLastValueConsecutive(2),
-		NewStrideSimple(), NewStride2Delta(), NewStrideCounter(3, 1),
+		NewLastValue(), NewStrideSimple(), NewStride2Delta(),
 		NewFCM(2), NewFCMNoBlend(2),
 	}
 	f := func(values []uint64) bool {

@@ -19,15 +19,23 @@ type NamedFactory struct {
 // order used in help output.
 var registry = []NamedFactory{
 	{Factory{"l", func() Predictor { return NewLastValue() }}, "last value, always update"},
-	{Factory{"lc", func() Predictor { return NewLastValueCounter(3, 1) }}, "last value, 2-bit counter hysteresis"},
-	{Factory{"ln", func() Predictor { return NewLastValueConsecutive(2) }}, "last value, adopt after 2 consecutive"},
 	{Factory{"s", func() Predictor { return NewStrideSimple() }}, "stride, always update"},
 	{Factory{"s2", func() Predictor { return NewStride2Delta() }}, "2-delta stride"},
-	{Factory{"sc", func() Predictor { return NewStrideCounter(3, 1) }}, "stride, 2-bit counter hysteresis"},
 	{Factory{"fcm1", func() Predictor { return NewFCM(1) }}, "order-1 FCM, blended"},
 	{Factory{"fcm2", func() Predictor { return NewFCM(2) }}, "order-2 FCM, blended"},
 	{Factory{"fcm3", func() Predictor { return NewFCM(3) }}, "order-3 FCM, blended"},
 	{Factory{"fcm3nb", func() Predictor { return NewFCMNoBlend(3) }}, "order-3 FCM, no blending"},
+}
+
+// StandardFactories returns the predictor set the paper evaluates in
+// Figures 3-7, as registry entries in bank order: last value (always
+// update), 2-delta stride, and FCM of orders 1, 2 and 3.
+func StandardFactories() []NamedFactory {
+	fs, err := ParseFactories("l,s2,fcm1,fcm2,fcm3")
+	if err != nil {
+		panic(err) // every name is a registry entry above
+	}
+	return fs
 }
 
 // KnownFactories returns the full predictor catalog in listing order. The

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,10 +23,12 @@ func TestRegistryNamesUniqueAndConstructible(t *testing.T) {
 }
 
 func TestRegistryCoversStandardFactories(t *testing.T) {
+	var names []string
 	for _, f := range StandardFactories() {
-		if _, ok := FactoryByName(f.Name); !ok {
-			t.Fatalf("standard factory %q missing from registry", f.Name)
-		}
+		names = append(names, f.Name)
+	}
+	if want := []string{"l", "s2", "fcm1", "fcm2", "fcm3"}; !slices.Equal(names, want) {
+		t.Fatalf("standard bank %v, want %v", names, want)
 	}
 }
 
@@ -44,6 +47,11 @@ func TestParseFactories(t *testing.T) {
 	}
 	if _, err := ParseFactories("zzz"); err == nil || !strings.Contains(err.Error(), "known:") {
 		t.Errorf("unknown-name error should list known names, got %v", err)
+	}
+	// A bank naming a deleted predictor, as an older checkpoint may, is
+	// refused by that name.
+	if _, err := ParseFactories("l,lc"); err == nil || !strings.Contains(err.Error(), `"lc"`) {
+		t.Errorf(`ParseFactories("l,lc"): got %v, want an error naming "lc"`, err)
 	}
 }
 

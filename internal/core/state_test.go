@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -162,6 +164,40 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 				fac.New().LoadState(bytes.NewReader(mut))
 			}
 		})
+	}
+}
+
+// TestStrideRejectsEntryWithNoValue feeds s and s2 one record whose
+// entry has seen no value. No save writes one, since an entry is created
+// on its first value, and an s2 entry loaded that way never predicts
+// again. LoadState and ApplyDelta must both refuse it, naming the
+// predictor, and take the same record with seen 1.
+func TestStrideRejectsEntryWithNoValue(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		record []byte // count 1, pc 5, last 10, then zeros up to seen
+	}{
+		{"s", []byte{1, 5, 10, 0, 0}},        // stride, seen
+		{"s2", []byte{1, 5, 10, 0, 0, 0, 0}}, // s1, s2, s1Count, seen
+	} {
+		fac, _ := FactoryByName(tc.name)
+		named := func(err error) bool {
+			return errors.Is(err, errNoValue) && strings.Contains(err.Error(), "core: "+tc.name+" state")
+		}
+		if err := fac.New().LoadState(bytes.NewReader(tc.record)); !named(err) {
+			t.Errorf("%s: LoadState of an entry with seen 0: %v, want a %s state error", tc.name, err, tc.name)
+		}
+		if _, err := fac.New().ApplyDelta(bytes.NewReader(tc.record)); !named(err) {
+			t.Errorf("%s: ApplyDelta of an entry with seen 0: %v, want a %s state error", tc.name, err, tc.name)
+		}
+		seen1 := bytes.Clone(tc.record)
+		seen1[len(seen1)-1] = 1
+		if err := fac.New().LoadState(bytes.NewReader(seen1)); err != nil {
+			t.Errorf("%s: LoadState of an entry with seen 1: %v", tc.name, err)
+		}
+		if _, err := fac.New().ApplyDelta(bytes.NewReader(seen1)); err != nil {
+			t.Errorf("%s: ApplyDelta of an entry with seen 1: %v", tc.name, err)
+		}
 	}
 }
 

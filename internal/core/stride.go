@@ -1,9 +1,8 @@
 package core
 
 import (
+	"errors"
 	"io"
-
-	"repro/internal/core/kernel"
 )
 
 // The stride and last-value predictors share the package's flat layout:
@@ -24,8 +23,8 @@ type StrideSimple struct {
 type strideEntry struct {
 	last   uint64
 	stride uint64 // stored as wrapped two's-complement delta
-	// seen counts observations, saturating at 2: 0 values, 1 value,
-	// or enough (2+) to have a stride.
+	// seen counts observations, saturating at 2: 1 value, or enough
+	// (2+) to have a stride. An entry is created on its first value.
 	seen uint8
 }
 
@@ -40,7 +39,7 @@ func (p *StrideSimple) Name() string { return "s" }
 // Predict implements Predictor.
 func (p *StrideSimple) Predict(pc uint64) (uint64, bool) {
 	i, ok := p.idx.lookup(pc)
-	if !ok || p.entries[i].seen == 0 {
+	if !ok {
 		return 0, false
 	}
 	// After a single observation the stride is zero, i.e. last-value
@@ -83,29 +82,19 @@ func (p *StrideSimple) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 		k = 1
 	}
 	e := p.entries[i]
-	// The always-update predictor's whole run is one kernel call: the
-	// prediction for rest[0] is last+stride, for rest[1] it is
-	// 2*rest[0]-last, and from there on 2*rest[j-1]-rest[j-2].
 	rest := values[k:]
-	n := kernel.CompareStrideCount(e.last, e.stride, rest, hits[k:])
-	if e.seen == 0 && len(rest) > 0 && hits[k] != 0 {
-		// A restored-but-empty entry makes no prediction for its first
-		// event; the kernel scored it, so take it back.
-		hits[k] = 0
-		n--
+	hs := hits[k:][:len(rest)]
+	var n uint64
+	for j, v := range rest {
+		h := b2u8(v == e.last+e.stride)
+		hs[j] = h
+		n += uint64(h)
+		e.stride = v - e.last
+		e.last = v
 	}
-	if m := len(rest); m > 0 {
-		if m >= 2 {
-			e.stride = rest[m-1] - rest[m-2]
-		} else {
-			e.stride = rest[0] - e.last
-		}
-		e.last = rest[m-1]
-		if s := int(e.seen) + m; s >= 2 {
-			e.seen = 2
-		} else {
-			e.seen = uint8(s)
-		}
+	if len(rest) > 0 {
+		// The entry held a value already, so one more gives it a stride.
+		e.seen = 2
 	}
 	p.entries[i] = e
 	return n
@@ -165,7 +154,21 @@ func (p *StrideSimple) encodeRec(e *stateEncoder, h int32) {
 
 // decodeStrideSimple reads one record's fields, the inverse of encodeRec.
 func decodeStrideSimple(d *stateDecoder) strideEntry {
-	return strideEntry{last: d.uvarint(), stride: d.uvarint(), seen: uint8(d.count(2))}
+	return strideEntry{last: d.uvarint(), stride: d.uvarint(), seen: decodeSeen(d)}
+}
+
+// errNoValue flags a stride record that has seen no value. Every entry
+// is created on its first value, so no save writes one, and an entry
+// loaded that way would never predict.
+var errNoValue = errors.New("stride entry has seen no value")
+
+// decodeSeen reads a stride record's observation count: 1 or 2.
+func decodeSeen(d *stateDecoder) uint8 {
+	n := d.count(2)
+	if d.err == nil && n == 0 {
+		d.err = errNoValue
+	}
+	return uint8(n)
 }
 
 // PCEntries implements PerPC.
@@ -190,7 +193,7 @@ type s2Entry struct {
 	// s1Count counts consecutive occurrences of the current s1 value,
 	// saturating at 2; when it reaches 2, s2 is set to s1.
 	s1Count uint8
-	seen    uint8 // 0: empty, 1: one value seen, 2: stride history valid
+	seen    uint8 // 1: one value seen, 2: stride history valid
 }
 
 // NewStride2Delta returns an empty 2-delta stride predictor.
@@ -262,18 +265,22 @@ func (p *Stride2Delta) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	for k < len(values) {
 		// Steady state: both strides agree, so a hit implies delta ==
 		// s1 == s2 and the step only saturates s1Count — the whole
-		// strided stretch applies in bulk via the prefix kernel.
+		// strided stretch applies in bulk, one compare per event.
 		if e.seen == 2 && e.s1 == e.s2 {
-			if m := kernel.StridePrefixLen(e.last, e.s2, values[k:]); m > 0 {
-				kernel.SetOnes(hits[k : k+m])
+			j := k
+			for j < len(values) && values[j]-e.last == e.s2 {
+				hits[j] = 1
+				e.last = values[j]
+				j++
+			}
+			if m := j - k; m > 0 {
 				n += uint64(m)
 				if c := int(e.s1Count) + m; c >= 2 {
 					e.s1Count = 2
 				} else {
 					e.s1Count = uint8(c)
 				}
-				e.last = values[k+m-1]
-				k += m
+				k = j
 				continue
 			}
 		}
@@ -360,209 +367,8 @@ func (p *Stride2Delta) encodeRec(e *stateEncoder, h int32) {
 
 // decodeStride2Delta reads one record's fields, the inverse of encodeRec.
 func decodeStride2Delta(d *stateDecoder) s2Entry {
-	return s2Entry{last: d.uvarint(), s1: d.uvarint(), s2: d.uvarint(), s1Count: uint8(d.count(2)), seen: uint8(d.count(2))}
+	return s2Entry{last: d.uvarint(), s1: d.uvarint(), s2: d.uvarint(), s1Count: uint8(d.count(2)), seen: decodeSeen(d)}
 }
 
 // PCEntries implements PerPC.
 func (p *Stride2Delta) PCEntries() map[uint64]int { return onePerPC(p.pcs) }
-
-// StrideCounter is the saturating-counter stride variant of Gonzalez &
-// Gonzalez referenced in Section 2.1: the stride is only changed when a
-// saturating counter (incremented on success, decremented on failure) is
-// below a threshold. This also reduces repeated-stride mispredictions to
-// one per iteration.
-type StrideCounter struct {
-	idx       pcTable
-	pcs       []uint64
-	entries   []scEntry
-	max       int8
-	threshold int8
-}
-
-type scEntry struct {
-	last   uint64
-	stride uint64
-	count  int8
-	seen   uint8
-}
-
-// NewStrideCounter returns a stride predictor guarded by a saturating
-// counter with the given maximum and replacement threshold (e.g. 3 and 1).
-func NewStrideCounter(max, threshold int8) *StrideCounter {
-	if max < 1 {
-		max = 1
-	}
-	if threshold < 0 {
-		threshold = 0
-	}
-	return &StrideCounter{max: max, threshold: threshold}
-}
-
-// Name implements Predictor.
-func (p *StrideCounter) Name() string { return "sc" }
-
-// Predict implements Predictor.
-func (p *StrideCounter) Predict(pc uint64) (uint64, bool) {
-	i, ok := p.idx.lookup(pc)
-	if !ok || p.entries[i].seen == 0 {
-		return 0, false
-	}
-	e := &p.entries[i]
-	return e.last + e.stride, true
-}
-
-// Update implements Predictor.
-func (p *StrideCounter) Update(pc uint64, value uint64) {
-	i, ok := p.idx.lookup(pc)
-	if !ok {
-		p.idx.insert(pc)
-		p.pcs = append(p.pcs, pc)
-		p.entries = append(p.entries, scEntry{last: value, seen: 1})
-		return
-	}
-	e := &p.entries[i]
-	predicted := e.last + e.stride
-	if e.seen >= 1 {
-		if predicted == value {
-			if e.count < p.max {
-				e.count++
-			}
-		} else {
-			if e.count > 0 {
-				e.count--
-			}
-			if e.count <= p.threshold {
-				e.stride = value - e.last
-			}
-		}
-	}
-	e.last = value
-	if e.seen < 2 {
-		e.seen++
-	}
-}
-
-// StepRun implements Predictor.
-func (p *StrideCounter) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
-	if len(values) == 0 {
-		return 0
-	}
-	k := 0
-	i, ok := p.idx.lookup(pc)
-	if !ok {
-		i = p.idx.insert(pc)
-		p.pcs = append(p.pcs, pc)
-		p.entries = append(p.entries, scEntry{last: values[0], seen: 1})
-		hits[0] = 0
-		k = 1
-	}
-	e := p.entries[i]
-	var n uint64
-	if e.seen == 0 && k < len(values) {
-		// A restored-but-empty entry: no prediction, no counter logic.
-		hits[k] = 0
-		e.last = values[k]
-		e.seen = 1
-		k++
-	}
-	// Segment loop: a stretch that follows the sticky stride is all
-	// hits and only saturates the counter, applied in bulk; the
-	// mismatch ending it runs the scalar hysteresis step.
-	for k < len(values) {
-		if m := kernel.StridePrefixLen(e.last, e.stride, values[k:]); m > 0 {
-			kernel.SetOnes(hits[k : k+m])
-			n += uint64(m)
-			if c := int(e.count) + m; c >= int(p.max) {
-				e.count = p.max
-			} else {
-				e.count = int8(c)
-			}
-			e.last = values[k+m-1]
-			if s := int(e.seen) + m; s >= 2 {
-				e.seen = 2
-			} else {
-				e.seen = uint8(s)
-			}
-			k += m
-			continue
-		}
-		v := values[k]
-		hits[k] = 0
-		if e.count > 0 {
-			e.count--
-		}
-		if e.count <= p.threshold {
-			e.stride = v - e.last
-		}
-		e.last = v
-		if e.seen < 2 {
-			e.seen++
-		}
-		k++
-	}
-	p.entries[i] = e
-	return n
-}
-
-// Reset implements Resetter.
-func (p *StrideCounter) Reset() {
-	p.idx.reset()
-	p.pcs = p.pcs[:0]
-	p.entries = p.entries[:0]
-}
-
-// StateBytes implements Sized.
-func (p *StrideCounter) StateBytes() MemBytes {
-	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
-}
-
-// TableEntries implements Sized.
-func (p *StrideCounter) TableEntries() (static, total int) {
-	return len(p.entries), len(p.entries)
-}
-
-// SaveState implements Stateful: sorted (pc, last, stride, count, seen).
-// The counter never goes negative (decrements are guarded), so it encodes
-// as a plain uvarint.
-func (p *StrideCounter) SaveState(w io.Writer) error {
-	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
-	return err
-}
-
-// LoadState implements Stateful.
-func (p *StrideCounter) LoadState(r io.Reader) error {
-	idx, pcs, entries, err := loadRecords(r, p.Name(), p.decodeRec)
-	if err != nil {
-		return err
-	}
-	p.idx, p.pcs, p.entries = idx, pcs, entries
-	return nil
-}
-
-// SaveDelta implements DeltaStateful: SaveState's records for the dirty
-// PCs only.
-func (p *StrideCounter) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
-	return saveRecords(w, p.pcs, dirty, p.encodeRec)
-}
-
-// ApplyDelta implements DeltaStateful.
-func (p *StrideCounter) ApplyDelta(r io.Reader) (int, error) {
-	return applyRecords(r, p.Name(), &p.idx, &p.pcs, &p.entries, p.decodeRec)
-}
-
-// encodeRec writes handle h's record fields (everything but the PC).
-func (p *StrideCounter) encodeRec(e *stateEncoder, h int32) {
-	ent := &p.entries[h]
-	e.uvarint(ent.last)
-	e.uvarint(ent.stride)
-	e.uvarint(uint64(ent.count))
-	e.uvarint(uint64(ent.seen))
-}
-
-// decodeRec reads one record's fields, the inverse of encodeRec.
-func (p *StrideCounter) decodeRec(d *stateDecoder) scEntry {
-	return scEntry{last: d.uvarint(), stride: d.uvarint(), count: int8(d.count(uint64(p.max))), seen: uint8(d.count(2))}
-}
-
-// PCEntries implements PerPC.
-func (p *StrideCounter) PCEntries() map[uint64]int { return onePerPC(p.pcs) }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -223,6 +225,30 @@ func TestCheckpointUnderLiveTraffic(t *testing.T) {
 	}
 	if files := checkpointFiles(t, dir); len(files) != 1 || files[0] != infos[len(infos)-1].Path {
 		t.Fatalf("after %d full checkpoints the dir holds %v, want only the newest", len(infos), files)
+	}
+}
+
+// TestWarmBankRefusesDeletedPredictor: a checkpoint whose bank names a
+// predictor this build no longer has (lc, deleted from the registry)
+// restores nothing, and the error names the predictor.
+func TestWarmBankRefusesDeletedPredictor(t *testing.T) {
+	var buf bytes.Buffer
+	_, err := snapshot.Encode(&buf, &snapshot.Snapshot{
+		Meta: snapshot.Meta{CreatedUnixNano: 1, Predictors: []string{"l", "lc"}},
+		Shards: []snapshot.ShardState{{Preds: []snapshot.PredState{
+			{Name: "l", State: []byte{0}},
+			{Name: "lc", State: []byte{0}},
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := snapshot.DecodeBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWarmBank(snap); err == nil || !strings.Contains(err.Error(), `"lc"`) {
+		t.Fatalf(`NewWarmBank of an l,lc checkpoint: got %v, want an error naming "lc"`, err)
 	}
 }
 

@@ -241,13 +241,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.MailboxDepth = DefaultMailboxDepth
 	}
 	if len(cfg.Predictors) == 0 {
-		for _, f := range core.StandardFactories() {
-			e, ok := core.FactoryByName(f.Name)
-			if !ok {
-				return nil, fmt.Errorf("serve: standard predictor %q missing from registry", f.Name)
-			}
-			cfg.Predictors = append(cfg.Predictors, e)
-		}
+		cfg.Predictors = core.StandardFactories()
 	}
 	names := make([]string, len(cfg.Predictors))
 	for i, f := range cfg.Predictors {

@@ -387,6 +387,31 @@ func TestResolveChainRejectsBrokenChains(t *testing.T) {
 			t.Fatalf("got %v, want a predictor-set error", err)
 		}
 	})
+	t.Run("deleted predictor", func(t *testing.T) {
+		// A chain written by a build whose bank still had lc: its records
+		// cannot be applied here, so the chain is refused by that name.
+		dir := t.TempDir()
+		root := &Snapshot{
+			Meta: Meta{CreatedUnixNano: 1, Predictors: []string{"l", "lc"}},
+			Shards: []ShardState{{Preds: []PredState{
+				{Name: "l", State: []byte{0}},
+				{Name: "lc", State: []byte{0}},
+			}}},
+		}
+		rootID, _ := encodeOK(t, root)
+		if _, err := WriteFileAtomic(dir, root); err != nil {
+			t.Fatal(err)
+		}
+		delta := *root
+		delta.Meta.CreatedUnixNano, delta.Meta.ParentID, delta.Meta.Depth = 2, rootID, 1
+		path, err := WriteFileAtomic(dir, &delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ResolveChain(path); err == nil || !strings.Contains(err.Error(), `"lc"`) {
+			t.Fatalf(`got %v, want an error naming "lc"`, err)
+		}
+	})
 	t.Run("depth gap", func(t *testing.T) {
 		dir := t.TempDir()
 		_, snaps, _ := writeChain(t, dir)
