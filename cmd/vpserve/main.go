@@ -26,9 +26,10 @@
 //	        -checkpoint-delta -checkpoint-full-every 8
 //
 // -restore accepts a checkpoint file or a directory. From a directory
-// the newest checkpoint whose chain resolves wins: one that fails
-// verification (a corrupt file, a missing parent) is logged and skipped
-// for the next older one, and the server exits only when none resolves.
+// the newest checkpoint whose chain resolves and loads wins: one that
+// fails (a corrupt file, a missing parent, a blob that does not load) is
+// logged and skipped for the next older one, and the server exits only
+// when none resolves.
 // Delta chains are resolved back through their parents automatically.
 // Unless overridden, the shard count and predictor bank are taken from
 // the snapshot. POST /snapshot on the HTTP endpoint triggers an
@@ -117,29 +118,29 @@ func main() {
 
 	// A restore dictates the shard layout and predictor bank unless the
 	// operator explicitly overrides them (and then mismatches are errors).
-	var snap *snapshot.Snapshot
+	var loaded *snapshot.Loaded
 	if *restore != "" {
 		var chain *snapshot.ChainInfo
 		var err error
 		if st, statErr := os.Stat(*restore); statErr == nil && st.IsDir() {
-			snap, chain, err = snapshot.ResolveLatest(*restore, func(path string, err error) {
+			loaded, chain, err = snapshot.ResolveLatest(*restore, func(path string, err error) {
 				log.Warn("skipping checkpoint that does not resolve", "path", path, "err", err)
 			})
 		} else {
-			snap, chain, err = snapshot.ResolveChain(*restore)
+			loaded, chain, err = snapshot.ResolveChain(*restore)
 		}
 		if err != nil {
 			fatal(err)
 		}
 		path := chain.Files[len(chain.Files)-1]
 		if !explicit["shards"] {
-			*shards = snap.Meta.Shards
+			*shards = loaded.Meta.Shards
 		}
 		if !explicit["pred"] {
-			*preds = strings.Join(snap.Meta.Predictors, ",")
+			*preds = strings.Join(loaded.Meta.Predictors, ",")
 		}
-		log.Info("restoring snapshot", "id", snap.Meta.ID, "events", snap.Meta.Events,
-			"shards", snap.Meta.Shards, "chain_depth", chain.Depth, "path", path)
+		log.Info("restoring snapshot", "id", loaded.Meta.ID, "events", loaded.Meta.Events,
+			"shards", loaded.Meta.Shards, "chain_depth", chain.Depth, "path", path)
 	}
 
 	facs, err := core.ParseFactories(*preds)
@@ -162,8 +163,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if snap != nil {
-		if err := s.Restore(snap); err != nil {
+	if loaded != nil {
+		if err := s.RestoreLoaded(loaded); err != nil {
 			fatal(err)
 		}
 	}

@@ -8,14 +8,18 @@
 //	vpstate diff [-top N] OLD NEW      drift between two snapshots of one server
 //	vpstate export [-pcs] FILE         machine-readable JSON dump
 //
-// info reconstructs every predictor from its state blob (so it also
-// end-to-end verifies that the snapshot restores) and reports table
-// occupancy: static PCs, total entries, encoded and approximate resident
-// bytes, and optionally the hottest PCs by entry count. diff shows how
-// state evolved between two checkpoints: events served, accuracy drift,
-// table growth, and which PCs appeared, vanished or changed. export
-// emits everything as JSON for scripting, with -pcs including the full
-// per-PC entry counts.
+// Every command loads a checkpoint the way a restore does
+// (snapshot.ResolveChain: each blob decoded into a predictor from the
+// registry), so a checkpoint that prints is one that restores. info
+// reports table occupancy: static PCs, total entries and encoded bytes
+// (each loaded predictor's SaveState size), and optionally the hottest
+// PCs by entry count. diff shows how state evolved between two
+// checkpoints: events served, accuracy drift, table growth, and which PCs
+// appeared, vanished or changed. export emits everything as JSON for
+// scripting, with -pcs including the full per-PC entry counts. vpstate
+// holds one checkpoint's loaded state at a time, as much as one restored
+// server holds: diff summarizes the old checkpoint before it loads the
+// new one.
 //
 // All three commands accept any checkpoint: a full one, or a delta whose
 // parent chain is resolved from the same directory (each link
@@ -26,7 +30,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -35,7 +38,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/snapshot"
 )
 
@@ -69,8 +71,7 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// predAgg is one predictor's state aggregated across shards, rebuilt
-// from the snapshot blobs through the registry.
+// predAgg is one predictor's state aggregated across shards.
 type predAgg struct {
 	Name         string         `json:"name"`
 	Correct      uint64         `json:"correct"`
@@ -82,70 +83,97 @@ type predAgg struct {
 	PerPC        map[uint64]int `json:"-"`
 }
 
-// aggregate decodes every predictor blob in the snapshot. Each blob is
-// loaded into a fresh registry instance, so a snapshot that prints is a
-// snapshot that restores.
-func aggregate(snap *snapshot.Snapshot) ([]*predAgg, error) {
-	aggs := make([]*predAgg, len(snap.Meta.Predictors))
-	for i, name := range snap.Meta.Predictors {
-		aggs[i] = &predAgg{Name: name}
+// exportShard is one shard's summary, and its JSON shape in export
+// output.
+type exportShard struct {
+	Shard      int    `json:"shard"`
+	Events     uint64 `json:"events"`
+	UniquePCs  int    `json:"unique_pcs"`
+	StateBytes int    `json:"state_bytes"`
+}
+
+// summary is what vpstate reports of one checkpoint: its metadata and
+// chain, every predictor aggregated across shards and every shard's
+// totals.
+type summary struct {
+	meta   snapshot.Meta
+	chain  *snapshot.ChainInfo
+	aggs   []*predAgg
+	shards []exportShard
+}
+
+// byteCount is a writer that only counts: a SaveState stream's size,
+// without holding the stream.
+type byteCount int
+
+func (c *byteCount) Write(p []byte) (int, error) {
+	*c += byteCount(len(p))
+	return len(p), nil
+}
+
+// summarize loads the checkpoint at path (a delta with its parent chain,
+// resolved from the same directory) and summarizes it; the loaded
+// predictors are dropped on return.
+func summarize(path string) (*summary, error) {
+	l, chain, err := snapshot.ResolveChain(path)
+	if err != nil {
+		return nil, err
 	}
-	for _, sh := range snap.Shards {
-		for i, ps := range sh.Preds {
-			agg := aggs[i]
-			agg.Correct += ps.Correct
-			agg.Total += ps.Total
-			agg.StateBytes += len(ps.State)
-			fac, ok := core.FactoryByName(agg.Name)
-			if !ok {
-				return nil, fmt.Errorf("predictor %q not in local registry", agg.Name)
+	sum := &summary{meta: l.Meta, chain: chain, aggs: make([]*predAgg, len(l.Meta.Predictors))}
+	for i, name := range l.Meta.Predictors {
+		sum.aggs[i] = &predAgg{Name: name, PerPC: make(map[uint64]int)}
+	}
+	for si, sh := range l.Shards {
+		es := exportShard{Shard: sh.Shard, Events: sh.Events, UniquePCs: len(sh.PCs)}
+		for pi, p := range l.Preds[si] {
+			var size byteCount
+			if err := p.SaveState(&size); err != nil {
+				return nil, fmt.Errorf("shard %d predictor %q: %w", si, p.Name(), err)
 			}
-			p := fac.New()
-			if err := p.LoadState(bytes.NewReader(ps.State)); err != nil {
-				return nil, fmt.Errorf("shard %d predictor %q: %w", sh.Shard, agg.Name, err)
-			}
+			agg := sum.aggs[pi]
+			agg.Correct += sh.Preds[pi].Correct
+			agg.Total += sh.Preds[pi].Total
+			agg.StateBytes += int(size)
+			es.StateBytes += int(size)
 			static, total := p.TableEntries()
 			agg.StaticPCs += static
 			agg.TableEntries += total
-			if agg.PerPC == nil {
-				agg.PerPC = make(map[uint64]int)
-			}
 			for pc, n := range p.PCEntries() {
 				agg.PerPC[pc] += n // shards own disjoint PCs
 			}
 		}
+		sum.shards = append(sum.shards, es)
 	}
-	for _, agg := range aggs {
+	for _, agg := range sum.aggs {
 		if agg.Total > 0 {
 			agg.AccuracyPct = 100 * float64(agg.Correct) / float64(agg.Total)
 		}
 	}
-	return aggs, nil
+	return sum, nil
 }
 
-// readSnap opens a checkpoint: a full one as-is, a delta with its parent
-// chain resolved from the same directory.
-func readSnap(path string) (*snapshot.Snapshot, *snapshot.ChainInfo) {
-	snap, chain, err := snapshot.ResolveChain(path)
+// mustSummarize is summarize for the commands: an error ends vpstate.
+func mustSummarize(path string) *summary {
+	sum, err := summarize(path)
 	if err != nil {
 		fatal(err)
 	}
-	return snap, chain
+	return sum
 }
 
-func printMeta(snap *snapshot.Snapshot, chain *snapshot.ChainInfo) {
-	m := snap.Meta
+func printMeta(sum *summary) {
+	m := sum.meta
 	fmt.Printf("snapshot:   %s (format v%d)\n", m.ID, m.FormatVersion)
 	fmt.Printf("created:    %s\n", time.Unix(0, m.CreatedUnixNano).UTC().Format(time.RFC3339Nano))
 	fmt.Printf("events:     %d\n", m.Events)
 	fmt.Printf("shards:     %d\n", m.Shards)
-	var pcs int
-	for _, sh := range snap.Shards {
-		pcs += len(sh.PCs)
+	var pcs, state int
+	for _, sh := range sum.shards {
+		pcs, state = pcs+sh.UniquePCs, state+sh.StateBytes
 	}
 	fmt.Printf("unique PCs: %d\n", pcs)
-	fmt.Printf("state:      %d bytes encoded\n", snap.StateBytes())
-	printChain(chain)
+	fmt.Printf("state:      %d bytes encoded\n", state)
+	printChain(sum.chain)
 }
 
 // printChain summarizes a checkpoint's chain: its kind and, for a delta,
@@ -187,28 +215,20 @@ func info(args []string) {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	snap, chain := readSnap(fs.Arg(0))
-	printMeta(snap, chain)
-	aggs, err := aggregate(snap)
-	if err != nil {
-		fatal(err)
-	}
+	sum := mustSummarize(fs.Arg(0))
+	printMeta(sum)
 	fmt.Printf("\n%-8s %9s %12s %12s %12s %12s\n", "pred", "acc%", "correct", "static-pcs", "entries", "bytes")
-	for _, a := range aggs {
+	for _, a := range sum.aggs {
 		fmt.Printf("%-8s %8.2f%% %12d %12d %12d %12d\n",
 			a.Name, a.AccuracyPct, a.Correct, a.StaticPCs, a.TableEntries, a.StateBytes)
 	}
 	fmt.Printf("\nper shard:\n")
-	for _, sh := range snap.Shards {
-		var b int
-		for _, ps := range sh.Preds {
-			b += len(ps.State)
-		}
-		fmt.Printf("  shard %-3d %12d events %10d pcs %12d bytes\n", sh.Shard, sh.Events, len(sh.PCs), b)
+	for _, sh := range sum.shards {
+		fmt.Printf("  shard %-3d %12d events %10d pcs %12d bytes\n", sh.Shard, sh.Events, sh.UniquePCs, sh.StateBytes)
 	}
 	if *top > 0 {
 		byPC := make(map[uint64]int)
-		for _, a := range aggs {
+		for _, a := range sum.aggs {
 			for pc, n := range a.PerPC {
 				byPC[pc] += n
 			}
@@ -250,22 +270,18 @@ func diff(args []string) {
 	if fs.NArg() != 2 {
 		usage()
 	}
-	oldSnap, oldChain := readSnap(fs.Arg(0))
-	newSnap, newChain := readSnap(fs.Arg(1))
-	fmt.Printf("old: %s  %12d events  (%s)%s\n", oldSnap.Meta.ID, oldSnap.Meta.Events,
-		time.Unix(0, oldSnap.Meta.CreatedUnixNano).UTC().Format(time.RFC3339), chainSuffix(oldChain))
-	fmt.Printf("new: %s  %12d events  (%s)%s\n", newSnap.Meta.ID, newSnap.Meta.Events,
-		time.Unix(0, newSnap.Meta.CreatedUnixNano).UTC().Format(time.RFC3339), chainSuffix(newChain))
-	fmt.Printf("     %+d events\n\n", int64(newSnap.Meta.Events)-int64(oldSnap.Meta.Events))
+	// One checkpoint loaded at a time: the old one is summarized, and its
+	// predictors dropped, before the new one loads.
+	oldSum := mustSummarize(fs.Arg(0))
+	newSum := mustSummarize(fs.Arg(1))
+	oldMeta, newMeta := oldSum.meta, newSum.meta
+	fmt.Printf("old: %s  %12d events  (%s)%s\n", oldMeta.ID, oldMeta.Events,
+		time.Unix(0, oldMeta.CreatedUnixNano).UTC().Format(time.RFC3339), chainSuffix(oldSum.chain))
+	fmt.Printf("new: %s  %12d events  (%s)%s\n", newMeta.ID, newMeta.Events,
+		time.Unix(0, newMeta.CreatedUnixNano).UTC().Format(time.RFC3339), chainSuffix(newSum.chain))
+	fmt.Printf("     %+d events\n\n", int64(newMeta.Events)-int64(oldMeta.Events))
 
-	oldAggs, err := aggregate(oldSnap)
-	if err != nil {
-		fatal(err)
-	}
-	newAggs, err := aggregate(newSnap)
-	if err != nil {
-		fatal(err)
-	}
+	oldAggs, newAggs := oldSum.aggs, newSum.aggs
 	oldBy := make(map[string]*predAgg, len(oldAggs))
 	for _, a := range oldAggs {
 		oldBy[a.Name] = a
@@ -350,14 +366,6 @@ func diff(args []string) {
 	}
 }
 
-// exportShard is the JSON shape of one shard in export output.
-type exportShard struct {
-	Shard      int    `json:"shard"`
-	Events     uint64 `json:"events"`
-	UniquePCs  int    `json:"unique_pcs"`
-	StateBytes int    `json:"state_bytes"`
-}
-
 func export(args []string) {
 	fs := flag.NewFlagSet("export", flag.ExitOnError)
 	withPCs := fs.Bool("pcs", false, "include per-PC entry counts (can be large)")
@@ -365,11 +373,7 @@ func export(args []string) {
 	if fs.NArg() != 1 {
 		usage()
 	}
-	snap, chain := readSnap(fs.Arg(0))
-	aggs, err := aggregate(snap)
-	if err != nil {
-		fatal(err)
-	}
+	sum := mustSummarize(fs.Arg(0))
 
 	type exportPred struct {
 		*predAgg
@@ -388,22 +392,16 @@ func export(args []string) {
 		Shards     []exportShard `json:"shards"`
 		Predictors []exportPred  `json:"predictors"`
 	}{
-		Meta:    snap.Meta,
-		Created: time.Unix(0, snap.Meta.CreatedUnixNano).UTC().Format(time.RFC3339Nano),
+		Meta:    sum.meta,
+		Created: time.Unix(0, sum.meta.CreatedUnixNano).UTC().Format(time.RFC3339Nano),
+		Shards:  sum.shards,
 	}
-	if chain.Depth > 0 {
+	if chain := sum.chain; chain.Depth > 0 {
 		out.Chain = &exportChain{Depth: chain.Depth, Files: chain.Files, Records: chain.Records}
 	}
-	for _, sh := range snap.Shards {
-		es := exportShard{Shard: sh.Shard, Events: sh.Events, UniquePCs: len(sh.PCs)}
-		for _, ps := range sh.Preds {
-			es.StateBytes += len(ps.State)
-		}
-		out.Shards = append(out.Shards, es)
-	}
-	for _, a := range aggs {
+	for _, a := range sum.aggs {
 		ep := exportPred{predAgg: a}
-		if *withPCs && a.PerPC != nil {
+		if *withPCs {
 			ep.PCs = make(map[string]int, len(a.PerPC))
 			for pc, n := range a.PerPC {
 				ep.PCs[fmt.Sprintf("%#x", pc)] = n

@@ -458,16 +458,16 @@ func drive(args []string) {
 			// Warm-restart parity: replay from the snapshot's restored
 			// state, mirroring the server's sharded layout exactly. A
 			// delta checkpoint resolves through its chain first.
-			snap, _, err := snapshot.ResolveChain(*warm)
+			loaded, _, err := snapshot.ResolveChain(*warm)
 			if err != nil {
 				fatal(err)
 			}
-			if res.ServerPriorEvents != snap.Meta.Events {
+			if res.ServerPriorEvents != loaded.Meta.Events {
 				fatal(fmt.Errorf(
 					"verify: server reported %d prior events but snapshot %s holds %d; it was restored from a different checkpoint (or has served traffic since restoring)",
-					res.ServerPriorEvents, snap.Meta.ID, snap.Meta.Events))
+					res.ServerPriorEvents, loaded.Meta.ID, loaded.Meta.Events))
 			}
-			bank, err := serve.NewWarmBank(snap)
+			bank, err := serve.WarmBankOf(loaded)
 			if err != nil {
 				fatal(err)
 			}
@@ -477,7 +477,7 @@ func drive(args []string) {
 			}
 			bank.StepBatch(evs)
 			correct = bank.Correct()
-			mode = fmt.Sprintf("replay warm from snapshot %s (%d events of prior learning)", snap.Meta.ID, snap.Meta.Events)
+			mode = fmt.Sprintf("replay warm from snapshot %s (%d events of prior learning)", loaded.Meta.ID, loaded.Meta.Events)
 		} else {
 			if res.ServerPriorEvents > 0 {
 				fatal(fmt.Errorf(

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -213,105 +211,63 @@ func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, de
 	}, nil
 }
 
-// Restore loads a decoded snapshot into a server that has not started
-// yet, replacing every shard's predictors, tallies, PC sets and event
-// counts. The server must be configured with the snapshot's exact shard
-// count and predictor bank; after Start it continues bit-identically to
-// the server that wrote the checkpoint. The shards load in parallel, one
-// goroutine each, and the restore is all-or-nothing: the loaded state is
-// swapped in only once every shard has loaded, so on error the server
-// keeps its cold state and RestoredFrom stays "".
+// Restore loads a decoded root snapshot into a server that has not
+// started yet: Load, then RestoreLoaded.
 func (s *Server) Restore(snap *snapshot.Snapshot) error {
+	l, _, err := snapshot.Load(snap)
+	if err != nil {
+		return err
+	}
+	return s.RestoreLoaded(l)
+}
+
+// RestoreLoaded installs a loaded checkpoint into a server that has not
+// started yet, replacing every shard's predictors, tallies, PC sets and
+// event counts, and takes over the loaded predictors. The server must be
+// configured with the checkpoint's exact shard count and predictor bank;
+// after Start it continues bit-identically to the server that wrote the
+// checkpoint. The restore is all-or-nothing: the state is swapped in only
+// once every shard's section has been checked, so on error the server
+// keeps its cold state and RestoredFrom stays "".
+func (s *Server) RestoreLoaded(l *snapshot.Loaded) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.started || s.closed {
 		return errors.New("serve: restore requires a server that has not been started")
 	}
-	if err := checkResolved(snap); err != nil {
-		return err
-	}
-	if snap.Meta.Shards != len(s.shards) {
+	if l.Meta.Shards != len(s.shards) {
 		return fmt.Errorf("serve: snapshot %s has %d shards, server is configured with %d (restart with -shards %d)",
-			snap.Meta.ID, snap.Meta.Shards, len(s.shards), snap.Meta.Shards)
+			l.Meta.ID, l.Meta.Shards, len(s.shards), l.Meta.Shards)
 	}
-	if !slices.Equal(snap.Meta.Predictors, s.predNames) {
+	if !slices.Equal(l.Meta.Predictors, s.predNames) {
 		return fmt.Errorf("serve: snapshot %s predictor bank %v does not match server bank %v",
-			snap.Meta.ID, snap.Meta.Predictors, s.predNames)
+			l.Meta.ID, l.Meta.Predictors, s.predNames)
 	}
 	t0 := time.Now()
 	pcs := make([]core.PCSet, len(s.shards))
 	for i := range s.shards {
 		var err error
-		if pcs[i], err = shardPCs(i, snap.Shards[i].PCs, len(s.shards)); err != nil {
+		if pcs[i], err = shardPCs(i, l.Shards[i].PCs, len(s.shards)); err != nil {
 			return err
 		}
 	}
-	banks, err := loadShards(s.cfg.Predictors, snap.Shards)
+	preds, err := l.Take()
 	if err != nil {
 		return err
 	}
 	var events uint64
 	for i, sh := range s.shards {
-		sh.install(snap.Shards[i], banks[i], pcs[i])
-		events += snap.Shards[i].Events
+		sh.install(l.Shards[i], preds[i], pcs[i])
+		events += l.Shards[i].Events
 	}
-	dur := time.Since(t0)
-	s.restoredID = snap.Meta.ID
+	dur := l.Dur + time.Since(t0)
+	s.restoredID = l.Meta.ID
 	s.restoredAt = time.Now()
 	s.metrics.restoreTotal.Inc()
 	s.metrics.restoredEvents.Set(int64(events))
-	s.ring.Add(obs.StageEvent{Kind: evRestore, Shard: -1, DurNs: dur.Nanoseconds(), N: events, Detail: snap.Meta.ID})
-	s.log.Info("warm restore", "id", snap.Meta.ID, "events", events, "shards", len(s.shards), "load", dur)
+	s.ring.Add(obs.StageEvent{Kind: evRestore, Shard: -1, DurNs: dur.Nanoseconds(), N: events, Detail: l.Meta.ID})
+	s.log.Info("warm restore", "id", l.Meta.ID, "events", events, "shards", len(s.shards), "load", dur)
 	return nil
-}
-
-// checkResolved rejects a delta checkpoint read on its own: its state
-// blobs hold only what changed since its parent, so only the state
-// snapshot.ResolveChain materializes from its chain can be loaded.
-func checkResolved(snap *snapshot.Snapshot) error {
-	if snap.Meta.ParentID != "" {
-		return fmt.Errorf("serve: checkpoint %s is a delta on %s; resolve its chain (snapshot.ResolveChain) to restore it",
-			snap.Meta.ID, snap.Meta.ParentID)
-	}
-	return nil
-}
-
-// loadShards loads every shard section's predictors concurrently, one
-// goroutine per shard, and returns once all of them have finished: the
-// predictor banks in shard order, or the error of the lowest failing
-// shard.
-func loadShards(facs []core.NamedFactory, shards []snapshot.ShardState) ([][]core.Predictor, error) {
-	banks := make([][]core.Predictor, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			banks[i], errs[i] = loadPredictors(facs, i, shards[i])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return banks, nil
-}
-
-// loadPredictors builds shard si's predictors from their factories and
-// loads each from its saved state.
-func loadPredictors(facs []core.NamedFactory, si int, st snapshot.ShardState) ([]core.Predictor, error) {
-	preds := make([]core.Predictor, len(facs))
-	for i, f := range facs {
-		p := f.New()
-		if err := p.LoadState(bytes.NewReader(st.Preds[i].State)); err != nil {
-			return nil, fmt.Errorf("serve: shard %d: restoring %q: %w", si, f.Name, err)
-		}
-		preds[i] = p
-	}
-	return preds, nil
 }
 
 // RestoredFrom returns the snapshot ID this server was warm-started
@@ -342,32 +298,30 @@ type WarmBank struct {
 // replaying a multi-million-event stream keeps constant scratch memory.
 const warmChunk = 4096
 
-// NewWarmBank builds the per-shard banks from a snapshot, resolving
-// predictors through the registry; the shards load in parallel through
-// the same loader Server.Restore uses.
+// NewWarmBank builds the per-shard banks from a decoded root snapshot:
+// Load, then WarmBankOf.
 func NewWarmBank(snap *snapshot.Snapshot) (*WarmBank, error) {
-	if err := checkResolved(snap); err != nil {
+	l, _, err := snapshot.Load(snap)
+	if err != nil {
 		return nil, err
 	}
-	facs := make([]core.NamedFactory, len(snap.Meta.Predictors))
-	for i, name := range snap.Meta.Predictors {
-		fac, ok := core.FactoryByName(name)
-		if !ok {
-			return nil, fmt.Errorf("serve: snapshot predictor %q not in local registry", name)
-		}
-		facs[i] = fac
-	}
-	banks, err := loadShards(facs, snap.Shards)
+	return WarmBankOf(l)
+}
+
+// WarmBankOf builds the per-shard banks from a loaded checkpoint and
+// takes over its predictors.
+func WarmBankOf(l *snapshot.Loaded) (*WarmBank, error) {
+	preds, err := l.Take()
 	if err != nil {
 		return nil, err
 	}
 	b := &WarmBank{
-		names:  append([]string(nil), snap.Meta.Predictors...),
-		shards: make([]*core.Bank, len(banks)),
-		ends:   make([]int, len(banks)),
+		names:  append([]string(nil), l.Meta.Predictors...),
+		shards: make([]*core.Bank, len(preds)),
+		ends:   make([]int, len(preds)),
 	}
-	for si, preds := range banks {
-		b.shards[si] = core.NewBank(preds...)
+	for si, ps := range preds {
+		b.shards[si] = core.NewBank(ps...)
 	}
 	return b, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -104,21 +105,21 @@ func TestKillAndRestoreParityDeltaChain(t *testing.T) {
 			if latest != infos[segs-1].Path {
 				t.Fatalf("Latest = %s, want tip %s", latest, infos[segs-1].Path)
 			}
-			snap, chain, err := snapshot.ResolveChain(latest)
+			loaded, chain, err := snapshot.ResolveChain(latest)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if chain.Depth != segs-1 || len(chain.Files) != segs {
 				t.Fatalf("chain depth %d over %d files, want %d over %d", chain.Depth, len(chain.Files), segs-1, segs)
 			}
-			if snap.Meta.Events != uint64(cut) {
-				t.Fatalf("resolved chain carries %d events, want %d", snap.Meta.Events, cut)
+			if loaded.Meta.Events != uint64(cut) {
+				t.Fatalf("resolved chain carries %d events, want %d", loaded.Meta.Events, cut)
 			}
 			b, err := New(Config{Shards: shards, DeltaCheckpoints: true, FullEvery: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Restore(snap); err != nil {
+			if err := b.RestoreLoaded(loaded); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.Start("127.0.0.1:0", ""); err != nil {
@@ -136,8 +137,14 @@ func TestKillAndRestoreParityDeltaChain(t *testing.T) {
 				}
 			}
 
-			// 2. The offline warm bank must reproduce the suffix exactly.
-			warm, err := NewWarmBank(snap)
+			// 2. The offline warm bank must reproduce the suffix exactly. It
+			// loads its own copy of the chain: the server took over the
+			// predictors of the first.
+			warmLoaded, _, err := snapshot.ResolveChain(latest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := WarmBankOf(warmLoaded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +265,7 @@ func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 	}
 
 	// Resolve the chain now — the forced full below sweeps it away.
-	chainSnap, chain, err := snapshot.ResolveChain(deltaInfo.Path)
+	chainLoaded, chain, err := snapshot.ResolveChain(deltaInfo.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,15 +285,15 @@ func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 	if forced.Kind != "full" || forced.Depth != 0 {
 		t.Fatalf("forced checkpoint = %+v", forced)
 	}
-	forcedSnap, _, err := snapshot.ResolveChain(forced.Path)
+	forcedLoaded, _, err := snapshot.ResolveChain(forced.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(chainSnap.Shards, forcedSnap.Shards) {
+	if !reflect.DeepEqual(savedState(t, chainLoaded), savedState(t, forcedLoaded)) {
 		t.Error("chain-resolved state differs from a forced full cut of the same state")
 	}
-	if chainSnap.Meta.Events != forcedSnap.Meta.Events {
-		t.Errorf("events %d vs %d", chainSnap.Meta.Events, forcedSnap.Meta.Events)
+	if chainLoaded.Meta.Events != forcedLoaded.Meta.Events {
+		t.Errorf("events %d vs %d", chainLoaded.Meta.Events, forcedLoaded.Meta.Events)
 	}
 
 	// The full superseded the old chain: the sweep must leave only the
@@ -376,6 +383,117 @@ func TestFullEveryBoundsTheChain(t *testing.T) {
 	}
 	if files := checkpointFiles(t, dir); !slices.Equal(files, []string{last.Path}) {
 		t.Fatalf("after the forced full the dir holds %v, want only %s", files, last.Path)
+	}
+}
+
+// savedState returns a loaded checkpoint's shard sections with each
+// predictor's blob replaced by the SaveState bytes of its loaded
+// predictor: the state itself, whether it came from a root or a chain.
+func savedState(t *testing.T, l *snapshot.Loaded) []snapshot.ShardState {
+	t.Helper()
+	out := slices.Clone(l.Shards)
+	for si := range out {
+		out[si].Preds = slices.Clone(out[si].Preds)
+		for pi := range out[si].Preds {
+			var buf bytes.Buffer
+			if err := l.Preds[si][pi].SaveState(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out[si].Preds[pi].State = buf.Bytes()
+		}
+	}
+	return out
+}
+
+// writeDeltaChain serves part of the captured stream on a 2-shard
+// delta-mode server, cutting a full checkpoint and then a delta into a
+// fresh directory, and returns the delta's path.
+func writeDeltaChain(t *testing.T) string {
+	t.Helper()
+	evs, _ := capturedStream(t)
+	dir := t.TempDir()
+	s, err := New(Config{Shards: 2, DeltaCheckpoints: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var tip CheckpointInfo
+	for i := 0; i < 2; i++ {
+		driveAll(t, s, evs[i*5000:(i+1)*5000], 2)
+		if tip, err = s.WriteCheckpoint(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tip.Kind != "delta" {
+		t.Fatalf("second cut is %s, want a delta", tip.Kind)
+	}
+	return tip.Path
+}
+
+// TestRestoreEventCoversLoad: the restore ring event and log line carry
+// the whole restore's duration, the load of the chain included, not only
+// the install into the shards.
+func TestRestoreEventCoversLoad(t *testing.T) {
+	loaded, _, err := snapshot.ResolveChain(writeDeltaChain(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Dur <= 0 {
+		t.Fatalf("Load took %v", loaded.Dur)
+	}
+	r, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RestoreLoaded(loaded); err != nil {
+		t.Fatal(err)
+	}
+	var restored []obs.StageEvent
+	for _, ev := range r.EventRing().Events() {
+		if ev.Kind == evRestore {
+			restored = append(restored, ev)
+		}
+	}
+	if len(restored) != 1 || restored[0].DurNs < loaded.Dur.Nanoseconds() {
+		t.Fatalf("restore ring events = %+v, want one lasting at least the load's %v", restored, loaded.Dur)
+	}
+}
+
+// TestLoadedInstallsOnce: a loaded checkpoint's predictors go to one
+// bank. Once a server or a warm bank has taken them, installing the same
+// Loaded again fails, and the server it was offered to stays cold.
+func TestLoadedInstallsOnce(t *testing.T) {
+	tip := writeDeltaChain(t)
+	for _, first := range []string{"server", "warm bank"} {
+		loaded, _, err := snapshot.ResolveChain(tip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == "server" {
+			a, err := New(Config{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = a.RestoreLoaded(loaded)
+		} else {
+			_, err = WarmBankOf(loaded)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := New(Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.RestoreLoaded(loaded); err == nil || b.RestoredFrom() != "" {
+			t.Errorf("after a %s took the state, a second RestoreLoaded: got %v, restored from %q", first, err, b.RestoredFrom())
+		}
+		if _, err := WarmBankOf(loaded); err == nil {
+			t.Errorf("after a %s took the state, WarmBankOf succeeded", first)
+		}
 	}
 }
 

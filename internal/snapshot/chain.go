@@ -1,14 +1,15 @@
 package snapshot
 
-// Chain resolution: materializing `root + deltas → Snapshot`. A delta
-// holds, per shard and predictor, only the records that changed since its
-// parent, so resolving one walks parent IDs back to the chain's root,
-// loads each root blob into a fresh predictor from the registry, applies
-// every delta's blob in chain order and saves the result: the returned
-// blobs are exactly the SaveState bytes the live predictors had at the
-// tip's cut. Every file on the way is CRC-verified when read, and every
-// apply validates its input, so a corrupt or incomplete chain is
-// rejected rather than restored.
+// Loading: turning checkpoint bytes into live predictors. A root's blobs
+// are full state streams; a delta holds, per shard and predictor, only
+// the records that changed since its parent. Load is the one place either
+// is decoded: each predictor comes from the registry, loads the root's
+// blob and applies every delta's blob in chain order, so it ends up with
+// exactly the state the live predictor had at the tip's cut. ResolveChain
+// reads a chain from disk for it: it walks parent IDs back to the root,
+// and every file on the way is CRC-verified when read. Every load and
+// apply validates its input, so a corrupt or incomplete chain is rejected
+// rather than restored.
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 )
@@ -33,15 +35,129 @@ type ChainInfo struct {
 	Records []int
 }
 
-// ResolveChain reads the checkpoint at path and materializes its full
-// state. A root is returned as read; a delta has its chain walked
-// (parents are located by content ID in the same directory) and its
-// predictor state rebuilt through the registry, one goroutine per shard.
-// The returned Snapshot carries the tip's ID, tallies, events and PC
-// sets with complete SaveState blobs and no parent, so every consumer of
-// full snapshots (restore, warm replay, vpstate) works on chains
-// unchanged.
-func ResolveChain(path string) (*Snapshot, *ChainInfo, error) {
+// Loaded is a checkpoint's state in live predictors, as Load returns it.
+type Loaded struct {
+	// Meta is the tip's, with its parent link cleared: the loaded state
+	// is complete, like a root's.
+	Meta Meta
+	// Shards holds the tip's shard sections as read: their events, PC
+	// sets and tallies are the loaded state's. A delta tip's State blobs
+	// carry only its own records.
+	Shards []ShardState
+	// Preds holds the loaded predictors, [shard][bank order], until Take
+	// hands them to their owner.
+	Preds [][]core.Predictor
+	// Dur is how long Load took, reading excluded.
+	Dur time.Duration
+}
+
+// Take hands the loaded predictors over to the one bank that will step
+// them: the first call returns them, every later call an error, so two
+// banks never share live predictors.
+func (l *Loaded) Take() ([][]core.Predictor, error) {
+	if l.Preds == nil {
+		return nil, fmt.Errorf("snapshot: the state of checkpoint %s is already installed", l.Meta.ID)
+	}
+	preds := l.Preds
+	l.Preds = nil
+	return preds, nil
+}
+
+// Load builds the predictors of a checkpoint: chain is a root followed
+// by the deltas on it in order, each naming the one before it as its
+// parent (ResolveChain reads such a chain from disk). Each name is looked
+// up in the registry once, and the shards load in parallel, one
+// goroutine each. Load also returns how many records each delta carried
+// (records[i] for chain[i+1]). A delta given as the root is refused: its
+// blobs hold only what changed since its parent.
+func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
+	t0 := time.Now()
+	root, tip := chain[0], chain[len(chain)-1]
+	if root.Meta.ParentID != "" {
+		return nil, nil, fmt.Errorf("snapshot: checkpoint %s is a delta on %s; resolve its chain (snapshot.ResolveChain) to load it",
+			root.Meta.ID, root.Meta.ParentID)
+	}
+	// Each link must extend its parent: depth increments along the chain
+	// and the shard layout and predictor set agree, or the records cannot
+	// mean what the tip thinks they mean.
+	for i := 1; i < len(chain); i++ {
+		p, c := chain[i-1].Meta, chain[i].Meta
+		if c.Depth != p.Depth+1 {
+			return nil, nil, fmt.Errorf("snapshot: chain depth %d follows depth %d (%s after %s)",
+				c.Depth, p.Depth, c.ID, p.ID)
+		}
+		if c.Shards != p.Shards || !slices.Equal(c.Predictors, p.Predictors) {
+			return nil, nil, fmt.Errorf("snapshot: chain shard layout or predictor set changed at %s", c.ID)
+		}
+	}
+	facs := make([]core.NamedFactory, len(root.Meta.Predictors))
+	for i, name := range root.Meta.Predictors {
+		fac, ok := core.FactoryByName(name)
+		if !ok {
+			return nil, nil, fmt.Errorf("snapshot: predictor %q not in local registry", name)
+		}
+		facs[i] = fac
+	}
+
+	l := &Loaded{Meta: tip.Meta, Shards: tip.Shards, Preds: make([][]core.Predictor, len(tip.Shards))}
+	l.Meta.ParentID, l.Meta.Depth = "", 0
+	shardRecords := make([][]int, len(tip.Shards))
+	errs := make([]error, len(tip.Shards))
+	var wg sync.WaitGroup
+	for si := range tip.Shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shardRecords[si] = make([]int, len(chain)-1)
+			l.Preds[si], errs[si] = loadShard(chain, facs, si, shardRecords[si])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	records = make([]int, len(chain)-1)
+	for _, rs := range shardRecords {
+		for i, n := range rs {
+			records[i] += n
+		}
+	}
+	l.Dur = time.Since(t0)
+	return l, records, nil
+}
+
+// loadShard builds shard si's predictors: each loads the root's blob and
+// applies every delta's in order, adding the records each carried to
+// records.
+func loadShard(chain []*Snapshot, facs []core.NamedFactory, si int, records []int) ([]core.Predictor, error) {
+	preds := make([]core.Predictor, len(facs))
+	for pi, fac := range facs {
+		p := fac.New()
+		for li, c := range chain {
+			r := bytes.NewReader(c.Shards[si].Preds[pi].State)
+			var err error
+			if li == 0 {
+				err = p.LoadState(r)
+			} else {
+				var n int
+				n, err = p.ApplyDelta(r)
+				records[li-1] += n
+			}
+			if err != nil {
+				return nil, fmt.Errorf("snapshot: checkpoint %s shard %d %q: %w", c.Meta.ID, si, fac.Name, err)
+			}
+		}
+		preds[pi] = p
+	}
+	return preds, nil
+}
+
+// ResolveChain reads the checkpoint at path and loads its state: a root
+// alone, or a delta with its chain (parents are located by content ID in
+// the same directory) through Load.
+func ResolveChain(path string) (*Loaded, *ChainInfo, error) {
 	dir := filepath.Dir(path)
 	// Walk tip → root, prepending so the slices end up root-first.
 	var files []string
@@ -78,82 +194,9 @@ func ResolveChain(path string) (*Snapshot, *ChainInfo, error) {
 		}
 		cur, wantID = parent, s.Meta.ParentID
 	}
-	info := &ChainInfo{Files: files, Depth: len(chain) - 1}
-	if len(chain) == 1 {
-		return chain[0], info, nil
+	l, records, err := Load(chain...)
+	if err != nil {
+		return nil, nil, err
 	}
-
-	// Each link must extend its parent: depth increments along the walk
-	// and the shard layout and predictor set agree, or the records cannot
-	// mean what the tip thinks they mean.
-	for i := 1; i < len(chain); i++ {
-		p, c := chain[i-1], chain[i]
-		if c.Meta.Depth != p.Meta.Depth+1 {
-			return nil, nil, fmt.Errorf("snapshot: chain depth %d follows depth %d (%s after %s)",
-				c.Meta.Depth, p.Meta.Depth, c.Meta.ID, p.Meta.ID)
-		}
-		if c.Meta.Shards != p.Meta.Shards || !slices.Equal(c.Meta.Predictors, p.Meta.Predictors) {
-			return nil, nil, fmt.Errorf("snapshot: chain shard layout or predictor set changed at %s", c.Meta.ID)
-		}
-	}
-
-	tip := chain[len(chain)-1]
-	out := &Snapshot{Meta: tip.Meta, Shards: make([]ShardState, len(tip.Shards))}
-	out.Meta.ParentID, out.Meta.Depth = "", 0
-	records := make([][]int, len(tip.Shards))
-	errs := make([]error, len(tip.Shards))
-	var wg sync.WaitGroup
-	for si := range tip.Shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			records[si] = make([]int, len(chain)-1)
-			out.Shards[si], errs[si] = resolveShard(chain, files, si, records[si])
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	info.Records = make([]int, len(chain)-1)
-	for _, rs := range records {
-		for i, n := range rs {
-			info.Records[i] += n
-		}
-	}
-	return out, info, nil
-}
-
-// resolveShard rebuilds shard si of the chain's tip: each predictor is
-// loaded from the root, has every delta applied in order (adding the
-// records each carried to records) and is saved back, one predictor at a
-// time so only one is ever held.
-func resolveShard(chain []*Snapshot, files []string, si int, records []int) (ShardState, error) {
-	tip := chain[len(chain)-1].Shards[si]
-	sh := ShardState{Shard: si, Events: tip.Events, PCs: tip.PCs, Preds: make([]PredState, len(tip.Preds))}
-	for pi, ps := range tip.Preds {
-		fac, ok := core.FactoryByName(ps.Name)
-		if !ok {
-			return sh, fmt.Errorf("snapshot: predictor %q not in local registry", ps.Name)
-		}
-		p := fac.New()
-		if err := p.LoadState(bytes.NewReader(chain[0].Shards[si].Preds[pi].State)); err != nil {
-			return sh, fmt.Errorf("snapshot: %s shard %d: %w", filepath.Base(files[0]), si, err)
-		}
-		for li, d := range chain[1:] {
-			n, err := p.ApplyDelta(bytes.NewReader(d.Shards[si].Preds[pi].State))
-			if err != nil {
-				return sh, fmt.Errorf("snapshot: %s shard %d: %w", filepath.Base(files[li+1]), si, err)
-			}
-			records[li] += n
-		}
-		var buf bytes.Buffer
-		if err := p.SaveState(&buf); err != nil {
-			return sh, fmt.Errorf("snapshot: shard %d %q: %w", si, ps.Name, err)
-		}
-		sh.Preds[pi] = PredState{Name: ps.Name, Correct: ps.Correct, Total: ps.Total, State: buf.Bytes()}
-	}
-	return sh, nil
+	return l, &ChainInfo{Files: files, Depth: len(chain) - 1, Records: records}, nil
 }

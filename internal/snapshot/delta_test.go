@@ -138,9 +138,9 @@ func writeChain(t *testing.T, dir string) (paths []string, snaps []*Snapshot, fu
 	return paths, snaps, full
 }
 
-// checkState fails unless got holds exactly want's tallies and events
-// with the full blobs wantFull.
-func checkState(t *testing.T, got, want *Snapshot, wantFull [][][]byte) {
+// checkState fails unless got holds exactly want's tallies and events,
+// and its loaded predictors save exactly the full blobs wantFull.
+func checkState(t *testing.T, got *Loaded, want *Snapshot, wantFull [][][]byte) {
 	t.Helper()
 	if got.Meta.ID != want.Meta.ID || got.Meta.Events != want.Meta.Events || got.Meta.ParentID != "" {
 		t.Fatalf("resolved meta %+v, want the state of %s", got.Meta, want.Meta.ID)
@@ -155,9 +155,13 @@ func checkState(t *testing.T, got, want *Snapshot, wantFull [][][]byte) {
 				t.Fatalf("shard %d %s tallies %d/%d, want %d/%d", si, ps.Name,
 					ps.Correct, ps.Total, w.Preds[pi].Correct, w.Preds[pi].Total)
 			}
-			if !bytes.Equal(ps.State, wantFull[si][pi]) {
-				t.Fatalf("shard %d %s: resolved state %d bytes differs from the live %d",
-					si, ps.Name, len(ps.State), len(wantFull[si][pi]))
+			var saved bytes.Buffer
+			if err := got.Preds[si][pi].SaveState(&saved); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved.Bytes(), wantFull[si][pi]) {
+				t.Fatalf("shard %d %s: loaded state saves %d bytes, differing from the live %d",
+					si, ps.Name, saved.Len(), len(wantFull[si][pi]))
 			}
 		}
 	}
@@ -501,6 +505,55 @@ func TestResolveLatestFallsBack(t *testing.T) {
 	skipped = nil
 	if _, _, err := ResolveLatest(dir, skip); err == nil || len(skipped) != 4 {
 		t.Fatalf("nothing resolves: err %v, skipped %v", err, skipped)
+	}
+}
+
+// TestResolveLatestSkipsRootThatDoesNotLoad: a newer root whose blob
+// passes its CRC but does not load is passed over like a corrupt delta,
+// and the older root restores.
+func TestResolveLatestSkipsRootThatDoesNotLoad(t *testing.T) {
+	dir := t.TempDir()
+	lb := newLiveBank(t, 2, "l", "fcm2")
+	lb.step(chainTraffic(0, 2000))
+	_, good, full := lb.cut(t, dir, false)
+	bad := *good
+	bad.Meta.CreatedUnixNano++
+	bad.Shards = slices.Clone(bad.Shards)
+	bad.Shards[1].Preds = slices.Clone(bad.Shards[1].Preds)
+	fcm := &bad.Shards[1].Preds[1].State
+	*fcm = (*fcm)[:len(*fcm)/2]
+	badPath, err := WriteFileAtomic(dir, &bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latest, _ := Latest(dir); latest != badPath {
+		t.Fatalf("Latest = %s, want the truncated root %s", latest, badPath)
+	}
+	var skipped []string
+	got, chain, err := ResolveLatest(dir, func(path string, err error) {
+		if err == nil || !strings.Contains(err.Error(), "fcm2") {
+			t.Errorf("%s skipped with %v, want an fcm2 load error", path, err)
+		}
+		skipped = append(skipped, path)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(skipped, []string{badPath}) || chain.Depth != 0 {
+		t.Fatalf("skipped %v (chain depth %d), want only the root that does not load", skipped, chain.Depth)
+	}
+	checkState(t, got, good, full)
+}
+
+// TestLoadRefusesDeltaAsRoot: a delta's blobs hold only what changed
+// since its parent, so Load refuses a chain that starts with one, and the
+// error points to ResolveChain.
+func TestLoadRefusesDeltaAsRoot(t *testing.T) {
+	_, snaps, _ := writeChain(t, t.TempDir())
+	for _, chain := range [][]*Snapshot{snaps[1:2], snaps[1:]} {
+		if _, _, err := Load(chain...); err == nil || !strings.Contains(err.Error(), "ResolveChain") {
+			t.Fatalf("Load of %d checkpoints starting with a delta: got %v, want an error naming ResolveChain", len(chain), err)
+		}
 	}
 }
 

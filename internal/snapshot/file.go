@@ -149,12 +149,13 @@ func Latest(dir string) (string, error) {
 
 // ResolveLatest restores from a checkpoint directory that may hold
 // damage: it tries the checkpoints newest-first and returns the first
-// whose chain resolves (ResolveChain), reporting each one it passes over
-// to skipped (which may be nil) with the reason. A corrupt delta thus
-// falls back to its parent's state, and a chain whose root is gone is
-// skipped whole. fs.ErrNotExist is returned when the directory holds no
+// whose chain resolves and loads (ResolveChain), reporting each one it
+// passes over to skipped (which may be nil) with the reason. A corrupt
+// delta thus falls back to its parent's state, a chain whose root is gone
+// is skipped whole, and so is a root whose blobs pass the CRC but do not
+// load. fs.ErrNotExist is returned when the directory holds no
 // checkpoints; an error naming the newest failure when none resolves.
-func ResolveLatest(dir string, skipped func(path string, err error)) (*Snapshot, *ChainInfo, error) {
+func ResolveLatest(dir string, skipped func(path string, err error)) (*Loaded, *ChainInfo, error) {
 	names, err := checkpointNames(dir)
 	if err != nil {
 		return nil, nil, err
@@ -165,9 +166,9 @@ func ResolveLatest(dir string, skipped func(path string, err error)) (*Snapshot,
 	var first error
 	for i := len(names) - 1; i >= 0; i-- {
 		path := filepath.Join(dir, names[i])
-		snap, chain, err := ResolveChain(path)
+		l, chain, err := ResolveChain(path)
 		if err == nil {
-			return snap, chain, nil
+			return l, chain, nil
 		}
 		if first == nil {
 			first = err

@@ -23,13 +23,15 @@
 // chain depth, shard count, the predictor name list, then one section
 // per shard: shard id, shard events, the shard's sorted unique PCs
 // (delta-encoded), and per predictor its lifetime tallies and an opaque
-// state blob. A root's blobs are core.Stateful.SaveState streams; a
+// state blob. A root's blobs are full core.Stateful state streams; a
 // delta's are core.DeltaStateful.SaveDelta streams, which hold only what
 // changed since the parent. Everything inside a blob is private to the
 // predictor type; this package frames, versions and checksums it, and
-// resolves chains through the predictor registry (chain.go). Version 1
-// payloads, written before checkpoints could name a parent, lack the
-// parent and depth fields and decode as roots.
+// Load (chain.go) is the one place blobs become live predictors: a root's
+// loaded and every delta's applied, through the predictor registry, into
+// the predictors a server, a warm bank or vpstate then takes over.
+// Version 1 payloads, written before checkpoints could name a parent,
+// lack the parent and depth fields and decode as roots.
 //
 // A snapshot's ID is the hex CRC-64 of its payload — content-addressed,
 // so two snapshots of identical state (and creation time) share an ID and
@@ -100,7 +102,7 @@ type PredState struct {
 	// Correct and Total are the predictor's lifetime tally on this shard.
 	Correct uint64
 	Total   uint64
-	// State is the opaque predictor blob: a SaveState stream in a root,
+	// State is the opaque predictor blob: a full state stream in a root,
 	// a SaveDelta stream in a delta.
 	State []byte
 }
