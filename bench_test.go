@@ -619,7 +619,7 @@ func deltaBenchStream() (train, hot []serve.Event) {
 // a loaded delta-mode server when ~5% of PCs have mutated since the
 // previous cut: per op, the hot PC band is re-driven (untimed) and then
 // one delta is cut (timed) — each shard's scan for changed contexts, the
-// encoding of the dirty PCs' records, and the atomic file write. The
+// encoding of the stepped PCs' records, and the atomic file write. The
 // full-cut reference over the same mutation pattern is measured during
 // setup and reported as full_cut_ns and full_bytes; bytes_x and time_x
 // are the full/delta ratios, with ≥5× the acceptance bar for both. CI
@@ -712,9 +712,9 @@ func fcmGrowthEvents(rng *rand.Rand, n int) (pcs, vals []uint64) {
 // the previous save, the case every full checkpoint cut of a growing
 // workload hits. Per op, untimed: restore a ~1M-context state, save once
 // (the previous cut), then add ~10% new contexts; timed: one SaveState
-// that encodes every record. CI ratchets ns/op here, so a save that goes
-// back to sorting every context, rather than only those added since the
-// previous save, fails the build.
+// that groups every context by owning PC with a counting sort, in
+// creation order, and encodes every record. CI ratchets ns/op here, so a save
+// that goes back to sorting contexts fails the build.
 func BenchmarkFCMSaveGrowth(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	p := core.NewFCM(3)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"testing"
 )
@@ -10,7 +11,9 @@ import (
 // property: once every PC, context and value has been seen, the
 // predict/update path allocates nothing. The stream is strictly periodic
 // over a fixed PC set and fully warmed first, so any allocation reported
-// here is a per-event cost, not amortized growth.
+// here is a per-event cost, not amortized growth. A save clears the
+// change marks before the measured steps, so those steps set them again,
+// which the delta cut afterwards confirms.
 func TestPredictorsSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -35,6 +38,9 @@ func TestPredictorsSteadyStateZeroAlloc(t *testing.T) {
 				step(i)
 			}
 			i := 48 * 16
+			if err := p.SaveState(io.Discard); err != nil {
+				t.Fatal(err)
+			}
 			allocs := testing.AllocsPerRun(200, func() {
 				step(i)
 				i++
@@ -42,6 +48,7 @@ func TestPredictorsSteadyStateZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("%s steady state allocates %.1f allocs per event", p.Name(), allocs)
 			}
+			requireMarked(t, p)
 		})
 	}
 }
@@ -50,10 +57,19 @@ func TestPredictorsSteadyStateZeroAlloc(t *testing.T) {
 // alias a stride; these do not).
 var NonStride4 = []uint64{3, 1, 4, 7}
 
+// requireMarked fails unless p's next delta carries a record: the steps
+// since its last save set its change marks.
+func requireMarked(t *testing.T, p Predictor) {
+	t.Helper()
+	if n, err := p.SaveDelta(io.Discard); err != nil || n == 0 {
+		t.Fatalf("%s: the measured steps left no change mark (delta records %d, err %v)", p.Name(), n, err)
+	}
+}
+
 // TestBankSteadyStateZeroAlloc extends the steady-state property to the
 // batch execution layer: once every PC, context and value has been seen
 // and the grouping arenas have grown to the batch size, Bank.StepBatch
-// allocates nothing.
+// allocates nothing, the change marks every StepRun sets included.
 func TestBankSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -81,6 +97,11 @@ func TestBankSteadyStateZeroAlloc(t *testing.T) {
 		fill(it * batch)
 		b.StepBatch(pcs, vals)
 	}
+	for _, p := range b.Predictors() {
+		if err := p.SaveState(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
 	it := 16
 	allocs := testing.AllocsPerRun(100, func() {
 		fill(it * batch)
@@ -89,6 +110,9 @@ func TestBankSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("bank steady state allocates %.1f allocs per batch", allocs)
+	}
+	for _, p := range b.Predictors() {
+		requireMarked(t, p)
 	}
 }
 

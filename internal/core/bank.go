@@ -100,15 +100,6 @@ type Bank struct {
 	obs     RunObserver
 	obsHits [][]byte // per predictor: grouped-order hit row, reused
 	obsRows [][]byte // per-run hits argument, refilled per run
-
-	// Dirty tracking for delta checkpoints: one bit per pc-table handle,
-	// set the first time a batch touches that PC (the same once-per-
-	// distinct-PC stamp point grouping already pays for). Every predictor
-	// in a bank steps every event, so bank granularity is exact for all
-	// of them. The bitset only grows when a new PC is inserted, so
-	// steady-state marking is allocation-free.
-	dirtyOn bool
-	dirty   []uint64 // per handle: bit set when touched since ResetDirty
 }
 
 // NewBank builds a bank over the given predictors. The slice is retained.
@@ -236,9 +227,6 @@ func (b *Bank) group(pcs, values []uint64, needOrder bool) {
 			b.gid[h] = int32(len(b.gpc))
 			b.gpc = append(b.gpc, pc)
 			b.cnt = append(b.cnt, 0)
-			if b.dirtyOn {
-				b.markDirty(h)
-			}
 		}
 		g := b.gid[h]
 		b.cnt[g]++
@@ -294,48 +282,4 @@ func (b *Bank) Reset() {
 	b.epoch = b.epoch[:0]
 	b.gid = b.gid[:0]
 	b.stamp = 0
-	b.dirty = b.dirty[:0]
-}
-
-// SetDirtyTracking turns per-PC dirty tracking on or off. While on, every
-// PC touched by a batch is marked in a bitset that delta saves
-// (DeltaStateful.SaveDelta) read through PCDirty; marking piggybacks on
-// batch grouping's existing once-per-distinct-PC stamp and adds zero
-// steady-state allocations (TestBankDirtyTrackingZeroAlloc). Not safe to call concurrently with
-// StepBatch.
-func (b *Bank) SetDirtyTracking(on bool) {
-	b.dirtyOn = on
-	if !on {
-		b.dirty = b.dirty[:0]
-	}
-}
-
-func (b *Bank) markDirty(h int32) {
-	w := int(h) >> 6
-	for w >= len(b.dirty) {
-		b.dirty = append(b.dirty, 0)
-	}
-	b.dirty[w] |= 1 << (uint(h) & 63)
-}
-
-// PCDirty reports whether pc has been stepped since the last ResetDirty.
-// A PC the bank has never grouped (including PCs that exist only in
-// predictor state loaded by LoadState) is clean by definition: nothing
-// has mutated it through this bank.
-func (b *Bank) PCDirty(pc uint64) bool {
-	h, ok := b.idx.lookup(pc)
-	if !ok {
-		return false
-	}
-	w := int(h) >> 6
-	if w >= len(b.dirty) {
-		return false
-	}
-	return b.dirty[w]&(1<<(uint(h)&63)) != 0
-}
-
-// ResetDirty clears all dirty bits (keeping capacity). Callers snapshot
-// state first, then reset, so the bits always cover "since the last cut".
-func (b *Bank) ResetDirty() {
-	clear(b.dirty)
 }

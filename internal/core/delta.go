@@ -2,13 +2,14 @@ package core
 
 // Record deltas, the core half of incremental checkpoints. A delta holds
 // only the table entries that changed since the predictor's previous
-// save: for the per-PC predictors, the records of the PCs the caller
-// reports dirty (the Bank tracks them at batch-grouping time); for the
-// FCM, those PCs' histories plus every context whose counts changed,
-// which the FCM marks itself inside the context entry its update already
-// writes. Applying a delta is a find-or-insert of each PC and context
-// followed by a wholesale replace of its state, so a root SaveState
-// followed by every delta cut since reproduces the live state exactly.
+// save: the records of the PCs stepped since then, and for the FCM, those
+// PCs' histories plus every context whose counts changed. Each predictor
+// marks what its steps change itself: a bit per table handle for the
+// per-PC predictors, and for the FCM a flag in its per-PC state and one
+// in each context entry its update already writes. Applying a delta is a
+// find-or-insert of each PC and context followed by a wholesale replace
+// of its state, so a root SaveState followed by every delta cut since
+// reproduces the live state exactly.
 
 import (
 	"cmp"
@@ -20,20 +21,18 @@ import (
 // DeltaStateful is the incremental half of the durability capability.
 //
 // SaveDelta writes the state that changed since the predictor's previous
-// save of either kind (SaveState or SaveDelta): a record for every PC that
-// dirty reports (nil reports every PC), holding what changed in that PC's
-// state. The caller owns the PC-level dirty set and must reset it at
-// every save; a predictor with finer state (the FCM's contexts) keeps its
-// own change marks, which both saves clear. The contract is
+// save of either kind (SaveState or SaveDelta): a record for every PC
+// stepped (by Update or StepRun) since then, holding what changed in that
+// PC's state. The predictor keeps these change marks itself; both saves
+// clear them, and LoadState and ApplyDelta set none. The contract is
 //
 //	a.SaveState(root)            // or any save a delta chain starts from
-//	... updates ...; a.SaveDelta(d1, dirty1)
-//	... updates ...; a.SaveDelta(d2, dirty2)
+//	... updates ...; a.SaveDelta(d1)
+//	... updates ...; a.SaveDelta(d2)
 //	b.LoadState(root); b.ApplyDelta(d1); b.ApplyDelta(d2)
 //
 // leaves b behaviorally indistinguishable from a, with byte-identical
-// SaveState output, whenever each dirty set covers every PC updated since
-// the previous save.
+// SaveState output.
 //
 // Both methods report how many table entries the delta carries, in the
 // unit of Sized's total: a PC's record for the per-PC predictors, a
@@ -42,7 +41,7 @@ import (
 // a failed apply leaves the receiver partly updated: discard it.
 type DeltaStateful interface {
 	Stateful
-	SaveDelta(w io.Writer, dirty func(pc uint64) bool) (records int, err error)
+	SaveDelta(w io.Writer) (records int, err error)
 	ApplyDelta(r io.Reader) (records int, err error)
 }
 
@@ -50,29 +49,41 @@ type DeltaStateful interface {
 // saved delta lists its PCs in ascending order, so a repeat is corrupt.
 var errDeltaOrder = errors.New("delta PCs not strictly ascending")
 
-// dirtyHandles returns the slab handles of the PCs dirty reports (all of
-// them for a nil dirty), ordered by ascending PC.
-func dirtyHandles(pcs []uint64, dirty func(uint64) bool) []int32 {
-	if dirty == nil {
-		return sortedHandles(pcs)
+// pcMarks are a per-PC predictor's change marks: one bit per table
+// handle, set by every step of that PC and cleared by every save. The
+// bits grow with the table, so marking allocates nothing once every PC
+// has been seen.
+type pcMarks []uint64
+
+// mark sets handle h's bit.
+func (m *pcMarks) mark(h int32) {
+	w := int(h >> 6)
+	if w >= len(*m) {
+		*m = append(*m, make([]uint64, w+1-len(*m))...)
 	}
-	var hs []int32
-	for h, pc := range pcs {
-		if dirty(pc) {
-			hs = append(hs, int32(h))
-		}
-	}
-	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(pcs[a], pcs[b]) })
-	return hs
+	(*m)[w] |= 1 << (h & 63)
+}
+
+// has reports handle h's bit.
+func (m pcMarks) has(h int32) bool {
+	w := int(h >> 6)
+	return w < len(m) && m[w]&(1<<(h&63)) != 0
 }
 
 // saveRecords writes a one-entry-per-PC predictor's state stream: the
 // record count, then each record in ascending PC order, its PC
 // delta-encoded from the previous record's and followed by enc's fields.
-// With a nil dirty it writes every PC, which is the predictor's SaveState
-// stream; a delta is the same layout restricted to the dirty PCs.
-func saveRecords(w io.Writer, pcs []uint64, dirty func(uint64) bool, enc func(e *stateEncoder, h int32)) (int, error) {
-	hs := dirtyHandles(pcs, dirty)
+// That is the predictor's SaveState stream; a delta is the same layout
+// restricted to the PCs marks holds. Either save clears the marks.
+func saveRecords(w io.Writer, pcs []uint64, marks pcMarks, delta bool, enc func(e *stateEncoder, h int32)) (int, error) {
+	hs := make([]int32, 0, len(pcs))
+	for h := range pcs {
+		if marks.has(int32(h)) || !delta {
+			hs = append(hs, int32(h))
+		}
+	}
+	clear(marks)
+	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(pcs[a], pcs[b]) })
 	var e stateEncoder
 	e.uvarint(uint64(len(hs)))
 	var prev uint64

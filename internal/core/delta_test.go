@@ -30,35 +30,31 @@ func deltaTraffic(rng *rand.Rand, base, pcs, n int) (pc, val []uint64) {
 	return pc, val
 }
 
-// saveDelta cuts one delta of p through the bank's dirty set and resets
-// the set, as a checkpoint cut does.
-func saveDelta(t *testing.T, b *Bank, p Predictor) ([]byte, int) {
+// saveDelta cuts one delta of p, as a checkpoint cut does.
+func saveDelta(t *testing.T, p Predictor) ([]byte, int) {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := p.SaveDelta(&buf, b.PCDirty)
+	n, err := p.SaveDelta(&buf)
 	if err != nil {
 		t.Fatalf("%s SaveDelta: %v", p.Name(), err)
 	}
-	b.ResetDirty()
 	return buf.Bytes(), n
 }
 
 // TestDeltaApplyParity is the record-delta contract for every registry
-// predictor: random traffic through a dirty-tracking bank, cut as a root
-// SaveState and then several deltas, must rebuild from LoadState(root)
-// plus ApplyDelta of each delta to exactly the live SaveState bytes at
-// every cut, and the rebuilt predictor must then predict identically.
+// predictor: random traffic through a bank, cut as a root SaveState and
+// then several deltas, must rebuild from LoadState(root) plus ApplyDelta
+// of each delta to exactly the live SaveState bytes at every cut, and the
+// rebuilt predictor must then predict identically.
 func TestDeltaApplyParity(t *testing.T) {
 	for _, f := range KnownFactories() {
 		t.Run(f.Name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			live := f.New()
 			b := NewBank(live)
-			b.SetDirtyTracking(true)
 			pcs, vals := deltaTraffic(rng, 0, 64, 6000)
 			b.StepBatch(pcs, vals)
 			root := saveBytes(t, live)
-			b.ResetDirty()
 
 			var deltas, want [][]byte
 			var records []int
@@ -69,7 +65,7 @@ func TestDeltaApplyParity(t *testing.T) {
 					end := min(off+700, len(pcs))
 					b.StepBatch(pcs[off:end], vals[off:end])
 				}
-				d, n := saveDelta(t, b, live)
+				d, n := saveDelta(t, live)
 				deltas, records = append(deltas, d), append(records, n)
 				want = append(want, saveBytes(t, live))
 			}
@@ -119,14 +115,12 @@ func TestSaveStateChunksSkipParity(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			live := f.New()
 			b := NewBank(live)
-			b.SetDirtyTracking(true)
 			pcs, vals := deltaTraffic(rng, 0, 960, 40000)
 			b.StepBatch(pcs, vals)
 			root := saveBytes(t, live)
-			b.ResetDirty()
 
 			b.StepBatch([]uint64{12}, []uint64{12345}) // a noisy PC with many contexts
-			one, n1 := saveDelta(t, b, live)
+			one, n1 := saveDelta(t, live)
 			maxOne := 1
 			if fcm, ok := live.(*FCM); ok {
 				maxOne = fcm.Order() + 1
@@ -138,7 +132,7 @@ func TestSaveStateChunksSkipParity(t *testing.T) {
 			hot := 48
 			pcs, vals = deltaTraffic(rng, 0, hot, 2000)
 			b.StepBatch(pcs, vals)
-			d, n := saveDelta(t, b, live)
+			d, n := saveDelta(t, live)
 			perPC := live.PCEntries()
 			hotEntries := 0
 			for pc := uint64(0); pc < uint64(hot)*4; pc += 4 {
@@ -154,7 +148,7 @@ func TestSaveStateChunksSkipParity(t *testing.T) {
 			if len(d)*4 > len(root) {
 				t.Fatalf("delta is %d bytes, the state %d", len(d), len(root))
 			}
-			idle, m := saveDelta(t, b, live)
+			idle, m := saveDelta(t, live)
 			if m != 0 {
 				t.Fatalf("delta with no traffic carries %d records", m)
 			}
@@ -185,7 +179,7 @@ func TestApplyDeltaRejectsCorrupt(t *testing.T) {
 			p := f.New()
 			NewBank(p).StepBatch(pcs, vals)
 			var buf bytes.Buffer
-			if _, err := p.SaveDelta(&buf, nil); err != nil {
+			if _, err := p.SaveDelta(&buf); err != nil {
 				t.Fatal(err)
 			}
 			d := buf.Bytes()
@@ -203,7 +197,7 @@ func TestApplyDeltaRejectsCorrupt(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if _, err := NewFCM(2).SaveDelta(&buf, nil); err != nil {
+	if _, err := NewFCM(2).SaveDelta(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewFCM(3).ApplyDelta(&buf); err == nil {
@@ -211,90 +205,81 @@ func TestApplyDeltaRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestBankDirtyTracking pins the bitset's semantics: PCs become dirty the
-// first time a batch touches them after a reset and stay clean otherwise.
-func TestBankDirtyTracking(t *testing.T) {
-	b := NewBank(NewLastValue())
-	b.SetDirtyTracking(true)
-	b.StepBatch([]uint64{10, 20, 30}, []uint64{1, 2, 3})
-	for _, pc := range []uint64{10, 20, 30} {
-		if !b.PCDirty(pc) {
-			t.Fatalf("pc %d should be dirty", pc)
-		}
-	}
-	if b.PCDirty(99) {
-		t.Fatal("unseen pc reported dirty")
-	}
-	b.ResetDirty()
-	if b.PCDirty(10) {
-		t.Fatal("pc 10 still dirty after ResetDirty")
-	}
-	b.StepBatch([]uint64{20}, []uint64{5})
-	if !b.PCDirty(20) || b.PCDirty(10) {
-		t.Fatalf("dirty after partial batch: pc20=%v pc10=%v", b.PCDirty(20), b.PCDirty(10))
-	}
-	b.StepBatch([]uint64{40}, []uint64{6})
-	if !b.PCDirty(40) {
-		t.Fatal("new pc 40 not dirty")
-	}
-	b.SetDirtyTracking(false)
-	if b.PCDirty(20) {
-		t.Fatal("dirty bit survived disabling")
-	}
-	b.Reset()
-	if b.PCDirty(20) || b.PCDirty(40) {
-		t.Fatal("Reset did not clear dirty state")
-	}
-}
-
-// TestBankDirtyTrackingZeroAlloc is the CI gate for the tentpole's cost
-// model: with dirty tracking enabled, the steady-state batch path —
-// including the per-cut PCDirty probes and ResetDirty — allocates
-// nothing. The bitset only grows when a PC is first inserted, which the
-// warmup completes.
-func TestBankDirtyTrackingZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	rns := NonStride4
-	b := NewBank(
-		NewLastValue(),
-		NewStride2Delta(),
-		NewFCM(3),
-	)
-	b.SetDirtyTracking(true)
-	const batch = 1024
-	pcs := make([]uint64, batch)
-	vals := make([]uint64, batch)
-	fill := func(base int) {
-		for j := 0; j < batch; j++ {
-			i := base + j
-			pc := uint64(i % 48)
-			pcs[j] = pc
-			vals[j] = rns[(uint64(i/48)+pc)%4]
-		}
-	}
-	for it := 0; it < 16; it++ {
-		fill(it * batch)
-		b.StepBatch(pcs, vals)
-	}
-	it := 16
-	var dirtyCount int
-	allocs := testing.AllocsPerRun(100, func() {
-		fill(it * batch)
-		b.StepBatch(pcs, vals)
-		for pc := uint64(0); pc < 48; pc++ {
-			if b.PCDirty(pc) {
-				dirtyCount++
+// TestPredictorsKeepOwnChangeMarks holds every registry predictor to the
+// marks it keeps itself, with no Bank around it: the events Update
+// applies are carried by the next SaveDelta and no other PC is; after a
+// SaveState the next SaveDelta is empty; and LoadState and ApplyDelta
+// leave nothing for a delta to carry.
+func TestPredictorsKeepOwnChangeMarks(t *testing.T) {
+	for _, f := range KnownFactories() {
+		t.Run(f.Name, func(t *testing.T) {
+			var empty bytes.Buffer
+			if _, err := f.New().SaveDelta(&empty); err != nil {
+				t.Fatal(err)
 			}
-		}
-		b.ResetDirty()
-		it++
-	})
-	if allocs != 0 {
-		t.Fatalf("dirty-tracking steady state allocates %.1f allocs per batch", allocs)
-	}
-	if dirtyCount == 0 {
-		t.Fatal("no PCs observed dirty")
+			// carriedPCs applies delta to a fresh predictor and returns
+			// the PCs it holds afterwards: exactly the PCs delta carries.
+			carriedPCs := func(delta []byte) map[uint64]int {
+				t.Helper()
+				q := f.New()
+				if _, err := q.ApplyDelta(bytes.NewReader(delta)); err != nil {
+					t.Fatal(err)
+				}
+				return q.PCEntries()
+			}
+			rng := rand.New(rand.NewSource(13))
+			live := f.New()
+			pcs, vals := deltaTraffic(rng, 0, 64, 4000)
+			for i := range pcs {
+				live.Update(pcs[i], vals[i])
+			}
+			root := saveBytes(t, live)
+			if d, n := saveDelta(t, live); n != 0 || !bytes.Equal(d, empty.Bytes()) {
+				t.Fatalf("the delta after a SaveState carries %d records in %d bytes, want an empty one", n, len(d))
+			}
+
+			// Updates on five PCs, two of them new, and one update on a
+			// sixth PC never seen before.
+			stepped := map[uint64]bool{408: true}
+			for i := 0; i < 300; i++ {
+				pc := []uint64{8, 20, 44, 400, 404}[i%5]
+				live.Update(pc, uint64(rng.Intn(6)))
+				stepped[pc] = true
+			}
+			live.Update(408, 9)
+			d, n := saveDelta(t, live)
+			if n == 0 {
+				t.Fatal("the delta after 300 updates carries no record")
+			}
+			got := carriedPCs(d)
+			if len(got) != len(stepped) {
+				t.Fatalf("the delta carries PCs %v, want exactly %v", got, stepped)
+			}
+			for pc := range got {
+				if !stepped[pc] {
+					t.Fatalf("the delta carries PC %d, which no update stepped (carried %v)", pc, got)
+				}
+			}
+			if again, m := saveDelta(t, live); m != 0 || !bytes.Equal(again, empty.Bytes()) {
+				t.Fatalf("a second delta with no update between carries %d records", m)
+			}
+
+			rebuilt := f.New()
+			if err := rebuilt.LoadState(bytes.NewReader(root)); err != nil {
+				t.Fatal(err)
+			}
+			if d, n := saveDelta(t, rebuilt); n != 0 || !bytes.Equal(d, empty.Bytes()) {
+				t.Fatalf("LoadState left marks: the next delta carries %d records in %d bytes", n, len(d))
+			}
+			if _, err := rebuilt.ApplyDelta(bytes.NewReader(d)); err != nil {
+				t.Fatal(err)
+			}
+			if d, n := saveDelta(t, rebuilt); n != 0 || !bytes.Equal(d, empty.Bytes()) {
+				t.Fatalf("ApplyDelta left marks: the next delta carries %d records in %d bytes", n, len(d))
+			}
+			if !bytes.Equal(saveBytes(t, rebuilt), saveBytes(t, live)) {
+				t.Fatal("root plus the Update-only delta differs from the live state")
+			}
+		})
 	}
 }

@@ -40,23 +40,16 @@ const MaxFCMOrder = 16
 // count is stored once, in the run: a context holds only the ordinal of
 // its prediction.
 //
-// Every update marks the contexts whose counts it changed, inside the
-// context entry it already writes; SaveDelta writes and clears exactly
-// those. Saves mutate the predictor (they clear the marks, and SaveState
-// brings each order's canonical-order index up to date), so like Update
-// they must run on the goroutine that owns it.
+// A save lists each PC's contexts of each order in the order they were
+// created, which depends only on that PC's own value stream. Every step
+// marks the PC it steps in its per-PC state, and every count update marks
+// the contexts it changed inside the context entry it already writes;
+// SaveDelta writes exactly those. Both saves clear the marks, so like
+// Update they must run on the goroutine that owns the predictor.
 type FCM struct {
 	order int
 	blend bool
 	fcmStore
-	// saveOrder caches the ascending-PC handle order between saves;
-	// revalidated against the current pcs slab on every use, so
-	// LoadState's store swap and Reset invalidate it naturally.
-	saveOrder []int32
-	// addBuf and endsBuf are syncCanon's reused scratch, shared by
-	// every order: the contexts appended since the previous save,
-	// grouped by owning PC, and each PC's group end.
-	addBuf, endsBuf []int32
 }
 
 // fcmStore is the FCM's entire mutable storage, grouped so LoadState can
@@ -70,8 +63,9 @@ type fcmStore struct {
 }
 
 // fcmPCState is the per-static-instruction state: the value history, the
-// incrementally maintained rolling signature of each order's context, and
-// the handle of this PC's order-0 context (-1 until first update).
+// incrementally maintained rolling signature of each order's context, the
+// handle of this PC's order-0 context (-1 until first update) and the
+// PC's change mark.
 type fcmPCState struct {
 	hist    [MaxFCMOrder]uint64     // most recent values, hist[0] oldest kept
 	sigs    [MaxFCMOrder + 1]uint64 // sigs[o] = signature of the last o values (valid for o <= n)
@@ -79,6 +73,7 @@ type fcmPCState struct {
 	updates uint64 // total updates at this PC (for reporting)
 	ctx0    int32  // handle of the order-0 context in ords[0], -1 if none
 	n       int32  // how many history values are valid (<= order)
+	changed bool   // stepped since the last save
 }
 
 // fcmOrderStore holds every context of one order across all PCs: an
@@ -92,33 +87,18 @@ type fcmPCState struct {
 // Order 0 uses only the slab (its single per-PC context is addressed
 // directly through fcmPCState.ctx0).
 //
-// Context handles are assigned in insertion order, and within a
-// steady-state run a PC re-touches its contexts in the order it first
-// learned them — so the ctxs and keys slab offsets a run walks are
-// monotonically increasing, which the hardware prefetcher follows.
+// Context handles are assigned in insertion order, so a PC's contexts in
+// handle order are its contexts in creation order, the order saves list
+// them in. Within a steady-state run a PC re-touches its contexts in the
+// order it first learned them — so the ctxs and keys slab offsets a run
+// walks are monotonically increasing, which the hardware prefetcher
+// follows.
 type fcmOrderStore struct {
 	slots []uint64              // fingerprint<<32 | context handle+1; 0 = empty
 	shift uint8                 // 64 - log2(len(slots)): a probe starts at hash>>shift
 	n     int32                 // contexts held; handle order = insertion order
 	ctxs  []*[pageLen]fcmCtxEnt // context pages: handle h is ctxs[h>>pageShift][h&pageMask]
 	keys  [][]uint64            // key pages, parallel to ctxs: pageLen contexts' keys, order values each
-	canon fcmCanon              // canonical save order, kept across saves
-}
-
-// fcmCanon is one order's canonical-order index: the handles of the
-// contexts indexed so far, bucketed by owning PC handle, each bucket in
-// canonical key order — bucket h is hs[starts[h]:starts[h+1]]. Context
-// handles only append between resets and a context never changes owner,
-// so the index stays valid as the table grows; syncCanon merges in just
-// the contexts appended since the previous save.
-type fcmCanon struct {
-	hs     []int32
-	starts []int32
-	// loaded is the number of leading handles LoadState appended in
-	// canonical order that are not indexed yet: their index is the
-	// identity permutation, so the first save after a restore sorts only
-	// what was added since.
-	loaded int
 }
 
 // fcmCtxEnt is one context's 20-byte entry: its owner (which a
@@ -340,15 +320,33 @@ func (st *fcmOrderStore) find(pcIdx int32, sig uint64, key []uint64) int32 {
 	}
 }
 
-// insert adds a context (which must not be present) and returns its
-// handle.
-func (st *fcmOrderStore) insert(pcIdx int32, sig uint64, key []uint64) int32 {
+// findOrInsert returns the handle of the context with the given exact
+// values, adding the context first when it is absent; added reports
+// which. One probe serves both: a miss ends on the empty slot the new
+// context takes.
+func (st *fcmOrderStore) findOrInsert(pcIdx int32, sig uint64, key []uint64) (h int32, added bool) {
 	if 4*(int(st.n)+1) > 3*len(st.slots) {
 		st.grow()
 	}
-	h := st.push(pcIdx, key)
-	st.place(ctxSlotHash(sig, pcIdx)>>32<<32 | uint64(h+1))
-	return h
+	hash := ctxSlotHash(sig, pcIdx)
+	fp := hash >> 32
+	mask := uint64(len(st.slots) - 1)
+	o := len(key)
+	for i := hash >> st.shift; ; i = (i + 1) & mask {
+		w := st.slots[i]
+		if w == 0 {
+			h = st.push(pcIdx, key)
+			st.slots[i] = fp<<32 | uint64(h+1)
+			return h, true
+		}
+		if w>>32 != fp {
+			continue
+		}
+		ref := int32(uint32(w)) - 1
+		if st.ctx(ref).pcIdx == pcIdx && slices.Equal(st.key(o, ref), key) {
+			return ref, false
+		}
+	}
 }
 
 // place stores slot word w in the first empty slot of its probe sequence.
@@ -457,12 +455,7 @@ func (p *FCM) updateCtxs(s *fcmPCState, pcIdx int32, value uint64, matched int, 
 			}
 			hnd = s.ctx0
 		default:
-			st := &p.ords[o]
-			key := s.hist[int(s.n)-o : s.n]
-			hnd = st.find(pcIdx, s.sigs[o], key)
-			if hnd < 0 {
-				hnd = st.insert(pcIdx, s.sigs[o], key)
-			}
+			hnd, _ = p.ords[o].findOrInsert(pcIdx, s.sigs[o], s.hist[int(s.n)-o:s.n])
 		}
 		p.addValue(p.ords[o].ctx(hnd), value)
 	}
@@ -479,6 +472,7 @@ func (p *FCM) Update(pc uint64, value uint64) {
 		p.pcs = append(p.pcs, fcmPCState{pc: pc, ctx0: -1})
 	}
 	s := &p.pcs[pcIdx]
+	s.changed = true
 	_, matched, mhnd, hit := p.lookupCtx(s, pcIdx)
 	p.updateCtxs(s, pcIdx, value, matched, mhnd, hit)
 }
@@ -504,6 +498,7 @@ func (p *FCM) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 	// p.pcs cannot grow during the run (only the insert above appends),
 	// so the state pointer is loop-invariant.
 	s := &p.pcs[pcIdx]
+	s.changed = true
 	order := p.order
 	var n uint64
 	k := 0
@@ -723,7 +718,6 @@ func (p *FCM) Reset() {
 		st := &p.ords[i]
 		clear(st.slots)
 		st.n = 0
-		st.canon = fcmCanon{hs: st.canon.hs[:0], starts: st.canon.starts[:0]}
 	}
 }
 
@@ -735,116 +729,6 @@ func (p *FCM) TableEntries() (static, total int) {
 		total += int(p.ords[o].n)
 	}
 	return static, total
-}
-
-// sortedPCHandles returns the per-PC slab handles ordered by ascending PC.
-func (p *FCM) sortedPCHandles() []int32 {
-	hs := make([]int32, len(p.pcs))
-	for i := range hs {
-		hs[i] = int32(i)
-	}
-	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(p.pcs[a].pc, p.pcs[b].pc) })
-	return hs
-}
-
-// canonCmp orders two equal-length context keys by their canonical wire
-// form: the lexicographic order of the little-endian concatenation of
-// their values, which per value is the numeric order of the
-// byte-reversed value.
-func canonCmp(ka, kb []uint64) int {
-	for j := range ka {
-		if x, y := bits.ReverseBytes64(ka[j]), bits.ReverseBytes64(kb[j]); x != y {
-			return cmp.Compare(x, y)
-		}
-	}
-	return 0
-}
-
-// syncCanon brings order o's canonical index up to date: the contexts
-// appended since the previous save are counting-sorted by owning PC
-// handle, each PC's group is sorted by canonical key, and the groups are
-// merged into their buckets in one backward pass that rewrites hs in
-// place. A save therefore sorts only what was added since the last one;
-// the rest of its cost is linear.
-func (p *FCM) syncCanon(o int) {
-	st := &p.ords[o]
-	c := &st.canon
-	npc := len(p.pcs)
-	if c.loaded > 0 {
-		// LoadState inserted PCs in ascending order and each PC's
-		// contexts in key order: the index is the identity.
-		c.hs = slices.Grow(c.hs[:0], c.loaded)[:c.loaded]
-		for h := range c.hs {
-			c.hs[h] = int32(h)
-		}
-		c.starts = append(c.starts[:0], make([]int32, npc+1)...)
-		for h := range int32(c.loaded) {
-			c.starts[st.ctx(h).pcIdx+1]++
-		}
-		for h := 1; h <= npc; h++ {
-			c.starts[h] += c.starts[h-1]
-		}
-		c.loaded = 0
-	}
-	n, nctx := len(c.hs), int(st.n)
-	for len(c.starts) <= npc {
-		c.starts = append(c.starts, int32(n)) // PCs added since: empty buckets
-	}
-	if n == nctx {
-		return
-	}
-	// Group the new handles by owning PC: PC h's group is
-	// add[ends[h-1]:ends[h]] (ends[-1] = 0), each in key order.
-	ends := append(p.endsBuf[:0], make([]int32, npc)...)
-	for h := int32(n); h < int32(nctx); h++ {
-		ends[st.ctx(h).pcIdx]++
-	}
-	for h := 1; h < npc; h++ {
-		ends[h] += ends[h-1]
-	}
-	add := append(p.addBuf[:0], make([]int32, nctx-n)...)
-	for h := nctx - 1; h >= n; h-- {
-		pcIdx := st.ctx(int32(h)).pcIdx
-		ends[pcIdx]--
-		add[ends[pcIdx]] = int32(h)
-	}
-	// The scatter left ends[h] at the start of group h; shift it to the end.
-	copy(ends, ends[1:])
-	ends[npc-1] = int32(len(add))
-	byKey := func(a, b int32) int { return canonCmp(st.key(o, a), st.key(o, b)) }
-	for h, lo := 0, int32(0); h < npc; h++ {
-		if ends[h]-lo > 1 {
-			slices.SortFunc(add[lo:ends[h]], byKey)
-		}
-		lo = ends[h]
-	}
-	p.addBuf, p.endsBuf = add, ends
-	c.hs = append(c.hs, add...) // final length; the merge rewrites the tail
-	// Walk the buckets from the last PC down. j counts the new contexts
-	// not yet placed, all owned by PCs <= h, so bucket h moves up by j:
-	// its old range [lo, hi) merges with add[k:j] into [lo+k, hi+j).
-	// Writes land at or above every unread old slot. Once j is 0 the
-	// lower buckets are already in place.
-	j := len(add)
-	for h := npc - 1; j > 0; h-- {
-		lo, hi := int(c.starts[h]), int(c.starts[h+1])
-		k := 0
-		if h > 0 {
-			k = int(ends[h-1])
-		}
-		c.starts[h+1] = int32(hi + j)
-		r := hi // old entries [lo, r) unplaced; the next write goes to r+j-1
-		for j > k {
-			if r > lo && canonCmp(st.key(o, c.hs[r-1]), st.key(o, add[j-1])) > 0 {
-				r--
-				c.hs[r+j] = c.hs[r]
-			} else {
-				j--
-				c.hs[r+j] = add[j]
-			}
-		}
-		copy(c.hs[lo+k:r+k], c.hs[lo:r])
-	}
 }
 
 // encodeCtx emits one context: value-list length, best ordinal, then the
@@ -868,94 +752,93 @@ func (p *FCM) encodeCtx(e *stateEncoder, c *fcmCtxEnt) {
 const saveFlush = 64 << 10
 
 // SaveState implements Stateful. Layout: order and blend flag (validated
-// against the receiver's configuration on load), then sorted per-PC
-// records: history, update count, and for each order 0..k the context
-// table with full-concatenation keys in lexicographic order, streamed
-// straight from the key slab with no intermediate string. The encoding is
-// byte-identical to the original map-backed implementation's. Each
-// order's canonical index is brought up to date first (syncCanon), after
-// which every PC's contexts are one bucket read.
+// against the receiver's configuration on load), then one record per PC
+// in ascending PC order: history, update count, and for each order 0..k
+// the PC's contexts in the order they were created, each as its full key
+// (8 little-endian bytes a value, streamed straight from the key slab)
+// and its value run. Creation order depends only on the PC's own value
+// stream, so equal per-PC histories save equal bytes however the PCs
+// interleaved; and LoadState creates contexts in the order it reads
+// them, so a loaded state re-saves as loaded.
 func (p *FCM) SaveState(w io.Writer) error {
-	for o := 1; o <= p.order; o++ {
-		p.syncCanon(o)
-	}
-	var ctx0 [1]int32
-	return p.writeRecords(w, p.cachedPCHandles(), func(h int32, o int) []int32 {
-		if o > 0 {
-			c := &p.ords[o].canon
-			return c.hs[c.starts[h]:c.starts[h+1]]
-		}
-		if p.pcs[h].ctx0 < 0 {
-			return nil
-		}
-		ctx0[0] = p.pcs[h].ctx0
-		return ctx0[:]
-	})
+	_, err := p.save(w, false)
+	return err
 }
 
-// SaveDelta implements DeltaStateful. A delta is SaveState's layout with
-// only the PCs dirty reports, each record holding the PC's history and
-// update count and only the contexts changed since the previous save (in
-// handle order, not canonical order). One sequential scan per order finds
-// and clears the change marks; a changed context whose PC is not dirty is
-// one the previous save already holds.
-func (p *FCM) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
-	npc := len(p.pcs)
-	// Order o's changed contexts, grouped by owning PC by a counting
-	// sort: PC h's are byPC[o][at[o][h]:at[o][h+1]].
-	byPC := make([][]int32, p.order+1)
-	at := make([][]int32, p.order+1)
+// SaveDelta implements DeltaStateful: SaveState's layout holding only the
+// PCs stepped since the previous save, each with only the contexts whose
+// counts changed since then.
+func (p *FCM) SaveDelta(w io.Writer) (int, error) {
+	return p.save(w, true)
+}
+
+// save writes SaveState's stream, or with delta set SaveDelta's, clears
+// every change mark and returns how many contexts it wrote.
+func (p *FCM) save(w io.Writer, delta bool) (int, error) {
+	hs := make([]int32, 0, len(p.pcs))
+	for h := range p.pcs {
+		s := &p.pcs[h]
+		if s.changed || !delta {
+			hs = append(hs, int32(h))
+		}
+		s.changed = false
+	}
+	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(p.pcs[a].pc, p.pcs[b].pc) })
+	groups := make([]ctxGroups, len(p.ords))
 	for o := range p.ords {
-		st := &p.ords[o]
-		var changed []int32
-		starts := make([]int32, npc+1)
-		for pg := range st.pages() {
-			base, page := int32(pg*pageLen), st.page(pg)
-			for i := range page {
-				if c := &page[i]; c.vh < 0 {
-					c.vh &^= ctxDirty
-					changed = append(changed, base+int32(i))
-					starts[c.pcIdx+1]++
-				}
-			}
-		}
-		for h := 1; h <= npc; h++ {
-			starts[h] += starts[h-1]
-		}
-		next := slices.Clone(starts[:npc])
-		grouped := make([]int32, len(changed))
-		for _, ch := range changed {
-			h := st.ctx(ch).pcIdx
-			grouped[next[h]] = ch
-			next[h]++
-		}
-		byPC[o], at[o] = grouped, starts
+		groups[o] = p.ords[o].groupByPC(len(p.pcs), delta)
 	}
-	var hs []int32
-	records := 0
-	for _, h := range p.cachedPCHandles() {
-		if dirty == nil || dirty(p.pcs[h].pc) {
-			hs = append(hs, h)
-			for o := range at {
-				records += int(at[o][h+1] - at[o][h])
+	return p.writeRecords(w, hs, groups)
+}
+
+// ctxGroups is one order's contexts grouped by owning PC: PC h's are
+// hs[at[h]:at[h+1]], in handle order, which is the order they were
+// created.
+type ctxGroups struct{ hs, at []int32 }
+
+// groupByPC groups the order's contexts, or with changed set only those
+// marked changed, by owning PC in a counting sort: one pass over the
+// context pages lists them, counts each PC's and clears their marks, and
+// a second pass over the list places them.
+func (st *fcmOrderStore) groupByPC(npc int, changed bool) ctxGroups {
+	var list []int32
+	if !changed {
+		list = make([]int32, 0, st.n)
+	}
+	at := make([]int32, npc+1)
+	for pg := range st.pages() {
+		base, page := int32(pg*pageLen), st.page(pg)
+		for i := range page {
+			if c := &page[i]; c.vh < 0 || !changed {
+				c.vh &^= ctxDirty
+				list = append(list, base+int32(i))
+				at[c.pcIdx+1]++
 			}
 		}
 	}
-	err := p.writeRecords(w, hs, func(h int32, o int) []int32 {
-		return byPC[o][at[o][h]:at[o][h+1]]
-	})
-	return records, err
+	for h := 1; h <= npc; h++ {
+		at[h] += at[h-1]
+	}
+	hs := make([]int32, len(list))
+	next := slices.Clone(at[:npc])
+	for _, ch := range list {
+		h := st.ctx(ch).pcIdx
+		hs[next[h]] = ch
+		next[h]++
+	}
+	return ctxGroups{hs: hs, at: at}
 }
 
 // writeRecords streams the header and the records of PCs hs, which must
 // ascend by PC: each record's history and update count, then for every
-// order the contexts ctxsOf lists, keys first. Every context written is
-// marked clean.
-func (p *FCM) writeRecords(w io.Writer, hs []int32, ctxsOf func(h int32, o int) []int32) error {
+// order the PC's contexts in groups, keys first. It returns how many
+// contexts it wrote.
+func (p *FCM) writeRecords(w io.Writer, hs []int32, groups []ctxGroups) (int, error) {
 	var e stateEncoder
 	e.uvarint(uint64(p.order))
 	e.uvarint(uint64(b2u8(p.blend)))
 	e.uvarint(uint64(len(hs)))
+	records := 0
 	var prev uint64
 	for _, h := range hs {
 		s := &p.pcs[h]
@@ -967,8 +850,8 @@ func (p *FCM) writeRecords(w io.Writer, hs []int32, ctxsOf func(h int32, o int) 
 		}
 		e.uvarint(s.updates)
 		for o := 0; o <= p.order; o++ {
-			st := &p.ords[o]
-			cs := ctxsOf(h, o)
+			st, g := &p.ords[o], &groups[o]
+			cs := g.hs[g.at[h]:g.at[h+1]]
 			e.uvarint(uint64(len(cs)))
 			for _, ch := range cs {
 				if o > 0 {
@@ -976,45 +859,18 @@ func (p *FCM) writeRecords(w io.Writer, hs []int32, ctxsOf func(h int32, o int) 
 						e.le64(kv) // full concatenation: exactly 8*o bytes
 					}
 				}
-				c := st.ctx(ch)
-				c.vh &^= ctxDirty
-				p.encodeCtx(&e, c)
+				p.encodeCtx(&e, st.ctx(ch))
 			}
+			records += len(cs)
 		}
 		if len(e.buf) >= saveFlush {
 			if err := e.flushTo(w); err != nil {
-				return err
+				return records, err
 			}
 			e.buf = e.buf[:0]
 		}
 	}
-	return e.flushTo(w)
-}
-
-// cachedPCHandles is sortedPCHandles with the saveOrder cache: a cached
-// permutation of matching length that is still strictly ascending over
-// the current pcs slab is the sorted order (the slab is append-only
-// between resets), so a linear pass revalidates it.
-func (p *FCM) cachedPCHandles() []int32 {
-	hs := p.saveOrder
-	if len(hs) == len(p.pcs) {
-		ok := true
-		var prev uint64
-		for i, h := range hs {
-			pc := p.pcs[h].pc
-			if i > 0 && pc <= prev {
-				ok = false
-				break
-			}
-			prev = pc
-		}
-		if ok {
-			return hs
-		}
-	}
-	hs = p.sortedPCHandles()
-	p.saveOrder = hs
-	return hs
+	return records, e.flushTo(w)
 }
 
 // checkHeader reads a state or delta stream's order and blend flag and
@@ -1058,8 +914,11 @@ func (r *fcmRun) decode(d *stateDecoder) int32 {
 
 // ApplyDelta implements DeltaStateful: each record finds or inserts its
 // PC and replaces its history and update count, then finds or inserts
-// each context and replaces its run and best ordinal. The rolling
-// signatures are rebuilt from the applied history, as LoadState does.
+// each context (one probe) and replaces its run and best ordinal. A
+// delta lists a PC's changed contexts in creation order, so the contexts
+// it adds follow the PC's others in the order the saving predictor
+// created them. The rolling signatures are rebuilt from the applied
+// history, as LoadState does, and no change mark is set.
 func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 	d := newStateDecoder(r)
 	if err := p.checkHeader(d); err != nil {
@@ -1116,10 +975,7 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 					}
 					hnd = s.ctx0
 				} else {
-					sig := sigOf(key[:o])
-					if hnd = st.find(pcIdx, sig, key[:o]); hnd < 0 {
-						hnd = st.insert(pcIdx, sig, key[:o])
-					}
+					hnd, _ = st.findOrInsert(pcIdx, sigOf(key[:o]), key[:o])
 				}
 				p.loadRun(st.ctx(hnd), run.vals, run.cnts, best)
 				records++
@@ -1135,15 +991,11 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 // LoadState implements Stateful. The stream is decoded into a fresh store
 // (swapped in only on success, so a failed load leaves the receiver
 // untouched) and the rolling signatures are rebuilt from each restored
-// history. Each context key is compared with its predecessor at the same
-// PC and order before it is inserted: an equal key is a duplicate, and
-// while a PC's keys keep ascending a greater key cannot be one, so the
-// table is probed for duplicates only after an out-of-order key. An
-// order whose input arrived in canonical order seeds its save index as
-// the identity; any other valid input is re-sorted in full by the next
-// save, so SaveState stays canonical either way. Each value list is
-// decoded into reused scratch and reserved once (loadRun), so a
-// canonical load is one linear pass.
+// history. Each context is created in the order it is read, so the state
+// re-saves as loaded, in creation order or in any other; one probe per
+// context inserts it and rejects one its PC already lists at that order.
+// Each value list is decoded into reused scratch and reserved once
+// (loadRun), so a load is one linear pass and leaves no change mark.
 func (p *FCM) LoadState(r io.Reader) error {
 	d := newStateDecoder(r)
 	if err := p.checkHeader(d); err != nil {
@@ -1151,8 +1003,8 @@ func (p *FCM) LoadState(r io.Reader) error {
 	}
 	npc := d.uvarint()
 	store := newFCMStore(p.order)
-	var unsorted [MaxFCMOrder + 1]bool
 	var run fcmRun
+	var key [MaxFCMOrder]uint64
 	var pc uint64
 	for i := uint64(0); i < npc && d.err == nil; i++ {
 		pc += d.uvarint()
@@ -1173,10 +1025,8 @@ func (p *FCM) LoadState(r io.Reader) error {
 		for o := 1; o <= int(s.n); o++ {
 			s.sigs[o] = sigOf(s.hist[int(s.n)-o : s.n])
 		}
-		var key [MaxFCMOrder]uint64
 		for o := 0; o <= p.order && d.err == nil; o++ {
 			nctx := d.uvarint()
-			ascending := true // this PC's order-o keys so far are strictly ascending
 			for k := uint64(0); k < nctx && d.err == nil; k++ {
 				var hnd int32
 				if o == 0 {
@@ -1192,22 +1042,10 @@ func (p *FCM) LoadState(r io.Reader) error {
 					if d.err != nil {
 						break
 					}
-					sig := sigOf(key[:o])
-					st := &store.ords[o]
-					dup := false
-					if k > 0 {
-						// A PC's contexts of one order get consecutive
-						// handles, so the previous key is the last one stored.
-						c := canonCmp(st.key(o, st.n-1), key[:o])
-						dup = c == 0
-						if c > 0 {
-							ascending, unsorted[o] = false, true
-						}
-					}
-					if dup || (!ascending && st.find(pcIdx, sig, key[:o]) >= 0) {
+					var added bool
+					if hnd, added = store.ords[o].findOrInsert(pcIdx, sigOf(key[:o]), key[:o]); !added {
 						return errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, pc))
 					}
-					hnd = st.insert(pcIdx, sig, key[:o])
 				}
 				best := run.decode(d)
 				if d.err == nil {
@@ -1218,11 +1056,6 @@ func (p *FCM) LoadState(r io.Reader) error {
 	}
 	if err := d.expectEOF(); err != nil {
 		return errState(p.Name(), err)
-	}
-	for o := 1; o <= p.order; o++ {
-		if !unsorted[o] {
-			store.ords[o].canon.loaded = int(store.ords[o].n)
-		}
 	}
 	p.fcmStore = store
 	return nil

@@ -12,13 +12,13 @@ import (
 	"testing"
 )
 
-// This file keeps a verbatim copy of the original map-backed FCM (string
-// context keys, per-order maps, pointer entries) as a behavioral
-// reference, and replays deterministic traces through it and the flat
-// slab-backed FCM in lockstep. The two must agree on every individual
-// prediction, on the hit tallies, and — byte for byte — on SaveState
-// output, which is what lets the flat rewrite claim the snapshot wire
-// format never changed.
+// This file keeps a copy of the original map-backed FCM (string context
+// keys, per-order maps, pointer entries) as a behavioral reference, and
+// replays deterministic traces through it and the flat slab-backed FCM
+// in lockstep. The two must agree on every individual prediction, on the
+// hit tallies, and — byte for byte — on SaveState output, which the
+// reference writes in the same wire format with each PC's contexts in
+// creation order.
 
 // refFCM is the reference (pre-flat) implementation.
 type refFCM struct {
@@ -31,6 +31,7 @@ type refFCMPC struct {
 	hist    [MaxFCMOrder]uint64
 	n       int
 	ctxs    []map[string]*refFCMCtx
+	created [][]string // per order: the context keys in the order they were created
 	updates uint64
 }
 
@@ -97,7 +98,7 @@ func (p *refFCM) lookup(s *refFCMPC) (value uint64, matched int, ok bool) {
 func (p *refFCM) Update(pc uint64, value uint64) {
 	s, ok := p.table[pc]
 	if !ok {
-		s = &refFCMPC{ctxs: make([]map[string]*refFCMCtx, p.order+1)}
+		s = &refFCMPC{ctxs: make([]map[string]*refFCMCtx, p.order+1), created: make([][]string, p.order+1)}
 		p.table[pc] = s
 	}
 	_, matched, hit := p.lookup(s)
@@ -122,6 +123,7 @@ func (p *refFCM) Update(pc uint64, value uint64) {
 		if c == nil {
 			c = &refFCMCtx{}
 			t[key] = c
+			s.created[o] = append(s.created[o], key)
 		}
 		c.add(value)
 	}
@@ -181,11 +183,13 @@ func (p *refFCM) PCEntries() map[uint64]int {
 }
 
 func (p *refFCM) SaveState(w io.Writer) error {
-	return p.saveState(w, func(_ uint64, _ int, keys []string) { sort.Strings(keys) })
+	return p.saveState(w, func(uint64, int, []string) {})
 }
 
-// saveState is SaveState with each (PC, order) context list laid out by
-// arrange, so tests can build valid states that are not canonical.
+// saveState is SaveState with each (PC, order) context list, handed over
+// in creation order, laid out by arrange, so tests can build valid states
+// in other orders: the key order every checkpoint before creation-order
+// saves holds, for one.
 func (p *refFCM) saveState(w io.Writer, arrange func(pc uint64, o int, keys []string)) error {
 	var e stateEncoder
 	e.uvarint(uint64(p.order))
@@ -213,10 +217,7 @@ func (p *refFCM) saveState(w io.Writer, arrange func(pc uint64, o int, keys []st
 		for o := 0; o <= p.order; o++ {
 			t := s.ctxs[o]
 			e.uvarint(uint64(len(t)))
-			keys := make([]string, 0, len(t))
-			for k := range t {
-				keys = append(keys, k)
-			}
+			keys := slices.Clone(s.created[o])
 			arrange(pc, o, keys)
 			for _, key := range keys {
 				e.bytes([]byte(key))
@@ -361,7 +362,7 @@ func TestFCMFlatLoadsReferenceState(t *testing.T) {
 // whose values drift between phases, so each phase adds contexts both on
 // PCs seen before and on new ones. PCs are scrambled, so new PCs land
 // between old ones in ascending order. Values vary in their low and high
-// bytes, which the canonical (byte-reversed) key order weighs differently.
+// bytes, so key order and creation order disagree.
 func growthPhase(ph int, rng *rand.Rand) []struct{ PC, Value uint64 } {
 	evs := make([]struct{ PC, Value uint64 }, 600)
 	npc := 8 * (ph + 1)
@@ -386,10 +387,10 @@ func growthPhase(ph int, rng *rand.Rand) []struct{ PC, Value uint64 } {
 // TestFCMSaveWithGrowth saves one FCM again and again while its tables
 // grow: traffic that adds contexts on old and new PCs alternates with
 // SaveState calls, half of them right after a SaveDelta, in random order,
-// with a LoadState round trip midway and a Reset later. Every save must equal, byte for
-// byte, the save of a fresh FCM that replayed the same events since the
-// last Reset — the order index kept across saves must be
-// indistinguishable from one built from scratch.
+// with a LoadState round trip midway and a Reset later. Every save must
+// equal, byte for byte, the save of a fresh FCM that replayed the same
+// events since the last Reset: the creation order a save writes survives
+// saves, deltas, a load and growth after it.
 func TestFCMSaveWithGrowth(t *testing.T) {
 	for _, order := range []int{1, 2, 3, 8} {
 		for _, blend := range []bool{true, false} {
@@ -409,7 +410,7 @@ func TestFCMSaveWithGrowth(t *testing.T) {
 					var buf bytes.Buffer
 					var err error
 					if rng.Intn(2) == 0 {
-						_, err = p.SaveDelta(io.Discard, nil)
+						_, err = p.SaveDelta(io.Discard)
 					}
 					if err == nil {
 						err = p.SaveState(&buf)
@@ -456,61 +457,64 @@ func TestFCMSaveWithGrowth(t *testing.T) {
 	}
 }
 
-// TestFCMLoadsNonCanonicalState loads a valid state in which one PC's
-// top-order contexts arrive in reverse key order. The load must succeed,
-// and the next save — and every save after further growth — must come
-// out canonical.
+// TestFCMLoadsNonCanonicalState is the compatibility test for states
+// whose contexts are not in creation order: a key-sorted state, which is
+// what every checkpoint written before creation-order saves holds, and
+// one with every PC's contexts in reverse creation order. Each must load,
+// re-save byte-identically, and then predict in lockstep with the
+// reference, which kept running.
 func TestFCMLoadsNonCanonicalState(t *testing.T) {
 	evs := parityStream(6000)
+	arrangements := []struct {
+		name    string
+		arrange func(pc uint64, o int, keys []string)
+	}{
+		{"key_sorted", func(_ uint64, _ int, keys []string) { sort.Strings(keys) }},
+		{"reversed", func(_ uint64, _ int, keys []string) { slices.Reverse(keys) }},
+	}
 	for _, order := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("order%d", order), func(t *testing.T) {
-			ref := newRefFCM(order, true)
-			for _, ev := range evs[:3000] {
-				ref.Update(ev.PC, ev.Value)
-			}
-			target, found := uint64(0), false
-			for pc, s := range ref.table {
-				if len(s.ctxs[order]) >= 2 && (!found || pc < target) {
-					target, found = pc, true
-				}
-			}
-			if !found {
-				t.Fatal("no PC with two top-order contexts")
-			}
-			var state bytes.Buffer
-			err := ref.saveState(&state, func(pc uint64, o int, keys []string) {
-				sort.Strings(keys)
-				if pc == target && o == order {
-					slices.Reverse(keys)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			canonical := refSaveBytes(t, ref)
-			if bytes.Equal(state.Bytes(), canonical) {
-				t.Fatal("test state is already canonical")
-			}
-			flat := NewFCM(order)
-			if err := flat.LoadState(bytes.NewReader(state.Bytes())); err != nil {
-				t.Fatalf("LoadState of a valid non-canonical state: %v", err)
-			}
-			if got := saveBytes(t, flat); !bytes.Equal(got, canonical) {
-				t.Fatalf("first save after a non-canonical load is not canonical (%d vs %d bytes)",
-					len(got), len(canonical))
-			}
-			for i, ev := range evs[3000:] {
-				ref.Update(ev.PC, ev.Value)
-				flat.Update(ev.PC, ev.Value)
-				if i%1000 == 999 {
-					var got bytes.Buffer
-					if err := flat.SaveState(&got); err != nil {
+			for _, a := range arrangements {
+				t.Run(a.name, func(t *testing.T) {
+					ref := newRefFCM(order, true)
+					for _, ev := range evs[:3000] {
+						ref.Update(ev.PC, ev.Value)
+					}
+					var state bytes.Buffer
+					if err := ref.saveState(&state, a.arrange); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(got.Bytes(), refSaveBytes(t, ref)) {
-						t.Fatalf("save after %d more events diverged from the reference", i+1)
+					if bytes.Equal(state.Bytes(), refSaveBytes(t, ref)) {
+						t.Fatal("test state is in creation order")
 					}
-				}
+					flat := NewFCM(order)
+					if err := flat.LoadState(bytes.NewReader(state.Bytes())); err != nil {
+						t.Fatalf("LoadState: %v", err)
+					}
+					if got := saveBytes(t, flat); !bytes.Equal(got, state.Bytes()) {
+						t.Fatalf("re-save of the loaded state differs (%d vs %d bytes)", len(got), state.Len())
+					}
+					var refHits, flatHits uint64
+					for i, ev := range evs[3000:] {
+						rv, rok := ref.Predict(ev.PC)
+						fv, fok := flat.Predict(ev.PC)
+						if rok != fok || rv != fv {
+							t.Fatalf("post-load event %d pc=%#x: reference (%d,%v) vs flat (%d,%v)",
+								i, ev.PC, rv, rok, fv, fok)
+						}
+						if rok && rv == ev.Value {
+							refHits++
+						}
+						if fok && fv == ev.Value {
+							flatHits++
+						}
+						ref.Update(ev.PC, ev.Value)
+						flat.Update(ev.PC, ev.Value)
+					}
+					if refHits != flatHits || refHits == 0 {
+						t.Fatalf("hits after the load: reference %d, flat %d", refHits, flatHits)
+					}
+				})
 			}
 		})
 	}
@@ -518,8 +522,7 @@ func TestFCMLoadsNonCanonicalState(t *testing.T) {
 
 // fcm1State hand-builds a blended FCM(1) state holding one PC whose
 // order-1 contexts have the given keys, written in the given order;
-// context k predicts 100+k. With ascending keys it is exactly what
-// SaveState writes for that table.
+// context k predicts 100+k.
 func fcm1State(keys ...uint64) []byte {
 	var e stateEncoder
 	e.uvarint(1)    // order
@@ -548,12 +551,13 @@ func fcm1State(keys ...uint64) []byte {
 // TestFCMLoadStateRejectsDuplicateContexts: a state that lists one
 // context twice at the same PC and order is corrupt, wherever the repeat
 // falls relative to the keys between. [3,5,3] repeats a key after an
-// ascending step and [5,3,5] after a descending one, so a load that
-// checks only the previous key, or stops checking after the keys turn
-// out of order, accepts one of them. Distinct keys out of order ([5,3,4])
-// are valid and must save back in canonical order.
+// ascending step, [5,3,5] after a descending one, and [4,3,4] and
+// [5,3,4,3] where no ascending run precedes the repeat, so a load that
+// checks only the previous key, or only keys that arrive out of order,
+// accepts one of them. Distinct keys out of key order ([5,3,4]) are
+// valid and must save back as loaded.
 func TestFCMLoadStateRejectsDuplicateContexts(t *testing.T) {
-	for _, keys := range [][]uint64{{1, 1}, {3, 5, 3}, {5, 3, 5}} {
+	for _, keys := range [][]uint64{{1, 1}, {3, 5, 3}, {5, 3, 5}, {4, 3, 4}, {5, 3, 4, 3}} {
 		err := NewFCM(1).LoadState(bytes.NewReader(fcm1State(keys...)))
 		if err == nil || !strings.Contains(err.Error(), "duplicate order-1 context") {
 			t.Errorf("keys %v: LoadState = %v, want a duplicate-context error", keys, err)
@@ -563,8 +567,34 @@ func TestFCMLoadStateRejectsDuplicateContexts(t *testing.T) {
 	if err := p.LoadState(bytes.NewReader(fcm1State(5, 3, 4))); err != nil {
 		t.Fatalf("keys [5 3 4]: %v", err)
 	}
-	if got, want := saveBytes(t, p), fcm1State(3, 4, 5); !bytes.Equal(got, want) {
-		t.Fatalf("save after loading keys [5 3 4] is not canonical:\n got %x\nwant %x", got, want)
+	if got, want := saveBytes(t, p), fcm1State(5, 3, 4); !bytes.Equal(got, want) {
+		t.Fatalf("save after loading keys [5 3 4] is not as loaded:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestFCMSavesContextsInCreationOrder: one PC whose order-1 contexts are
+// created as keys 5, 3, 4 (by the values 5 3 4 7) saves them in that
+// order, not in key order.
+func TestFCMSavesContextsInCreationOrder(t *testing.T) {
+	p := NewFCM(1)
+	for _, v := range []uint64{5, 3, 4, 7} {
+		p.Update(0x40, v)
+	}
+	var e stateEncoder
+	// Order 1, blend, one PC at 0x40, history [7], 4 updates; its order-0
+	// context holds 5 3 4 7 once each and predicts the last of them.
+	for _, x := range []uint64{1, 1, 1, 0x40, 1, 7, 4, 1, 4, 3, 5, 1, 3, 1, 4, 1, 7, 1} {
+		e.uvarint(x)
+	}
+	e.uvarint(3) // order-1 contexts, each holding the value that followed it once
+	for _, c := range [][2]uint64{{5, 3}, {3, 4}, {4, 7}} {
+		e.le64(c[0])
+		for _, x := range []uint64{1, 0, c[1], 1} {
+			e.uvarint(x)
+		}
+	}
+	if got := saveBytes(t, p); !bytes.Equal(got, e.buf) {
+		t.Fatalf("save of contexts created as 5, 3, 4:\n got %x\nwant %x", got, e.buf)
 	}
 }
 
@@ -593,8 +623,8 @@ func TestFCMFingerprintCollisionIsNotAHit(t *testing.T) {
 		t.Fatal("no fingerprint collision among the candidates")
 	}
 	var st fcmOrderStore
-	ha := st.insert(pcIdx, sigOf([]uint64{a}), []uint64{a})
-	hb := st.insert(pcIdx, sigOf([]uint64{b}), []uint64{b})
+	ha, _ := st.findOrInsert(pcIdx, sigOf([]uint64{a}), []uint64{a})
+	hb, _ := st.findOrInsert(pcIdx, sigOf([]uint64{b}), []uint64{b})
 	if hash(a)>>st.shift != hash(b)>>st.shift {
 		t.Fatalf("keys %d and %d share a fingerprint but not a probe start", a, b)
 	}

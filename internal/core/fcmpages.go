@@ -225,7 +225,6 @@ type FCMAccount struct {
 	Keys     MemBytes // key pages, 8 bytes per context value
 	Vals     MemBytes // value pages and long runs, 12 bytes per (value, count) pair
 	ValIndex MemBytes // the promoted contexts' value indexes
-	Save     MemBytes // the canonical save order and save scratch
 	// RunSlack and FreeRuns split what Vals reserves past its used
 	// pairs: the space live runs reserve past their values (a run
 	// reserves its length rounded up to a power of two) and the vacated
@@ -236,7 +235,7 @@ type FCMAccount struct {
 
 // Total sums every table.
 func (a FCMAccount) Total() MemBytes {
-	return a.PCs.Plus(a.Slots).Plus(a.Ctxs).Plus(a.Keys).Plus(a.Vals).Plus(a.ValIndex).Plus(a.Save)
+	return a.PCs.Plus(a.Slots).Plus(a.Ctxs).Plus(a.Keys).Plus(a.Vals).Plus(a.ValIndex)
 }
 
 // Account returns the FCM's exact byte account.
@@ -244,7 +243,6 @@ func (p *FCM) Account() FCMAccount {
 	a := FCMAccount{
 		PCs:   sliceBytes(p.pcs),
 		Slots: p.idx.bytes(),
-		Save:  sliceBytes(p.saveOrder).Plus(sliceBytes(p.addBuf)).Plus(sliceBytes(p.endsBuf)),
 	}
 	for o := range p.ords {
 		st := &p.ords[o]
@@ -255,7 +253,6 @@ func (p *FCM) Account() FCMAccount {
 		a.Ctxs = a.Ctxs.Plus(MemBytes{Used: n * ctxBytes, Reserved: int64(len(st.ctxs)) * pageLen * ctxBytes})
 		kw := int64(o) * 8
 		a.Keys = a.Keys.Plus(MemBytes{Used: n * kw, Reserved: int64(len(st.keys)) * pageLen * kw})
-		a.Save = a.Save.Plus(sliceBytes(st.canon.hs)).Plus(sliceBytes(st.canon.starts))
 	}
 	vs := &p.vals
 	a.Vals = MemBytes{Used: vs.live * pairBytes, Reserved: vs.reserved * pairBytes}

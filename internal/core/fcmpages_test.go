@@ -161,7 +161,7 @@ func TestFCMPageBoundaryParity(t *testing.T) {
 	root := saveBytes(t, flat)
 	lockstep(t, flat, ref, pageStream(rng, 6_000, &count), 0)
 	var delta bytes.Buffer
-	if _, err := flat.SaveDelta(&delta, nil); err != nil {
+	if _, err := flat.SaveDelta(&delta); err != nil {
 		t.Fatal(err)
 	}
 	got := NewFCM(3)

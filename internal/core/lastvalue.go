@@ -6,9 +6,10 @@ import "io"
 // function on the previous value. This variant always updates (no
 // hysteresis), matching the "l" configuration simulated in the paper.
 type LastValue struct {
-	idx  pcTable
-	pcs  []uint64
-	vals []uint64
+	idx   pcTable
+	pcs   []uint64
+	vals  []uint64
+	marks pcMarks // PCs stepped since the last save
 }
 
 // NewLastValue returns an empty always-update last value predictor.
@@ -30,13 +31,14 @@ func (p *LastValue) Predict(pc uint64) (uint64, bool) {
 
 // Update implements Predictor.
 func (p *LastValue) Update(pc uint64, value uint64) {
-	if i, ok := p.idx.lookup(pc); ok {
-		p.vals[i] = value
-		return
+	i, ok := p.idx.lookup(pc)
+	if !ok {
+		i = p.idx.insert(pc)
+		p.pcs = append(p.pcs, pc)
+		p.vals = append(p.vals, value)
 	}
-	p.idx.insert(pc)
-	p.pcs = append(p.pcs, pc)
-	p.vals = append(p.vals, value)
+	p.vals[i] = value
+	p.marks.mark(i)
 }
 
 // StepRun implements Predictor: one table probe for the whole run, then
@@ -55,6 +57,7 @@ func (p *LastValue) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 		hits[0] = 0
 		k = 1
 	}
+	p.marks.mark(i)
 	prev := p.vals[i]
 	rest := values[k:]
 	hs := hits[k:][:len(rest)]
@@ -74,11 +77,12 @@ func (p *LastValue) Reset() {
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
 	p.vals = p.vals[:0]
+	clear(p.marks)
 }
 
 // StateBytes implements Sized.
 func (p *LastValue) StateBytes() MemBytes {
-	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.vals))
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.vals)).Plus(sliceBytes(p.marks))
 }
 
 // TableEntries implements Sized.
@@ -89,7 +93,7 @@ func (p *LastValue) TableEntries() (static, total int) {
 // SaveState implements Stateful: sorted (pc, value) pairs, PCs
 // delta-encoded.
 func (p *LastValue) SaveState(w io.Writer) error {
-	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	_, err := saveRecords(w, p.pcs, p.marks, false, p.encodeRec)
 	return err
 }
 
@@ -100,13 +104,14 @@ func (p *LastValue) LoadState(r io.Reader) error {
 		return err
 	}
 	p.idx, p.pcs, p.vals = idx, pcs, vals
+	clear(p.marks)
 	return nil
 }
 
-// SaveDelta implements DeltaStateful: SaveState's records for the dirty
-// PCs only.
-func (p *LastValue) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
-	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+// SaveDelta implements DeltaStateful: SaveState's records for the PCs
+// stepped since the last save only.
+func (p *LastValue) SaveDelta(w io.Writer) (int, error) {
+	return saveRecords(w, p.pcs, p.marks, true, p.encodeRec)
 }
 
 // ApplyDelta implements DeltaStateful.

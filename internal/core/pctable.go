@@ -1,14 +1,13 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"unsafe"
 )
 
 // This file holds the flat storage primitives shared by every predictor in
-// the package: an open-addressed PC index and the small hash/sort helpers
-// the slab-backed tables are built from. The design replaces the original
+// the package: an open-addressed PC index and the small helpers the
+// slab-backed tables are built from. The design replaces the original
 // map[uint64]*entry layout (one heap object and two pointer hops per PC)
 // with a single probe into a power-of-two slot array that yields a dense
 // int32 handle into a contiguous slab, so the hot predict/update path does
@@ -116,18 +115,6 @@ func (t *pcTable) bytes() MemBytes {
 	return MemBytes{Used: int64(t.n) * w, Reserved: int64(len(t.slots)) * w}
 }
 
-// sortedHandles returns slab handles ordered by ascending PC — the
-// canonical SaveState iteration order. pcs is the predictor's
-// handle-order slab of PCs; the input is not modified.
-func sortedHandles(pcs []uint64) []int32 {
-	hs := make([]int32, len(pcs))
-	for i := range hs {
-		hs[i] = int32(i)
-	}
-	slices.SortFunc(hs, func(a, b int32) int { return cmp.Compare(pcs[a], pcs[b]) })
-	return hs
-}
-
 // onePerPC is the PCEntries implementation shared by every predictor whose
 // slab holds exactly one entry per tracked PC.
 func onePerPC(pcs []uint64) map[uint64]int {
@@ -178,12 +165,6 @@ func (s *PCSet) Add(pc uint64) bool {
 	return true
 }
 
-// Contains reports membership.
-func (s *PCSet) Contains(pc uint64) bool {
-	_, ok := s.t.lookup(pc)
-	return ok
-}
-
 // Len returns the number of members.
 func (s *PCSet) Len() int { return s.t.len() }
 
@@ -198,9 +179,6 @@ func (s *PCSet) AppendSorted(dst []uint64) []uint64 {
 	slices.Sort(dst[start:])
 	return dst
 }
-
-// Reset empties the set in place, keeping capacity.
-func (s *PCSet) Reset() { s.t.reset() }
 
 // StateBytes returns the set's exact byte account.
 func (s *PCSet) StateBytes() MemBytes { return s.t.bytes() }

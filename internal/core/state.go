@@ -21,7 +21,7 @@ import (
 //
 // a and b must be behaviorally indistinguishable — every subsequent
 // Predict/Update sequence produces identical results — and SaveState must
-// be canonical: saving b again yields byte-identical output. LoadState
+// be reproducible: saving b again yields byte-identical output. LoadState
 // replaces any existing state (implicit Reset) and must fail cleanly on
 // malformed input: no panics, and allocations proportional to the bytes
 // actually consumed, never to unvalidated counts from the input.
@@ -49,7 +49,7 @@ func errState(name string, err error) error {
 }
 
 // errDuplicatePC flags a state stream whose delta-encoded PC sequence
-// revisits a PC. Canonical saves iterate strictly ascending PCs, so this
+// revisits a PC. Saves iterate strictly ascending PCs, so this
 // only appears in corrupt or hand-built input; the flat tables reject it
 // rather than silently keeping one of the records.
 func errDuplicatePC(pc uint64) error {
@@ -73,7 +73,7 @@ func (e *stateEncoder) bytes(b []byte) {
 }
 
 // le64 appends v as 8 little-endian bytes — the fixed-width wire form of
-// one FCM context value. Streaming values this way keeps the canonical
+// one FCM context value. Streaming values this way keeps the
 // full-concatenation encoding while never materializing the string keys
 // the original map-backed tables concatenated per context.
 func (e *stateEncoder) le64(v uint64) {
@@ -174,7 +174,3 @@ func (d *stateDecoder) expectEOF() error {
 	}
 	return nil
 }
-
-// The canonical SaveState iteration order (ascending PCs) is produced by
-// sortedHandles in pctable.go, working from each predictor's handle-order
-// PC slab instead of map keys.

@@ -45,7 +45,7 @@ func saveBytes(t *testing.T, p Predictor) []byte {
 // TestStatefulRoundTripExact is the capability's core contract, checked
 // for every registry predictor: train a on a stream prefix, save, load
 // into fresh b, then run both over the suffix comparing every individual
-// prediction — and re-saving b must reproduce a's bytes (canonical form).
+// prediction — and re-saving b must reproduce a's bytes.
 func TestStatefulRoundTripExact(t *testing.T) {
 	evs := trainStream(6000)
 	for _, fac := range KnownFactories() {

@@ -7,8 +7,9 @@ import (
 
 // The stride and last-value predictors share the package's flat layout:
 // one open-addressed pc→handle table per predictor plus a contiguous
-// entry slab (and a parallel PC slab for canonical state iteration), so
-// predict/update never allocates and touches at most two cache lines.
+// entry slab (and a parallel PC slab for ascending-PC state iteration),
+// so predict/update never allocates and touches at most two cache lines.
+// A bitset beside the slab marks the PCs stepped since the last save.
 
 // StrideSimple is the basic stride predictor of Section 2.1: it predicts
 // last + (last - secondLast) with no hysteresis, so a repeated stride
@@ -18,6 +19,7 @@ type StrideSimple struct {
 	idx     pcTable
 	pcs     []uint64
 	entries []strideEntry
+	marks   pcMarks // PCs stepped since the last save
 }
 
 type strideEntry struct {
@@ -53,11 +55,12 @@ func (p *StrideSimple) Predict(pc uint64) (uint64, bool) {
 func (p *StrideSimple) Update(pc uint64, value uint64) {
 	i, ok := p.idx.lookup(pc)
 	if !ok {
-		p.idx.insert(pc)
+		p.marks.mark(p.idx.insert(pc))
 		p.pcs = append(p.pcs, pc)
 		p.entries = append(p.entries, strideEntry{last: value, seen: 1})
 		return
 	}
+	p.marks.mark(i)
 	e := &p.entries[i]
 	e.stride = value - e.last
 	e.last = value
@@ -81,6 +84,7 @@ func (p *StrideSimple) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 		hits[0] = 0
 		k = 1
 	}
+	p.marks.mark(i)
 	e := p.entries[i]
 	rest := values[k:]
 	hs := hits[k:][:len(rest)]
@@ -105,11 +109,12 @@ func (p *StrideSimple) Reset() {
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
 	p.entries = p.entries[:0]
+	clear(p.marks)
 }
 
 // StateBytes implements Sized.
 func (p *StrideSimple) StateBytes() MemBytes {
-	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries)).Plus(sliceBytes(p.marks))
 }
 
 // TableEntries implements Sized.
@@ -119,7 +124,7 @@ func (p *StrideSimple) TableEntries() (static, total int) {
 
 // SaveState implements Stateful: sorted (pc, last, stride, seen) tuples.
 func (p *StrideSimple) SaveState(w io.Writer) error {
-	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	_, err := saveRecords(w, p.pcs, p.marks, false, p.encodeRec)
 	return err
 }
 
@@ -130,13 +135,14 @@ func (p *StrideSimple) LoadState(r io.Reader) error {
 		return err
 	}
 	p.idx, p.pcs, p.entries = idx, pcs, entries
+	clear(p.marks)
 	return nil
 }
 
-// SaveDelta implements DeltaStateful: SaveState's records for the dirty
-// PCs only.
-func (p *StrideSimple) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
-	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+// SaveDelta implements DeltaStateful: SaveState's records for the PCs
+// stepped since the last save only.
+func (p *StrideSimple) SaveDelta(w io.Writer) (int, error) {
+	return saveRecords(w, p.pcs, p.marks, true, p.encodeRec)
 }
 
 // ApplyDelta implements DeltaStateful.
@@ -184,6 +190,7 @@ type Stride2Delta struct {
 	idx     pcTable
 	pcs     []uint64
 	entries []s2Entry
+	marks   pcMarks // PCs stepped since the last save
 }
 
 type s2Entry struct {
@@ -221,11 +228,12 @@ func (p *Stride2Delta) Predict(pc uint64) (uint64, bool) {
 func (p *Stride2Delta) Update(pc uint64, value uint64) {
 	i, ok := p.idx.lookup(pc)
 	if !ok {
-		p.idx.insert(pc)
+		p.marks.mark(p.idx.insert(pc))
 		p.pcs = append(p.pcs, pc)
 		p.entries = append(p.entries, s2Entry{last: value, seen: 1})
 		return
 	}
+	p.marks.mark(i)
 	e := &p.entries[i]
 	delta := value - e.last
 	switch {
@@ -260,6 +268,7 @@ func (p *Stride2Delta) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 		hits[0] = 0
 		k = 1
 	}
+	p.marks.mark(i)
 	e := p.entries[i]
 	var n uint64
 	for k < len(values) {
@@ -316,11 +325,12 @@ func (p *Stride2Delta) Reset() {
 	p.idx.reset()
 	p.pcs = p.pcs[:0]
 	p.entries = p.entries[:0]
+	clear(p.marks)
 }
 
 // StateBytes implements Sized.
 func (p *Stride2Delta) StateBytes() MemBytes {
-	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries))
+	return p.idx.bytes().Plus(sliceBytes(p.pcs)).Plus(sliceBytes(p.entries)).Plus(sliceBytes(p.marks))
 }
 
 // TableEntries implements Sized.
@@ -330,7 +340,7 @@ func (p *Stride2Delta) TableEntries() (static, total int) {
 
 // SaveState implements Stateful: sorted (pc, last, s1, s2, s1Count, seen).
 func (p *Stride2Delta) SaveState(w io.Writer) error {
-	_, err := saveRecords(w, p.pcs, nil, p.encodeRec)
+	_, err := saveRecords(w, p.pcs, p.marks, false, p.encodeRec)
 	return err
 }
 
@@ -341,13 +351,14 @@ func (p *Stride2Delta) LoadState(r io.Reader) error {
 		return err
 	}
 	p.idx, p.pcs, p.entries = idx, pcs, entries
+	clear(p.marks)
 	return nil
 }
 
-// SaveDelta implements DeltaStateful: SaveState's records for the dirty
-// PCs only.
-func (p *Stride2Delta) SaveDelta(w io.Writer, dirty func(pc uint64) bool) (int, error) {
-	return saveRecords(w, p.pcs, dirty, p.encodeRec)
+// SaveDelta implements DeltaStateful: SaveState's records for the PCs
+// stepped since the last save only.
+func (p *Stride2Delta) SaveDelta(w io.Writer) (int, error) {
+	return saveRecords(w, p.pcs, p.marks, true, p.encodeRec)
 }
 
 // ApplyDelta implements DeltaStateful.

@@ -4,13 +4,12 @@ package serve
 // remembers the live chain's tip between cuts. Each cut decides
 // root-vs-delta under ckptMu and mails the decision to every shard with
 // the cut markers; each shard then saves its predictors on its own
-// goroutine — SaveState for a root, SaveDelta over the bank's dirty PCs
-// for a delta — and resets the bank's dirty bits. Dirty tracking is
-// exact at bank granularity (every predictor in a bank observes every
-// event), and the FCMs mark their changed contexts themselves. Any
+// goroutine — SaveState for a root, SaveDelta for a delta. Each
+// predictor marks the PCs (and the FCM the contexts) its steps change and
+// either save clears the marks, so the server tracks nothing per PC. Any
 // capture or write failure poisons the chain, forcing the next cut to be
-// a root, which is also what makes resetting the dirty bits right after
-// a shard's capture sound.
+// a root, which is also what makes clearing the marks at a capture that
+// never lands sound.
 
 import "repro/internal/snapshot"
 
@@ -27,8 +26,8 @@ type chainState struct {
 	tipID string
 	depth int
 	// poisoned forces the next cut to be a root: set when a capture or
-	// write failed (shards may have reset dirty bits for a checkpoint
-	// that never landed) and cleared by the next durable root.
+	// write failed (predictors may have cleared their change marks for a
+	// checkpoint that never landed) and cleared by the next durable root.
 	poisoned bool
 }
 

@@ -217,8 +217,8 @@ func TestHealthzDegraded(t *testing.T) {
 	}
 
 	// A cut that "started" past the deadline, plus sustained saturation.
-	s.health.cutStart.Store(time.Now().Add(-2 * s.cfg.HealthCheckpointDeadline).UnixNano())
-	s.health.sat[1].Store(int64(s.cfg.HealthSaturationIntervals))
+	s.health.cutStart.Store(time.Now().Add(-2 * defaultHealthCheckpointDeadline).UnixNano())
+	s.health.sat[1].Store(defaultHealthSaturationIntervals)
 	code, body = httpGet(t, url)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("degraded server: status %d body %s", code, body)

@@ -116,29 +116,17 @@ type Config struct {
 	// and is the default directory for WriteCheckpoint / Shutdown
 	// checkpoints.
 	CheckpointDir string
-	// DeltaCheckpoints makes checkpoints incremental: the banks track
-	// per-PC dirty bits, each cut after a full one writes a delta holding
-	// only the records changed since the chain tip (the dirty PCs'
-	// histories and changed FCM contexts), and restore resolves full +
-	// deltas back into one snapshot.
+	// DeltaCheckpoints makes checkpoints incremental: each cut after a
+	// full one writes a delta holding only the records changed since the
+	// chain tip (the records of the PCs stepped since, and the FCMs'
+	// changed contexts, by the change marks every predictor keeps), and
+	// restore loads the full and applies the deltas.
 	DeltaCheckpoints bool
 	// FullEvery bounds a delta chain: after this many delta checkpoints
 	// the next cut is forced full (0 = 8). Only meaningful with
 	// DeltaCheckpoints. In either mode a durable full checkpoint sweeps
 	// every older checkpoint from the directory.
 	FullEvery int
-	// HealthCheckpointDeadline is how long a checkpoint cut may stay in
-	// flight before /healthz reports degraded (0 = 30s).
-	HealthCheckpointDeadline time.Duration
-	// HealthSaturationIntervals is how many consecutive monitor ticks a
-	// shard mailbox may sit at capacity before /healthz reports degraded
-	// (0 = 3).
-	HealthSaturationIntervals int
-	// HealthTick is the health monitor's sampling period (0 = 1s).
-	HealthTick time.Duration
-	// EventRingSize caps the stage-event trace ring served by
-	// GET /events (0 = 256).
-	EventRingSize int
 	// Logger, when non-nil, receives the server's structured log lines
 	// (checkpoints, restores, degraded transitions).
 	Logger *obs.Logger
@@ -161,7 +149,10 @@ type Config struct {
 	TraceSlowNs int64
 }
 
-// Health configuration defaults.
+// Health monitoring: the monitor samples every defaultHealthTick, and
+// /healthz reports degraded while a checkpoint cut has been in flight
+// longer than defaultHealthCheckpointDeadline, or a shard mailbox has sat
+// at capacity for defaultHealthSaturationIntervals consecutive ticks.
 const (
 	defaultHealthCheckpointDeadline  = 30 * time.Second
 	defaultHealthSaturationIntervals = 3
@@ -254,15 +245,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	if cfg.HealthCheckpointDeadline <= 0 {
-		cfg.HealthCheckpointDeadline = defaultHealthCheckpointDeadline
-	}
-	if cfg.HealthSaturationIntervals <= 0 {
-		cfg.HealthSaturationIntervals = defaultHealthSaturationIntervals
-	}
-	if cfg.HealthTick <= 0 {
-		cfg.HealthTick = defaultHealthTick
-	}
 	if cfg.TraceSlowNs <= 0 {
 		cfg.TraceSlowNs = defaultTraceSlowNs
 	}
@@ -275,7 +257,7 @@ func New(cfg Config) (*Server, error) {
 		shards:    make([]*shard, cfg.Shards),
 		conns:     make(map[net.Conn]struct{}),
 		start:     time.Now(),
-		ring:      obs.NewRing(cfg.EventRingSize),
+		ring:      obs.NewRing(0), // the ring's default capacity, 256 events
 		health:    newHealthState(cfg.Shards),
 		log:       cfg.Logger,
 	}
@@ -289,10 +271,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	for i := range s.shards {
 		s.shards[i] = newShard(i, cfg.Predictors, cfg.MailboxDepth, s.metrics.shards[i])
-		if cfg.DeltaCheckpoints {
-			s.shards[i].dirtyTrack = true
-			s.shards[i].bank.SetDirtyTracking(true)
-		}
 		s.shards[i].ring = s.ring
 		s.shards[i].tracer = s.tracer
 		if !cfg.PredstatDisabled {
@@ -584,7 +562,7 @@ func (s *Server) shutdown(ckptDir string) (CheckpointInfo, error) {
 // before closing them).
 func (s *Server) monitor() {
 	defer close(s.monitorDone)
-	t := time.NewTicker(s.cfg.HealthTick)
+	t := time.NewTicker(defaultHealthTick)
 	defer t.Stop()
 	for {
 		select {
@@ -597,7 +575,7 @@ func (s *Server) monitor() {
 				m.mailboxDepth.Set(int64(d))
 				m.mailboxHW.SetMax(int64(d))
 				if d >= cap(sh.mailbox) {
-					if n := s.health.sat[i].Add(1); n == int64(s.cfg.HealthSaturationIntervals) {
+					if n := s.health.sat[i].Add(1); n == defaultHealthSaturationIntervals {
 						s.log.Warn("shard mailbox saturated", "shard", i, "intervals", n)
 					}
 				} else {
@@ -622,13 +600,13 @@ func (s *Server) monitor() {
 func (s *Server) healthReasons(now time.Time) []string {
 	var reasons []string
 	if cs := s.health.cutStart.Load(); cs != 0 {
-		if age := now.Sub(time.Unix(0, cs)); age > s.cfg.HealthCheckpointDeadline {
+		if age := now.Sub(time.Unix(0, cs)); age > defaultHealthCheckpointDeadline {
 			reasons = append(reasons, fmt.Sprintf(
-				"checkpoint cut in flight for %s (deadline %s)", age.Round(time.Millisecond), s.cfg.HealthCheckpointDeadline))
+				"checkpoint cut in flight for %s (deadline %s)", age.Round(time.Millisecond), defaultHealthCheckpointDeadline))
 		}
 	}
 	for i := range s.health.sat {
-		if n := s.health.sat[i].Load(); n >= int64(s.cfg.HealthSaturationIntervals) {
+		if n := s.health.sat[i].Load(); n >= defaultHealthSaturationIntervals {
 			reasons = append(reasons, fmt.Sprintf(
 				"shard %d mailbox saturated for %d intervals", i, n))
 		}

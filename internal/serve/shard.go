@@ -127,10 +127,6 @@ type shard struct {
 	// tracer receives this shard's request spans on lane id (single
 	// writer: the shard goroutine).
 	tracer *otrace.Recorder
-	// dirtyTrack mirrors Config.DeltaCheckpoints: the bank stamps per-PC
-	// dirty bits for delta captures, re-enabled whenever the bank is
-	// rebuilt (restore).
-	dirtyTrack bool
 }
 
 func newShard(id int, facs []core.NamedFactory, depth int, met *shardMetrics) *shard {
@@ -292,12 +288,12 @@ func (sh *shard) snapshot() ShardStats {
 }
 
 // captureState serializes the shard's predictor state for a checkpoint:
-// every predictor's SaveState for a root, or its SaveDelta over the
-// bank's dirty PCs for a delta. It is called on the shard goroutine, so it
-// never races live traffic. The mailbox is FIFO, which is what "drain"
-// means here: every sub-batch mailed before the capture request has been
-// applied, and none mailed after it is visible. The dirty bits are reset
-// after either kind of save, so they always cover "since the last cut".
+// every predictor's SaveState for a root, or its SaveDelta for a delta,
+// which carries what changed since the previous cut by the change marks
+// each predictor keeps and either save clears. It is called on the shard
+// goroutine, so it never races live traffic. The mailbox is FIFO, which
+// is what "drain" means here: every sub-batch mailed before the capture
+// request has been applied, and none mailed after it is visible.
 func (sh *shard) captureState(delta bool) shardStateMsg {
 	msg := shardStateMsg{st: snapshot.ShardState{
 		Shard:  sh.id,
@@ -310,7 +306,7 @@ func (sh *shard) captureState(delta bool) shardStateMsg {
 		var err error
 		if delta {
 			var n int
-			n, err = p.SaveDelta(&buf, sh.bank.PCDirty)
+			n, err = p.SaveDelta(&buf)
 			_, total := p.TableEntries()
 			msg.written += n
 			msg.skipped += total - n
@@ -328,7 +324,6 @@ func (sh *shard) captureState(delta bool) shardStateMsg {
 			State:   buf.Bytes(),
 		}
 	}
-	sh.bank.ResetDirty()
 	return msg
 }
 
@@ -356,9 +351,6 @@ func (sh *shard) install(st snapshot.ShardState, preds []core.Predictor, pcs cor
 	}
 	sh.preds, sh.pcs, sh.restoredEvents = preds, pcs, st.Events
 	sh.bank = core.NewBank(preds...)
-	if sh.dirtyTrack {
-		sh.bank.SetDirtyTracking(true)
-	}
 	sh.ewmaReady = false // the EWMA reseeds from live traffic, not history
 	if sh.pstat != nil {
 		// Predictability estimates describe observed live traffic, which a

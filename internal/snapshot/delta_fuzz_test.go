@@ -42,7 +42,7 @@ func FuzzDeltaChainRoundTrip(f *testing.F) {
 	f.Add([]byte{5, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(bytes.Repeat([]byte{0xA7, 0x13, 0x40}, 160))
 	var d bytes.Buffer
-	if _, err := core.NewFCM(2).SaveDelta(&d, nil); err != nil {
+	if _, err := core.NewFCM(2).SaveDelta(&d); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append(d.Bytes(), 2, 0, 9, 9, 9, 1, 0, 2, 0, 1, 2, 0))

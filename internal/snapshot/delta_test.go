@@ -15,10 +15,10 @@ import (
 	"repro/internal/core"
 )
 
-// liveBank is a registry predictor bank sharded by PC, with per-PC dirty
-// tracking, that cuts real root and delta checkpoints the way a server's
-// shards do: a root holds SaveState blobs, a delta SaveDelta blobs over
-// the PCs stepped since the previous cut.
+// liveBank is a registry predictor bank sharded by PC that cuts real
+// root and delta checkpoints the way a server's shards do: a root holds
+// SaveState blobs, a delta SaveDelta blobs over the PCs stepped since the
+// previous cut.
 type liveBank struct {
 	names  []string
 	shards []*liveShard
@@ -44,7 +44,6 @@ func newLiveBank(t testing.TB, shards int, names ...string) *liveBank {
 			sh.preds = append(sh.preds, f.New())
 		}
 		sh.bank = core.NewBank(sh.preds...)
-		sh.bank.SetDirtyTracking(true)
 		lb.shards = append(lb.shards, sh)
 	}
 	return lb
@@ -80,7 +79,7 @@ func (lb *liveBank) cut(t testing.TB, dir string, delta bool) (string, *Snapshot
 			var blob, whole bytes.Buffer
 			var err error
 			if delta {
-				_, err = p.SaveDelta(&blob, sh.bank.PCDirty)
+				_, err = p.SaveDelta(&blob)
 			} else {
 				err = p.SaveState(&blob)
 			}
@@ -93,7 +92,6 @@ func (lb *liveBank) cut(t testing.TB, dir string, delta bool) (string, *Snapshot
 			st.Preds = append(st.Preds, PredState{Name: lb.names[pi], Correct: correct[pi], Total: sh.events, State: blob.Bytes()})
 			full[si] = append(full[si], whole.Bytes())
 		}
-		sh.bank.ResetDirty()
 		s.Shards = append(s.Shards, st)
 	}
 	path, err := WriteFileAtomic(dir, s)

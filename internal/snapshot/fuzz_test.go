@@ -119,11 +119,12 @@ func trainedStateSeed(events int) []byte {
 	return b
 }
 
-// nonCanonicalFCMSeed builds fuzz input whose fcm3 blob is a valid FCM(3)
+// unsortedFCMSeed builds fuzz input whose fcm3 blob is a valid FCM(3)
 // state with one PC whose order-1 and order-2 contexts are listed in
-// descending key order: the mutator starts from the LoadState path that
-// must re-sort its input, one byte away from duplicate contexts.
-func nonCanonicalFCMSeed() []byte {
+// descending key order, which no save in creation order need produce:
+// the mutator starts from a state that must re-save as loaded, one byte
+// away from duplicate contexts.
+func unsortedFCMSeed() []byte {
 	u := binary.AppendUvarint
 	ctx := func(b []byte, keys ...uint64) []byte {
 		for _, k := range keys {
@@ -138,12 +139,12 @@ func nonCanonicalFCMSeed() []byte {
 	st = ctx(ctx(u(st, 2), 2, 3), 1, 2)   // order 2: keys (2 3), (1 2)
 	st = ctx(u(st, 1), 1, 2, 3)           // order 3
 	p := core.NewFCM(3)
-	var canon bytes.Buffer
+	var resaved bytes.Buffer
 	if err := p.LoadState(bytes.NewReader(st)); err != nil {
 		panic(err)
 	}
-	if err := p.SaveState(&canon); err != nil || bytes.Equal(canon.Bytes(), st) {
-		panic("non-canonical FCM seed does not load as non-canonical")
+	if err := p.SaveState(&resaved); err != nil || !bytes.Equal(resaved.Bytes(), st) {
+		panic("the unsorted FCM seed does not re-save as loaded")
 	}
 	b := []byte{0 /* 1 shard */, 2 /* l, s2, fcm3 */, 1, 2, 3, 4, 9 /* events */, 0 /* npc */}
 	b = append(b, 0, 0, 1, 2) // l: empty state, correct, total
@@ -155,18 +156,18 @@ func nonCanonicalFCMSeed() []byte {
 // FuzzSnapshotRoundTrip: any structurally valid snapshot must encode,
 // decode to an equal value, and re-encode byte-identically; every State
 // blob the matching predictor's LoadState accepts must restore to a state
-// whose save is a canonical fixed point.
+// whose save is a fixed point.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add(bytes.Repeat([]byte{0xFF}, 200))
 	// Genuine trained states — order-8 FCM included — at two table
 	// shapes, so the slab-backed LoadState is fuzzed from realistic
-	// corpora rather than only from garbage, plus a valid FCM state in
-	// non-canonical context order.
+	// corpora rather than only from garbage, plus a valid FCM state out
+	// of key order.
 	f.Add(trainedStateSeed(120))
 	f.Add(trainedStateSeed(400))
-	f.Add(nonCanonicalFCMSeed())
+	f.Add(unsortedFCMSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := snapshotFromBytes(data)
 		var buf bytes.Buffer
@@ -213,8 +214,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 
 // checkPredStateLoad pushes one State blob through the named predictor's
 // LoadState. Rejection is fine (the blob is fuzz data); acceptance must
-// never panic, and the restored predictor's own save must be a canonical
-// fixed point: saving, loading that save into a fresh instance and saving
+// never panic, and the restored predictor's own save must be a fixed
+// point: saving, loading that save into a fresh instance and saving
 // again reproduces the same bytes.
 func checkPredStateLoad(t *testing.T, ps *PredState) {
 	t.Helper()
@@ -232,7 +233,7 @@ func checkPredStateLoad(t *testing.T, ps *PredState) {
 	}
 	q := ctor()
 	if err := q.LoadState(bytes.NewReader(s1.Bytes())); err != nil {
-		t.Fatalf("%s: canonical save rejected by LoadState: %v", ps.Name, err)
+		t.Fatalf("%s: its own save rejected by LoadState: %v", ps.Name, err)
 	}
 	var s2 bytes.Buffer
 	if err := q.SaveState(&s2); err != nil {
