@@ -507,13 +507,16 @@ func BenchmarkSnapshotDecode(b *testing.B) {
 }
 
 // BenchmarkSnapshotRestore measures the full warm-restart path: decode,
-// verify and load every predictor table into fresh instances, the four
-// shards in parallel through the same loader Server.Restore uses.
+// verify and load every predictor table into fresh instances through the
+// loader Server.Restore uses, each of the four shards' predictors on its
+// own goroutine. Each load decodes from its own copy of its blob, and an
+// FCM builds each order's slot table once, so B/op counts those copies
+// and the load's sort arrays besides the tables the bank keeps.
 // events/op is the events-to-warm equivalent — the stream length a cold
 // server would have to re-serve to reach the same state. heap-B/ctx is
 // the live heap one restored bank set retains per table entry (FCM
 // contexts, almost all of them), measured once after the timed loop.
-// CI ratchets its ns/op.
+// CI ratchets the median of its ns/op over five runs.
 func BenchmarkSnapshotRestore(b *testing.B) {
 	trained, data := trainedSnapshot(b)
 	b.SetBytes(int64(len(data)))

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -125,52 +126,73 @@ func parseBenchOutput(out []byte) []BenchResult {
 	return results
 }
 
-// bestPriorNs returns the fastest ns/op ever recorded for benchmark name
-// across the prior history entries, considering only records measured in
-// a comparable environment (same GOOS/GOARCH/GOMAXPROCS — ns/op across
-// machines or parallelism settings are not comparable). ok is false when
-// no prior record has the benchmark.
+// medianNs returns the median ns/op of a record's samples of benchmark
+// name (one per -count repetition), ignoring samples without a time. ok
+// is false when the record has none.
+func medianNs(rep Report, name string) (med float64, ok bool) {
+	var ns []float64
+	for _, b := range rep.Benchmarks {
+		if b.Name == name && b.NsPerOp > 0 {
+			ns = append(ns, b.NsPerOp)
+		}
+	}
+	if len(ns) == 0 {
+		return 0, false
+	}
+	slices.Sort(ns)
+	m := len(ns) / 2
+	if len(ns)%2 == 0 {
+		return (ns[m-1] + ns[m]) / 2, true
+	}
+	return ns[m], true
+}
+
+// bestPriorNs returns the best per-record median ns/op recorded for
+// benchmark name across the prior history entries, considering only
+// records measured in a comparable environment (same GOOS/GOARCH/
+// GOMAXPROCS — ns/op across machines or parallelism settings are not
+// comparable). ok is false when no prior record has the benchmark.
 func bestPriorNs(prior []Report, cur Report, name string) (best float64, ok bool) {
 	for _, rep := range prior {
 		if rep.GOOS != cur.GOOS || rep.GOARCH != cur.GOARCH || rep.GOMAXPROCS != cur.GOMAXPROCS {
 			continue
 		}
-		for _, b := range rep.Benchmarks {
-			if b.Name != name || b.NsPerOp <= 0 {
-				continue
-			}
-			if !ok || b.NsPerOp < best {
-				best, ok = b.NsPerOp, true
-			}
+		if med, has := medianNs(rep, name); has && (!ok || med < best) {
+			best, ok = med, true
 		}
 	}
 	return best, ok
 }
 
-// ratchetCheck is the ns/op regression gate: every benchmark in cur
-// matching re must stay within pct percent of the best comparable prior
-// record. Benchmarks with no history pass with a note (the first run
-// seeds the ratchet). Returns the number of regressions and whether re
-// matched any benchmark at all.
+// ratchetCheck is the ns/op regression gate: for every benchmark in cur
+// matching re, the median of its samples must stay within pct percent of
+// the best comparable prior record's median. One slow sample of a
+// -count run, on a host that lends its CPU out, does not fail the gate;
+// a slower median does. Benchmarks with no history pass with a note (the
+// first run seeds the ratchet). Returns the number of regressions and
+// whether re matched any benchmark at all.
 func ratchetCheck(prior []Report, cur Report, re *regexp.Regexp, pct float64, w io.Writer) (violations int, matched bool) {
+	seen := make(map[string]bool)
 	for _, b := range cur.Benchmarks {
-		if !re.MatchString(b.Name) {
+		if !re.MatchString(b.Name) || seen[b.Name] {
 			continue
 		}
+		seen[b.Name] = true
 		matched = true
+		med, _ := medianNs(cur, b.Name)
 		best, ok := bestPriorNs(prior, cur, b.Name)
 		if !ok {
-			fmt.Fprintf(w, "vpbench: ratchet %s: no comparable history, seeding at %.1f ns/op\n", b.Name, b.NsPerOp)
+			fmt.Fprintf(w, "vpbench: ratchet %s: no comparable history, seeding at a median of %.1f ns/op\n", b.Name, med)
 			continue
 		}
 		limit := best * (1 + pct/100)
-		if b.NsPerOp > limit {
-			fmt.Fprintf(w, "vpbench: FAIL ratchet %s: %.1f ns/op exceeds best %.1f by more than %.0f%% (limit %.1f)\n",
-				b.Name, b.NsPerOp, best, pct, limit)
+		if med > limit {
+			fmt.Fprintf(w, "vpbench: FAIL ratchet %s: median %.1f ns/op exceeds best %.1f by more than %.0f%% (limit %.1f)\n",
+				b.Name, med, best, pct, limit)
 			violations++
 		} else {
-			fmt.Fprintf(w, "vpbench: ok   ratchet %s: %.1f ns/op vs best %.1f (limit %.1f)\n",
-				b.Name, b.NsPerOp, best, limit)
+			fmt.Fprintf(w, "vpbench: ok   ratchet %s: median %.1f ns/op vs best %.1f (limit %.1f)\n",
+				b.Name, med, best, limit)
 		}
 	}
 	return violations, matched
@@ -263,8 +285,8 @@ func main() {
 		out        = flag.String("out", "BENCH_core.json", "history JSON path to append to ('' or '-' prints only this run to stdout)")
 		count      = flag.Int("count", 1, "benchmark repetition count")
 		assertRE   = flag.String("assert-zero-alloc", "", "regex of benchmarks that must report 0 allocs/op; non-zero exit on violation or no match")
-		ratchetRE  = flag.String("ratchet", "", "regex of benchmarks whose ns/op must stay within -ratchet-pct of the best comparable history record; non-zero exit on regression (requires a history -out)")
-		ratchetPct = flag.Float64("ratchet-pct", 15, "allowed ns/op regression over the historical best, in percent")
+		ratchetRE  = flag.String("ratchet", "", "regex of benchmarks whose median ns/op over the -count runs must stay within -ratchet-pct of the best comparable history record's; non-zero exit on regression (requires a history -out)")
+		ratchetPct = flag.Float64("ratchet-pct", 15, "allowed median ns/op regression over the historical best, in percent")
 	)
 	flag.Parse()
 	if *ratchetRE != "" && (*out == "" || *out == "-") {

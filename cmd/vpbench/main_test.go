@@ -48,6 +48,32 @@ func TestRatchetCheck(t *testing.T) {
 		t.Fatalf("missing seeding note:\n%s", buf.String())
 	}
 
+	// Five samples (a -count 5 run) are judged on their median: one
+	// sample past the limit passes, a median past it fails.
+	samples := func(ns ...float64) Report {
+		var bs []BenchResult
+		for _, n := range ns {
+			bs = append(bs, BenchResult{Name: "BenchmarkHot", NsPerOp: n})
+		}
+		return rep(8, bs...)
+	}
+	if v, _ = ratchetCheck(prior, samples(104, 160, 99, 112, 108), re, 15, io.Discard); v != 0 {
+		t.Fatalf("one slow sample of five: violations=%d, want 0", v)
+	}
+	buf.Reset()
+	if v, _ = ratchetCheck(prior, samples(118, 95, 121, 101, 117), re, 15, &buf); v != 1 {
+		t.Fatalf("median 117 past the limit 115: violations=%d, want 1\n%s", v, buf.String())
+	}
+	if !strings.Contains(buf.String(), "median 117.0") {
+		t.Fatalf("FAIL line does not give the median:\n%s", buf.String())
+	}
+	// A prior record counts at its median too: its one fast sample does
+	// not lower the best.
+	withSamples := append(prior, samples(50, 130, 140))
+	if v, _ = ratchetCheck(withSamples, samples(114), re, 15, io.Discard); v != 0 {
+		t.Fatalf("prior record's fast sample set the best: violations=%d, want 0", v)
+	}
+
 	// Regex matching nothing reports matched=false.
 	if _, matched = ratchetCheck(prior, rep(8, BenchResult{Name: "BenchmarkCold", NsPerOp: 1}), re, 15, io.Discard); matched {
 		t.Fatal("matched should be false for non-matching regex")

@@ -157,9 +157,9 @@ func (t *fcmValIdx) lookup(v uint64) (int32, bool) {
 	}
 }
 
-// insert records v at ord; when v is already present the first ordinal is
-// kept, mirroring the find-first semantics of the linear scan.
-func (t *fcmValIdx) insert(v uint64, ord int32) {
+// insert records v at ord and reports true, or reports false, changing
+// nothing, when v is already present.
+func (t *fcmValIdx) insert(v uint64, ord int32) bool {
 	if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow()
 	}
@@ -169,16 +169,20 @@ func (t *fcmValIdx) insert(v uint64, ord int32) {
 		if s.ref == 0 {
 			*s = vhSlot{value: v, ref: ord + 1}
 			t.n++
-			return
+			return true
 		}
 		if s.value == v {
-			return
+			return false
 		}
 	}
 }
 
+// vidxMinSize is a value index's first length, which a promotion at
+// fcmHashThreshold values fills to a quarter.
+const vidxMinSize = 4 * fcmHashThreshold
+
 func (t *fcmValIdx) grow() {
-	size := 4 * fcmHashThreshold
+	size := vidxMinSize
 	if len(t.slots) > 0 {
 		size = 2 * len(t.slots)
 	}
@@ -325,13 +329,13 @@ func (st *fcmOrderStore) find(pcIdx int32, sig uint64, key []uint64) int32 {
 // which. One probe serves both: a miss ends on the empty slot the new
 // context takes.
 func (st *fcmOrderStore) findOrInsert(pcIdx int32, sig uint64, key []uint64) (h int32, added bool) {
+	o := len(key)
 	if 4*(int(st.n)+1) > 3*len(st.slots) {
-		st.grow()
+		st.grow(o)
 	}
 	hash := ctxSlotHash(sig, pcIdx)
 	fp := hash >> 32
 	mask := uint64(len(st.slots) - 1)
-	o := len(key)
 	for i := hash >> st.shift; ; i = (i + 1) & mask {
 		w := st.slots[i]
 		if w == 0 {
@@ -349,41 +353,106 @@ func (st *fcmOrderStore) findOrInsert(pcIdx int32, sig uint64, key []uint64) (h 
 	}
 }
 
-// place stores slot word w in the first empty slot of its probe sequence.
-// The word's top bits are its probe hash's, so it carries its own start.
-func (st *fcmOrderStore) place(w uint64) {
-	mask := uint64(len(st.slots) - 1)
-	for i := w >> st.shift; ; i = (i + 1) & mask {
-		if st.slots[i] == 0 {
-			st.slots[i] = w
-			return
-		}
-	}
-}
-
 // insertPlain appends a keyless context (order 0; addressed through
 // fcmPCState.ctx0, never probed).
 func (st *fcmOrderStore) insertPlain(pcIdx int32) int32 {
 	return st.push(pcIdx, nil)
 }
 
-// grow doubles the slot table, rehashing from the slot words alone: a
-// probe start is at most 32 bits of hash (handles are int32, so the
-// table never needs more than 2^32 slots), all of them in the word's
-// fingerprint.
-func (st *fcmOrderStore) grow() {
+// grow doubles the order-o slot table, rehashing from the slot words
+// alone: a probe start is at most 32 bits of hash (handles are int32, so
+// the table never needs more than 2^32 slots), all of them in the word's
+// fingerprint. Walking the old table in slot order places the words in
+// nearly ascending probe start.
+func (st *fcmOrderStore) grow(o int) {
 	size := pcTableMinSize
 	if len(st.slots) > 0 {
 		size = 2 * len(st.slots)
 	}
-	old := st.slots
+	st.fill(o, size, st.slots)
+}
+
+// fill makes the order-o slot table size slots long and places each
+// nonzero word of ws, in ws's order, in the first empty slot of its probe
+// sequence; a word's top bits are its probe hash's, so it carries its own
+// start. A context listed twice probes past its first word before it
+// reaches an empty slot, so fill checks each word of the same fingerprint
+// it passes: it stops at a context whose owner and key an earlier word's
+// context has, and returns that context's handle, or -1 when there is
+// none (as always in grow: a live table holds no repeat).
+func (st *fcmOrderStore) fill(o, size int, ws []uint64) int32 {
 	st.slots = make([]uint64, size)
 	st.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	for _, w := range old {
-		if w != 0 {
-			st.place(w)
+	mask := uint64(size - 1)
+	for _, w := range ws {
+		if w == 0 {
+			continue
 		}
+		h := int32(uint32(w)) - 1
+		i := w >> st.shift
+		for ; st.slots[i] != 0; i = (i + 1) & mask {
+			if x := st.slots[i]; x>>32 == w>>32 {
+				ref := int32(uint32(x)) - 1
+				if st.ctx(ref).pcIdx == st.ctx(h).pcIdx && slices.Equal(st.key(o, ref), st.key(o, h)) {
+					return h
+				}
+			}
+		}
+		st.slots[i] = w
 	}
+	return -1
+}
+
+// grownLen is the length a table reaches from empty when n entries are
+// inserted one by one, starting at minSize and doubling whenever an
+// insert would pass 3/4 load: findOrInsert's and fcmValIdx.insert's rule.
+func grownLen(n, minSize int) int {
+	if n == 0 {
+		return 0
+	}
+	size := minSize
+	for 4*n > 3*size {
+		size *= 2
+	}
+	return size
+}
+
+// loadSortBits is how many top hash bits index sorts slot words by: 4096
+// buckets, whose counts and write heads stay in cache, and in a table of
+// 2^20 slots each bucket's words land within 256 slots of each other.
+const loadSortBits = 12
+
+// index builds the slot table of an order LoadState pushed its contexts
+// into without probing. The table gets the length that inserting them
+// one by one reaches, and the slot words are placed in probe-start
+// order, a counting sort on their top bits, so the writes sweep the
+// table instead of landing at random. It returns the handle of a context
+// its PC lists twice at this order, or -1.
+func (st *fcmOrderStore) index(o int) int32 {
+	n := int(st.n)
+	size := grownLen(n, pcTableMinSize)
+	if size == 0 {
+		return -1
+	}
+	shift := 64 - min(bits.TrailingZeros(uint(size)), loadSortBits)
+	ws := make([]uint64, n)
+	at := make([]int32, 1<<(64-shift)+1)
+	for h := range ws {
+		c := st.ctx(int32(h))
+		w := ctxSlotHash(sigOf(st.key(o, int32(h))), c.pcIdx)>>32<<32 | uint64(h+1)
+		ws[h] = w
+		at[w>>shift+1]++
+	}
+	for b := 1; b < len(at); b++ {
+		at[b] += at[b-1]
+	}
+	sorted := make([]uint64, n)
+	for _, w := range ws {
+		b := w >> shift
+		sorted[at[b]] = w
+		at[b]++
+	}
+	return st.fill(o, size, sorted)
 }
 
 // Predict implements Predictor. With blending, the highest order whose
@@ -610,20 +679,32 @@ func (st *fcmStore) appendNewValue(c *fcmCtxEnt, v uint64) {
 	}
 }
 
-// promote builds c's value index from its current run. c has none yet,
-// so its vh holds at most the change mark, which is kept.
-func (st *fcmStore) promote(c *fcmCtxEnt) {
+// promote builds c's value index from its current run, reporting false
+// when the run lists a value twice. c has none yet, so its vh holds at
+// most the change mark, which is kept.
+func (st *fcmStore) promote(c *fcmCtxEnt) bool {
 	h := int32(len(st.vidx))
 	st.vidx = append(st.vidx, fcmValIdx{})
-	st.indexRun(c, &st.vidx[h])
 	c.vh |= h + 1
+	return st.indexRun(c, &st.vidx[h])
 }
 
-// indexRun inserts c's run into value index t, which must be empty.
-func (st *fcmStore) indexRun(c *fcmCtxEnt, t *fcmValIdx) {
-	for i, v := range st.vals.values(c.valOff, c.nvals) {
-		t.insert(v, int32(i))
+// indexRun rebuilds value index t from c's run, sized once at the length
+// inserting the run's values one by one reaches, and reports false when
+// the run lists a value twice.
+func (st *fcmStore) indexRun(c *fcmCtxEnt, t *fcmValIdx) bool {
+	if size := grownLen(int(c.nvals), vidxMinSize); len(t.slots) == size {
+		clear(t.slots)
+	} else {
+		t.slots = make([]vhSlot, size)
 	}
+	t.n = 0
+	for i, v := range st.vals.values(c.valOff, c.nvals) {
+		if !t.insert(v, int32(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // relocateRun moves c's full value run (nvals is 0 or a power of two,
@@ -659,8 +740,9 @@ func runCap(n int) int {
 // length class as c's current one is rewritten in place; otherwise the
 // old run is vacated and the new one reserved once, at runCap. A promoted
 // context's value index is rebuilt, and a run reaching fcmHashThreshold
-// is promoted.
-func (st *fcmStore) loadRun(c *fcmCtxEnt, vals []uint64, cnts []uint32, best int32) {
+// is promoted. It reports false when building the index finds a value
+// listed twice (fcmRun.decode checks shorter runs).
+func (st *fcmStore) loadRun(c *fcmCtxEnt, vals []uint64, cnts []uint32, best int32) bool {
 	c.best = best
 	c.vh &^= ctxDirty
 	n := int32(len(vals))
@@ -676,13 +758,12 @@ func (st *fcmStore) loadRun(c *fcmCtxEnt, vals []uint64, cnts []uint32, best int
 	st.vals.live += int64(n - c.nvals)
 	c.nvals = n
 	if c.vh != 0 {
-		t := &st.vidx[c.vh-1]
-		clear(t.slots)
-		t.n = 0
-		st.indexRun(c, t)
-	} else if c.nvals >= fcmHashThreshold {
-		st.promote(c)
+		return st.indexRun(c, &st.vidx[c.vh-1])
 	}
+	if c.nvals >= fcmHashThreshold {
+		return st.promote(c)
+	}
+	return true
 }
 
 // pushValue appends v to the value history and rolls every order's
@@ -895,8 +976,10 @@ type fcmRun struct {
 }
 
 // decode reads one context's value list and best ordinal (encodeCtx's
-// layout) into r.
-func (r *fcmRun) decode(d *stateDecoder) int32 {
+// layout), at PC pc, into r. A run shorter than fcmHashThreshold that
+// lists a value twice is rejected here; a longer one, when loadRun
+// builds its value index.
+func (r *fcmRun) decode(d *stateDecoder, pc uint64) int32 {
 	nv := d.uvarint()
 	best := d.uvarint()
 	if d.err == nil && best >= max(nv, 1) {
@@ -906,10 +989,21 @@ func (r *fcmRun) decode(d *stateDecoder) int32 {
 	for vi := uint64(0); vi < nv && d.err == nil; vi++ {
 		value := d.uvarint()
 		count := d.count(1<<32 - 1)
+		if nv < fcmHashThreshold && slices.Contains(r.vals, value) {
+			d.err = errRepeatedValue(pc)
+		}
 		r.vals = append(r.vals, value)
 		r.cnts = append(r.cnts, uint32(count))
 	}
 	return int32(best)
+}
+
+// errRepeatedValue flags a value run that lists one value twice. No save
+// writes one, and a context's count updates assume none: the bulk
+// constant-stretch step bumps the predicted ordinal, a per-event update
+// the first that holds the value.
+func errRepeatedValue(pc uint64) error {
+	return fmt.Errorf("pc %#x has a context whose run lists a value twice", pc)
 }
 
 // ApplyDelta implements DeltaStateful: each record finds or inserts its
@@ -963,7 +1057,7 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 				for j := 0; j < o; j++ {
 					key[j] = d.le64()
 				}
-				best := run.decode(d)
+				best := run.decode(d, pc)
 				if d.err != nil {
 					break
 				}
@@ -977,7 +1071,9 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 				} else {
 					hnd, _ = st.findOrInsert(pcIdx, sigOf(key[:o]), key[:o])
 				}
-				p.loadRun(st.ctx(hnd), run.vals, run.cnts, best)
+				if !p.loadRun(st.ctx(hnd), run.vals, run.cnts, best) {
+					return 0, errState(p.Name(), errRepeatedValue(pc))
+				}
 				records++
 			}
 		}
@@ -992,10 +1088,12 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 // (swapped in only on success, so a failed load leaves the receiver
 // untouched) and the rolling signatures are rebuilt from each restored
 // history. Each context is created in the order it is read, so the state
-// re-saves as loaded, in creation order or in any other; one probe per
-// context inserts it and rejects one its PC already lists at that order.
-// Each value list is decoded into reused scratch and reserved once
-// (loadRun), so a load is one linear pass and leaves no change mark.
+// re-saves as loaded, in creation order or in any other. Contexts are
+// pushed without probing; once the stream is read, each order's slot
+// table is built in one pass (index), which rejects a context its PC
+// lists twice at that order. Each value list is decoded into reused
+// scratch and reserved once (loadRun), and the load leaves no change
+// mark.
 func (p *FCM) LoadState(r io.Reader) error {
 	d := newStateDecoder(r)
 	if err := p.checkHeader(d); err != nil {
@@ -1027,13 +1125,14 @@ func (p *FCM) LoadState(r io.Reader) error {
 		}
 		for o := 0; o <= p.order && d.err == nil; o++ {
 			nctx := d.uvarint()
+			st := &store.ords[o]
 			for k := uint64(0); k < nctx && d.err == nil; k++ {
 				var hnd int32
 				if o == 0 {
 					if s.ctx0 >= 0 {
 						return errState(p.Name(), fmt.Errorf("pc %#x has %d order-0 contexts", pc, nctx))
 					}
-					s.ctx0 = store.ords[0].insertPlain(pcIdx)
+					s.ctx0 = st.insertPlain(pcIdx)
 					hnd = s.ctx0
 				} else {
 					for j := 0; j < o; j++ {
@@ -1042,20 +1141,23 @@ func (p *FCM) LoadState(r io.Reader) error {
 					if d.err != nil {
 						break
 					}
-					var added bool
-					if hnd, added = store.ords[o].findOrInsert(pcIdx, sigOf(key[:o]), key[:o]); !added {
-						return errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, pc))
-					}
+					hnd = st.push(pcIdx, key[:o])
 				}
-				best := run.decode(d)
-				if d.err == nil {
-					store.loadRun(store.ords[o].ctx(hnd), run.vals, run.cnts, best)
+				best := run.decode(d, pc)
+				if d.err == nil && !store.loadRun(st.ctx(hnd), run.vals, run.cnts, best) {
+					return errState(p.Name(), errRepeatedValue(pc))
 				}
 			}
 		}
 	}
 	if err := d.expectEOF(); err != nil {
 		return errState(p.Name(), err)
+	}
+	for o := 1; o <= p.order; o++ {
+		st := &store.ords[o]
+		if h := st.index(o); h >= 0 {
+			return errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, store.pcs[st.ctx(h).pcIdx].pc))
+		}
 	}
 	p.fcmStore = store
 	return nil

@@ -639,3 +639,117 @@ func TestFCMFingerprintCollisionIsNotAHit(t *testing.T) {
 		t.Errorf("find(%d) of a key never inserted = %d, want -1", c, got)
 	}
 }
+
+// fcm1RunState hand-builds a blended FCM(1) state holding one PC, 0x400,
+// with history [9]: its order-0 context holds 9 once, and its order-1
+// context [9] holds vals with counts cnts and predicts ordinal best.
+func fcm1RunState(vals, cnts []uint64, best uint64) []byte {
+	var e stateEncoder
+	// Order 1, blend, one PC at 0x400, history [9], 2 updates; one
+	// order-0 context holding 9 once.
+	for _, x := range []uint64{1, 1, 1, 0x400, 1, 9, 2, 1, 1, 0, 9, 1} {
+		e.uvarint(x)
+	}
+	e.uvarint(1) // order-1 contexts
+	e.le64(9)
+	e.uvarint(uint64(len(vals)))
+	e.uvarint(best)
+	for i, v := range vals {
+		e.uvarint(v)
+		e.uvarint(cnts[i])
+	}
+	return e.buf
+}
+
+// TestFCMRejectsRepeatedValues: a context's run that lists a value twice
+// is corrupt. No save writes one, and stepping a loaded one would split
+// the bank path from the per-event path: a constant stretch bumps the
+// predicted ordinal, a per-event update the first holding the value. A
+// short run (9 twice, the second predicted) and a promoted one (16
+// values, the first repeated last) must fail to load, and to apply as a
+// delta, with an error that names the PC; distinct values load.
+func TestFCMRejectsRepeatedValues(t *testing.T) {
+	var long, ones []uint64
+	for v := uint64(1); v <= fcmHashThreshold; v++ {
+		long, ones = append(long, v), append(ones, 1)
+	}
+	long[len(long)-1] = 1
+	for _, c := range []struct {
+		name  string
+		state []byte
+	}{
+		{"short", fcm1RunState([]uint64{9, 9}, []uint64{1, 3}, 1)},
+		{"promoted", fcm1RunState(long, ones, 0)},
+	} {
+		err := NewFCM(1).LoadState(bytes.NewReader(c.state))
+		if err == nil || !strings.Contains(err.Error(), "pc 0x400") {
+			t.Errorf("%s: LoadState = %v, want an error naming pc 0x400", c.name, err)
+		}
+		p := NewFCM(1)
+		if err := p.LoadState(bytes.NewReader(fcm1RunState([]uint64{9}, []uint64{4}, 0))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ApplyDelta(bytes.NewReader(c.state)); err == nil || !strings.Contains(err.Error(), "pc 0x400") {
+			t.Errorf("%s: ApplyDelta = %v, want an error naming pc 0x400", c.name, err)
+		}
+	}
+	long[len(long)-1] = fcmHashThreshold
+	for _, vals := range [][]uint64{{9, 5}, long} {
+		state := fcm1RunState(vals, ones[:len(vals)], 0)
+		p := NewFCM(1)
+		if err := p.LoadState(bytes.NewReader(state)); err != nil {
+			t.Fatalf("%d distinct values: %v", len(vals), err)
+		}
+		if got := saveBytes(t, p); !bytes.Equal(got, state) {
+			t.Fatalf("%d distinct values: save is not as loaded", len(vals))
+		}
+	}
+}
+
+// TestFCMLoadIndexMatchesGrowth: LoadState builds each order's slot table
+// in one pass, and each promoted context's value index at once, at the
+// lengths that inserting one entry at a time gives a trained FCM. The
+// loaded tables must have the trained source's lengths, so a restore
+// retains the memory the trained predictor held, and every loaded
+// context must be found from its PC and key.
+func TestFCMLoadIndexMatchesGrowth(t *testing.T) {
+	evs := trainStream(60_000)
+	for _, fac := range []func() *FCM{
+		func() *FCM { return NewFCM(1) },
+		func() *FCM { return NewFCM(3) },
+		func() *FCM { return NewFCMNoBlend(3) },
+		func() *FCM { return NewFCM(8) },
+	} {
+		src := fac()
+		t.Run(src.Name(), func(t *testing.T) {
+			for _, ev := range evs {
+				src.Update(ev.PC, ev.Value)
+			}
+			p := fac()
+			if err := p.LoadState(bytes.NewReader(saveBytes(t, src))); err != nil {
+				t.Fatal(err)
+			}
+			for o := 1; o <= p.order; o++ {
+				st := &p.ords[o]
+				if len(st.slots) != len(src.ords[o].slots) || st.n != src.ords[o].n {
+					t.Fatalf("order %d: loaded %d contexts in %d slots, trained %d in %d",
+						o, st.n, len(st.slots), src.ords[o].n, len(src.ords[o].slots))
+				}
+				for h := range st.n {
+					key := st.key(o, h)
+					if got := st.find(st.ctx(h).pcIdx, sigOf(key), key); got != h {
+						t.Fatalf("order %d: context %d found as %d", o, h, got)
+					}
+				}
+			}
+			got, want := p.Account(), src.Account()
+			if got.Slots != want.Slots || got.ValIndex != want.ValIndex {
+				t.Fatalf("loaded slots %+v and value indexes %+v, trained %+v and %+v",
+					got.Slots, got.ValIndex, want.Slots, want.ValIndex)
+			}
+			if p.blend && want.ValIndex.Reserved == 0 { // fcm3nb's order-3 runs stay short
+				t.Fatal("no context was promoted")
+			}
+		})
+	}
+}

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,8 +23,10 @@ import (
 // Predict/Update sequence produces identical results — and SaveState must
 // be reproducible: saving b again yields byte-identical output. LoadState
 // replaces any existing state (implicit Reset) and must fail cleanly on
-// malformed input: no panics, and allocations proportional to the bytes
-// actually consumed, never to unvalidated counts from the input.
+// malformed input: no panics, and allocations never sized by unvalidated
+// counts from the input. A load reads its input once, into one buffer,
+// so it allocates in proportion to the input, and beyond that in
+// proportion to the entries it decodes from it.
 //
 // The encoding is a varint-packed stream private to each predictor type;
 // framing, versioning and checksums live one layer up in
@@ -88,44 +90,42 @@ func (e *stateEncoder) flushTo(w io.Writer) error {
 }
 
 // stateDecoder reads a varint-packed state stream with sticky errors. It
-// distinguishes truncation (io.ErrUnexpectedEOF) from overflowing varints
-// and exposes expectEOF so callers can reject trailing garbage.
+// reads its input once, into one byte slice, and decodes from the slice.
+// It distinguishes truncation (io.ErrUnexpectedEOF) from overflowing
+// varints and exposes expectEOF so callers can reject trailing garbage.
 type stateDecoder struct {
-	r   *bufio.Reader
+	buf []byte
 	err error
 }
 
+// newStateDecoder reads all of r. A *bytes.Reader, what the snapshot
+// loader passes, is copied out in one read sized by its Len.
 func newStateDecoder(r io.Reader) *stateDecoder {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
+	var d stateDecoder
+	if br, ok := r.(*bytes.Reader); ok {
+		d.buf = make([]byte, br.Len())
+		_, d.err = io.ReadFull(br, d.buf)
+	} else {
+		d.buf, d.err = io.ReadAll(r)
 	}
-	return &stateDecoder{r: br}
+	return &d
 }
 
 func (d *stateDecoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	var v uint64
-	for shift := uint(0); ; shift += 7 {
-		b, err := d.r.ReadByte()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			d.err = err
-			return 0
-		}
-		if shift == 63 && b > 1 {
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		if n == 0 {
+			d.err = io.ErrUnexpectedEOF
+		} else {
 			d.err = errors.New("varint overflows uint64")
-			return 0
 		}
-		v |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			return v
-		}
+		return 0
 	}
+	d.buf = d.buf[n:]
+	return v
 }
 
 // count decodes a collection length and validates it against max, keeping
@@ -141,24 +141,18 @@ func (d *stateDecoder) count(max uint64) uint64 {
 	return n
 }
 
-// le64 reads one fixed-width little-endian uint64 (the inverse of
-// stateEncoder.le64) straight from the reader's buffer, so it never
-// allocates: a local array handed to io.ReadFull would escape through
-// the io.Reader interface once per key word.
+// le64 reads one fixed-width little-endian uint64, the inverse of
+// stateEncoder.le64.
 func (d *stateDecoder) le64() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	b, err := d.r.Peek(8)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		d.err = err
+	if len(d.buf) < 8 {
+		d.err = io.ErrUnexpectedEOF
 		return 0
 	}
-	v := binary.LittleEndian.Uint64(b)
-	d.r.Discard(8) // cannot fail: Peek just buffered these 8 bytes
+	v := binary.LittleEndian.Uint64(d.buf)
+	d.buf = d.buf[8:]
 	return v
 }
 
@@ -167,10 +161,8 @@ func (d *stateDecoder) expectEOF() error {
 	if d.err != nil {
 		return d.err
 	}
-	if _, err := d.r.ReadByte(); err == nil {
+	if len(d.buf) > 0 {
 		return errors.New("trailing bytes after state")
-	} else if !errors.Is(err, io.EOF) {
-		return err
 	}
 	return nil
 }

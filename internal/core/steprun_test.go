@@ -83,6 +83,34 @@ const (
 	fuzzCut    = 1 << 4
 )
 
+// fuzzEvents decodes a fuzzed event stream (the control bytes above) into
+// at most 4096 events on PCs 0x400, 0x408, 0x410 and 0x418, and the ends
+// of its batches, the last at len(pcs).
+func fuzzEvents(data []byte) (pcs, vals []uint64, ends []int) {
+	var last, stride [4]uint64
+	for len(data) > 0 && len(pcs) < 4096 {
+		c := data[0]
+		data = data[1:]
+		pc := c & 3
+		v := last[pc]
+		switch c >> 2 & 3 {
+		case 1:
+			v += stride[pc]
+		case 2, 3:
+			var raw [8]byte
+			data = data[copy(raw[:], data):]
+			v = binary.LittleEndian.Uint64(raw[:])
+		}
+		stride[pc], last[pc] = v-last[pc], v
+		pcs = append(pcs, 0x400+8*uint64(pc))
+		vals = append(vals, v)
+		if c&fuzzCut != 0 {
+			ends = append(ends, len(pcs))
+		}
+	}
+	return pcs, vals, append(ends, len(pcs))
+}
+
 // stepRunSeed encodes a constant run and a strided run of n events, each
 // on its own PC and cut into its own batch, then both again interleaved in
 // one batch.
@@ -127,31 +155,7 @@ func FuzzStepRunParity(f *testing.F) {
 		f.Add(stepRunSeed(n))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var pcs, vals []uint64
-		var ends []int
-		var last, stride [4]uint64
-		for len(data) > 0 && len(pcs) < 4096 {
-			c := data[0]
-			data = data[1:]
-			pc := c & 3
-			v := last[pc]
-			switch c >> 2 & 3 {
-			case 1:
-				v += stride[pc]
-			case 2, 3:
-				var raw [8]byte
-				data = data[copy(raw[:], data):]
-				v = binary.LittleEndian.Uint64(raw[:])
-			}
-			stride[pc], last[pc] = v-last[pc], v
-			pcs = append(pcs, 0x400+8*uint64(pc))
-			vals = append(vals, v)
-			if c&fuzzCut != 0 {
-				ends = append(ends, len(pcs))
-			}
-		}
-		ends = append(ends, len(pcs))
-
+		pcs, vals, ends := fuzzEvents(data)
 		preds, twins := registryPredictors(), registryPredictors()
 		b := NewBank(preds...)
 		counts := make([]uint64, len(preds))
@@ -187,6 +191,82 @@ func FuzzStepRunParity(f *testing.F) {
 			}
 			if !bytes.Equal(saveBytes(t, preds[i]), saveBytes(t, tw)) {
 				t.Fatalf("%s: SaveState diverged from the per-event twin", tw.Name())
+			}
+		}
+	})
+}
+
+// FuzzLoadedStepParity steps predictors from loaded state: the fuzzed
+// state bytes are loaded into two instances of every registry predictor
+// that accepts them, and one steps through StepRun, a call per same-PC
+// run of each batch, the other event by event (stepOne). The stream
+// starts, at every PC a loaded FCM holds, with a constant stretch of
+// the PC's newest history value, so the constant-stretch path runs on
+// the loaded counts; the fuzzed events follow. Each event's hit and the
+// re-saved state bytes must match. The seeds are a trained FCM(3) state
+// and a state whose context lists a value twice, which a load must
+// reject.
+func FuzzLoadedStepParity(f *testing.F) {
+	trained := NewFCM(3)
+	for i, ev := range trainStream(400) {
+		trained.Update(0x400+ev.PC%32, ev.Value+uint64(i%3))
+	}
+	var state bytes.Buffer
+	if err := trained.SaveState(&state); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(state.Bytes(), stepRunSeed(9))
+	f.Add(fcm1RunState([]uint64{9, 9}, []uint64{1, 3}, 1), stepRunSeed(9))
+	f.Fuzz(func(t *testing.T, state, events []byte) {
+		for _, fac := range KnownFactories() {
+			runner, twin := fac.New(), fac.New()
+			if runner.LoadState(bytes.NewReader(state)) != nil {
+				continue
+			}
+			if err := twin.LoadState(bytes.NewReader(state)); err != nil {
+				t.Fatalf("%s: the second load of one state failed: %v", fac.Name, err)
+			}
+			var pcs, vals []uint64
+			var ends []int
+			if p, ok := runner.(*FCM); ok {
+				for i := range p.pcs {
+					s := &p.pcs[i]
+					if s.n == 0 {
+						continue
+					}
+					for range p.order + 4 {
+						pcs = append(pcs, s.pc)
+						vals = append(vals, s.hist[s.n-1])
+					}
+					ends = append(ends, len(pcs))
+				}
+			}
+			fpcs, fvals, fends := fuzzEvents(events)
+			pcs, vals = append(pcs, fpcs...), append(vals, fvals...)
+			for _, e := range fends {
+				ends = append(ends, len(pcs)-len(fpcs)+e)
+			}
+			hits := make([]byte, len(pcs))
+			start := 0
+			for _, end := range ends {
+				for j := start; j < end; {
+					k := j + 1
+					for k < end && pcs[k] == pcs[j] {
+						k++
+					}
+					runner.StepRun(pcs[j], vals[j:k], hits[j:k])
+					j = k
+				}
+				start = end
+			}
+			for j := range pcs {
+				if hit := stepOne(twin, pcs[j], vals[j]); uint64(hits[j]) != hit {
+					t.Fatalf("%s event %d (pc %#x, value %#x): StepRun hit %d, per event %d",
+						fac.Name, j, pcs[j], vals[j], hits[j], hit)
+				}
+			}
+			if !bytes.Equal(saveBytes(t, runner), saveBytes(t, twin)) {
+				t.Fatalf("%s: SaveState after StepRun diverged from the per-event twin", fac.Name)
 			}
 		}
 	})

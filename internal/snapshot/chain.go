@@ -66,10 +66,12 @@ func (l *Loaded) Take() ([][]core.Predictor, error) {
 // Load builds the predictors of a checkpoint: chain is a root followed
 // by the deltas on it in order, each naming the one before it as its
 // parent (ResolveChain reads such a chain from disk). Each name is looked
-// up in the registry once, and the shards load in parallel, one
-// goroutine each. Load also returns how many records each delta carried
-// (records[i] for chain[i+1]). A delta given as the root is refused: its
-// blobs hold only what changed since its parent.
+// up in the registry once, and every (shard, predictor) loads on its own
+// goroutine, so the largest blob, not the largest shard, bounds the load.
+// Each load decodes from one copy of its blob. Load also returns how
+// many records each delta carried (records[i] for chain[i+1]). A delta
+// given as the root is refused: its blobs hold only what changed since
+// its parent. Nothing is returned unless every predictor loaded.
 func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 	t0 := time.Now()
 	root, tip := chain[0], chain[len(chain)-1]
@@ -101,16 +103,21 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 
 	l := &Loaded{Meta: tip.Meta, Shards: tip.Shards, Preds: make([][]core.Predictor, len(tip.Shards))}
 	l.Meta.ParentID, l.Meta.Depth = "", 0
-	shardRecords := make([][]int, len(tip.Shards))
-	errs := make([]error, len(tip.Shards))
+	// Job k is shard k/len(facs), predictor k%len(facs).
+	jobRecords := make([][]int, len(tip.Shards)*len(facs))
+	errs := make([]error, len(jobRecords))
 	var wg sync.WaitGroup
 	for si := range tip.Shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			shardRecords[si] = make([]int, len(chain)-1)
-			l.Preds[si], errs[si] = loadShard(chain, facs, si, shardRecords[si])
-		}()
+		l.Preds[si] = make([]core.Predictor, len(facs))
+		for pi, fac := range facs {
+			k := si*len(facs) + pi
+			jobRecords[k] = make([]int, len(chain)-1)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				l.Preds[si][pi], errs[k] = loadPred(chain, fac, si, pi, jobRecords[k])
+			}()
+		}
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -119,7 +126,7 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 		}
 	}
 	records = make([]int, len(chain)-1)
-	for _, rs := range shardRecords {
+	for _, rs := range jobRecords {
 		for i, n := range rs {
 			records[i] += n
 		}
@@ -128,30 +135,26 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 	return l, records, nil
 }
 
-// loadShard builds shard si's predictors: each loads the root's blob and
+// loadPred builds predictor pi of shard si: it loads the root's blob and
 // applies every delta's in order, adding the records each carried to
 // records.
-func loadShard(chain []*Snapshot, facs []core.NamedFactory, si int, records []int) ([]core.Predictor, error) {
-	preds := make([]core.Predictor, len(facs))
-	for pi, fac := range facs {
-		p := fac.New()
-		for li, c := range chain {
-			r := bytes.NewReader(c.Shards[si].Preds[pi].State)
-			var err error
-			if li == 0 {
-				err = p.LoadState(r)
-			} else {
-				var n int
-				n, err = p.ApplyDelta(r)
-				records[li-1] += n
-			}
-			if err != nil {
-				return nil, fmt.Errorf("snapshot: checkpoint %s shard %d %q: %w", c.Meta.ID, si, fac.Name, err)
-			}
+func loadPred(chain []*Snapshot, fac core.NamedFactory, si, pi int, records []int) (core.Predictor, error) {
+	p := fac.New()
+	for li, c := range chain {
+		r := bytes.NewReader(c.Shards[si].Preds[pi].State)
+		var err error
+		if li == 0 {
+			err = p.LoadState(r)
+		} else {
+			var n int
+			n, err = p.ApplyDelta(r)
+			records[li-1] += n
 		}
-		preds[pi] = p
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: checkpoint %s shard %d %q: %w", c.Meta.ID, si, fac.Name, err)
+		}
 	}
-	return preds, nil
+	return p, nil
 }
 
 // ResolveChain reads the checkpoint at path and loads its state: a root
