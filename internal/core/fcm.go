@@ -375,11 +375,11 @@ func (st *fcmOrderStore) grow(o int) {
 // fill makes the order-o slot table size slots long and places each
 // nonzero word of ws, in ws's order, in the first empty slot of its probe
 // sequence; a word's top bits are its probe hash's, so it carries its own
-// start. A context listed twice probes past its first word before it
-// reaches an empty slot, so fill checks each word of the same fingerprint
-// it passes: it stops at a context whose owner and key an earlier word's
-// context has, and returns that context's handle, or -1 when there is
-// none (as always in grow: a live table holds no repeat).
+// start. A context listed twice shares its first listing's fingerprint
+// and probe sequence, so it passes that word on its way to an empty slot:
+// fill compares owner and key at each fingerprint match it passes and
+// returns the handle of the first repeat it finds, or -1 (as always in
+// grow: a live table holds no repeat).
 func (st *fcmOrderStore) fill(o, size int, ws []uint64) int32 {
 	st.slots = make([]uint64, size)
 	st.shift = uint8(64 - bits.TrailingZeros(uint(size)))
