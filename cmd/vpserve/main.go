@@ -66,8 +66,8 @@ func main() {
 	mailbox := flag.Int("mailbox", 0, "per-shard mailbox depth (0 = default)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for predictor-state snapshots (enables checkpointing)")
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "write a checkpoint this often (0 = only on shutdown/trigger; needs -checkpoint-dir)")
-	ckptDelta := flag.Bool("checkpoint-delta", false, "write incremental (delta-chain) checkpoints: after a full one, each cut stores only the records changed since the previous cut (stepped PCs' histories and changed FCM contexts)")
-	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "with -checkpoint-delta, force a full checkpoint after this many deltas and sweep the superseded chain (0 = 8)")
+	ckptDelta := flag.Bool("checkpoint-delta", false, "write incremental (delta-chain) checkpoints: after a full one, each cut stores only the records changed since the previous cut (stepped PCs' histories and changed FCM contexts); needs -checkpoint-dir")
+	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "force a full checkpoint after this many deltas and sweep the superseded chain (0 = 8; needs -checkpoint-delta)")
 	restore := flag.String("restore", "", "warm-restart from this checkpoint file, or from the newest checkpoint in this directory whose chain resolves (older ones are tried in turn)")
 	logLevel := flag.String("log-level", "", "minimum log level (debug|info|warn|error; default $"+obs.LogLevelEnv+", then info)")
 	predstatOn := flag.Bool("predstat", true, "track per-PC predictability analytics (GET /predictability, vp_pc_entropy_bits & friends)")
@@ -99,8 +99,14 @@ func main() {
 
 	explicit := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if *ckptEvery > 0 && *ckptDir == "" {
+	// A checkpoint flag whose prerequisite is missing would do nothing.
+	switch {
+	case *ckptEvery > 0 && *ckptDir == "":
 		fatal(fmt.Errorf("-checkpoint-interval requires -checkpoint-dir"))
+	case *ckptDelta && *ckptDir == "":
+		fatal(fmt.Errorf("-checkpoint-delta requires -checkpoint-dir"))
+	case explicit["checkpoint-full-every"] && !*ckptDelta:
+		fatal(fmt.Errorf("-checkpoint-full-every requires -checkpoint-delta"))
 	}
 	if *ckptDir != "" {
 		// Fail fast on an unusable checkpoint directory: discovering it at

@@ -123,20 +123,18 @@ type countingObserver struct {
 	runs, events, hits uint64
 }
 
-func (o *countingObserver) ObserveRun(pc uint64, values []uint64, hits [][]byte) {
+func (o *countingObserver) ObserveRun(pc uint64, values []uint64, hits []uint64) {
 	o.runs++
 	o.events += uint64(len(values))
-	for _, row := range hits {
-		for _, h := range row {
-			o.hits += uint64(h)
-		}
+	for _, h := range hits {
+		o.hits += h
 	}
 }
 
 // TestBankObserverZeroAlloc is the CI gate for the observer hook: in
 // steady state Bank.StepBatch must allocate nothing both with a nil
-// observer (the default hot path) and with one attached (the grouped hit
-// rows are reused across batches).
+// observer (the default hot path) and with one attached (the per-run hit
+// counts are reused across batches).
 func TestBankObserverZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -19,29 +19,24 @@ package core
 // RunObserver is an optional tap on the bank's batch execution: after a
 // batch's predictors have all stepped, ObserveRun is called once per
 // same-PC value run with the run's values (stream order preserved within
-// the PC) and, per predictor in bank order, one hit byte per value
-// (1 = that predictor predicted it correctly). Runs are delivered in the
-// batch's first-appearance PC order, and a PC's runs arrive in stream
-// order across batches, so an observer sees exactly the per-static-
-// instruction value subsequences the paper's analysis is defined over.
+// the PC) and, per predictor in bank order, how many of them that
+// predictor predicted correctly (the count its StepRun returned). Runs
+// are delivered in the batch's first-appearance PC order, and a PC's runs
+// arrive in stream order across batches, so an observer sees exactly the
+// per-static-instruction value subsequences the paper's analysis is
+// defined over.
 //
 // The slices are the bank's reused arenas: observers must consume them
 // during the call and retain nothing. Observation rides inside the
 // zero-alloc batch path (see TestBankObserverZeroAlloc), so ObserveRun
 // implementations are expected to be allocation-free in steady state too.
 type RunObserver interface {
-	ObserveRun(pc uint64, values []uint64, hits [][]byte)
+	ObserveRun(pc uint64, values []uint64, hits []uint64)
 }
 
 // SetObserver attaches (or, with nil, detaches) a run observer. Not safe
 // to call concurrently with StepBatch.
-func (b *Bank) SetObserver(o RunObserver) {
-	b.obs = o
-	if o != nil && b.obsHits == nil {
-		b.obsHits = make([][]byte, len(b.preds))
-		b.obsRows = make([][]byte, len(b.preds))
-	}
-}
+func (b *Bank) SetObserver(o RunObserver) { b.obs = o }
 
 // Observer returns the attached run observer, nil when none.
 func (b *Bank) Observer() RunObserver { return b.obs }
@@ -94,12 +89,11 @@ type Bank struct {
 	gvals  []uint64 // values, gathered into contiguous same-PC runs
 	hits   []byte   // per-event hit scratch, grouped order
 
-	// Observer state: when obs is attached every predictor's hits are
-	// retained per batch (one grouped-order row per predictor) so each
-	// same-PC run can be delivered with all predictors' outcomes at once.
+	// Observer state: when obs is attached each run's hit count from
+	// every predictor is kept, so each same-PC run can be delivered with
+	// all predictors' outcomes at once.
 	obs     RunObserver
-	obsHits [][]byte // per predictor: grouped-order hit row, reused
-	obsRows [][]byte // per-run hits argument, refilled per run
+	runHits []uint64 // per run g: predictor i's hits at g*len(preds)+i, reused
 }
 
 // NewBank builds a bank over the given predictors. The slice is retained.
@@ -152,24 +146,26 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 		}
 	}
 	b.group(pcs[:n], values[:n], needOrder)
+	np, ng := len(b.preds), len(b.gpc)
 	observing := b.obs != nil
+	var runHits []uint64
 	if observing {
-		for i := range b.obsHits {
-			if cap(b.obsHits[i]) < n {
-				b.obsHits[i] = make([]byte, n)
-			}
+		if cap(b.runHits) < ng*np {
+			b.runHits = make([]uint64, ng*np)
 		}
+		runHits = b.runHits[:ng*np]
 	}
+	hits := b.hits[:n]
 	nw := (n + 63) / 64
 	for i, p := range b.preds {
-		hits := b.hits[:n]
-		if observing {
-			hits = b.obsHits[i][:n]
-		}
 		var hit uint64
-		for g := 0; g+1 < len(b.starts); g++ {
+		for g := 0; g < ng; g++ {
 			lo, hi := b.starts[g], b.starts[g+1]
-			hit += p.StepRun(b.gpc[g], b.gvals[lo:hi], hits[lo:hi])
+			h := p.StepRun(b.gpc[g], b.gvals[lo:hi], hits[lo:hi])
+			if observing {
+				runHits[g*np+i] = h
+			}
+			hit += h
 		}
 		if bits != nil && bits[i] != nil {
 			bs := bits[i][:nw]
@@ -184,13 +180,8 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 		}
 	}
 	if observing {
-		rows := b.obsRows
-		for g := 0; g+1 < len(b.starts); g++ {
-			lo, hi := b.starts[g], b.starts[g+1]
-			for i := range rows {
-				rows[i] = b.obsHits[i][lo:hi]
-			}
-			b.obs.ObserveRun(b.gpc[g], b.gvals[lo:hi], rows)
+		for g := 0; g < ng; g++ {
+			b.obs.ObserveRun(b.gpc[g], b.gvals[b.starts[g]:b.starts[g+1]], runHits[g*np:(g+1)*np])
 		}
 	}
 }

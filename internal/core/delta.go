@@ -6,9 +6,12 @@ package core
 // PCs' histories plus every context whose counts changed. Each predictor
 // marks what its steps change itself: a bit per table handle for the
 // per-PC predictors, and for the FCM a flag in its per-PC state and one
-// in each context entry its update already writes. Applying a delta is a
-// find-or-insert of each PC and context followed by a wholesale replace
-// of its state, so a root SaveState followed by every delta cut since
+// in each context entry its update already writes. A delta has the
+// layout of a full state, and a full state is the delta from the empty
+// state: one decoder per predictor applies either, under one rule set.
+// Applying is a find-or-insert of each PC and context followed by a
+// wholesale replace of its state, and LoadState is an apply into empty
+// tables, so a root SaveState followed by every delta cut since
 // reproduces the live state exactly.
 
 import (
@@ -29,10 +32,15 @@ import (
 //	a.SaveState(root)            // or any save a delta chain starts from
 //	... updates ...; a.SaveDelta(d1)
 //	... updates ...; a.SaveDelta(d2)
-//	b.LoadState(root); b.ApplyDelta(d1); b.ApplyDelta(d2)
+//	b.ApplyDelta(root); b.ApplyDelta(d1); b.ApplyDelta(d2)   // b fresh
 //
 // leaves b behaviorally indistinguishable from a, with byte-identical
-// SaveState output.
+// SaveState output. A full state is the delta from the empty state, and
+// one decoder per predictor reads both under one rule set: PCs strictly
+// ascend, and a stream applied to a predictor that holds no PC rejects
+// an entry listed twice. LoadState is that apply into empty tables,
+// swapped in on success, so ApplyDelta of a state into a fresh predictor
+// accepts and rejects what LoadState does and leaves the same state.
 //
 // Both methods report how many table entries the delta carries, in the
 // unit of Sized's total: a PC's record for the per-PC predictors, a
@@ -45,9 +53,10 @@ type DeltaStateful interface {
 	ApplyDelta(r io.Reader) (records int, err error)
 }
 
-// errDeltaOrder flags a delta whose PCs do not strictly ascend; every
-// saved delta lists its PCs in ascending order, so a repeat is corrupt.
-var errDeltaOrder = errors.New("delta PCs not strictly ascending")
+// errPCOrder flags a state or delta stream whose PCs do not strictly
+// ascend: every save lists its PCs in ascending order, so a repeated PC,
+// or a PC delta that wraps past 2^64, is corrupt.
+var errPCOrder = errors.New("PCs not strictly ascending")
 
 // pcMarks are a per-PC predictor's change marks: one bit per table
 // handle, set by every step of that PC and cleared by every save. The
@@ -95,36 +104,11 @@ func saveRecords(w io.Writer, pcs []uint64, marks pcMarks, delta bool, enc func(
 	return len(hs), e.flushTo(w)
 }
 
-// loadRecords decodes a saveRecords stream into fresh tables for
-// LoadState, rejecting a PC that appears twice. Errors carry the
-// predictor's name.
-func loadRecords[T any](r io.Reader, name string, dec func(*stateDecoder) T) (idx pcTable, pcs []uint64, ents []T, err error) {
-	d := newStateDecoder(r)
-	n := d.uvarint()
-	var pc uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		pc += d.uvarint()
-		ent := dec(d)
-		if d.err != nil {
-			break
-		}
-		if _, dup := idx.lookup(pc); dup {
-			return idx, nil, nil, errState(name, errDuplicatePC(pc))
-		}
-		idx.insert(pc)
-		pcs = append(pcs, pc)
-		ents = append(ents, ent)
-	}
-	if err := d.expectEOF(); err != nil {
-		return idx, nil, nil, errState(name, err)
-	}
-	return idx, pcs, ents, nil
-}
-
-// applyRecords applies a saveRecords delta to live tables: each record
-// replaces its PC's entry, and a new PC is inserted. A record is decoded
-// whole before it touches the tables, so a truncated one changes nothing.
-// Errors carry the predictor's name.
+// applyRecords applies a saveRecords stream, a state or a delta, to a
+// one-entry-per-PC predictor's tables: each record replaces its PC's
+// entry, and a new PC is inserted. LoadState applies into empty tables.
+// A record is decoded whole before it touches the tables, so a truncated
+// one changes nothing. Errors carry the predictor's name.
 func applyRecords[T any](r io.Reader, name string, idx *pcTable, pcs *[]uint64, ents *[]T, dec func(*stateDecoder) T) (int, error) {
 	d := newStateDecoder(r)
 	n := d.uvarint()
@@ -132,7 +116,7 @@ func applyRecords[T any](r io.Reader, name string, idx *pcTable, pcs *[]uint64, 
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		next := pc + d.uvarint()
 		if d.err == nil && i > 0 && next <= pc {
-			return 0, errState(name, errDeltaOrder)
+			return 0, errState(name, errPCOrder)
 		}
 		pc = next
 		ent := dec(d)

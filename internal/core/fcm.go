@@ -217,8 +217,8 @@ const sigMult = 0x9E3779B97F4A7C15 // odd, high-entropy (2^64 / golden ratio)
 
 func sigMix(v uint64) uint64 { return mix64(v) }
 
-// sigOf computes the signature of a full context from scratch (LoadState
-// and verification paths; the hot path rolls signatures incrementally).
+// sigOf computes the signature of a full context from scratch (apply and
+// verification paths; the hot path rolls signatures incrementally).
 func sigOf(vals []uint64) uint64 {
 	var s uint64
 	for _, v := range vals {
@@ -422,8 +422,8 @@ func grownLen(n, minSize int) int {
 // 2^20 slots each bucket's words land within 256 slots of each other.
 const loadSortBits = 12
 
-// index builds the slot table of an order LoadState pushed its contexts
-// into without probing. The table gets the length that inserting them
+// index builds the slot table of an order apply pushed its contexts into
+// without probing. The table gets the length that inserting them
 // one by one reaches, and the slot words are placed in probe-start
 // order, a counting sort on their top bits, so the writes sweep the
 // table instead of landing at random. It returns the handle of a context
@@ -1006,18 +1006,46 @@ func errRepeatedValue(pc uint64) error {
 	return fmt.Errorf("pc %#x has a context whose run lists a value twice", pc)
 }
 
-// ApplyDelta implements DeltaStateful: each record finds or inserts its
-// PC and replaces its history and update count, then finds or inserts
-// each context (one probe) and replaces its run and best ordinal. A
-// delta lists a PC's changed contexts in creation order, so the contexts
-// it adds follow the PC's others in the order the saving predictor
-// created them. The rolling signatures are rebuilt from the applied
-// history, as LoadState does, and no change mark is set.
+// ApplyDelta implements DeltaStateful: the stream is applied to p's own
+// store (apply). No change mark is set.
 func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
+	return p.apply(r, &p.fcmStore)
+}
+
+// LoadState implements Stateful: the stream is applied (apply) to a
+// fresh store, which replaces p's only on success, so a failed load
+// leaves the receiver untouched. Each context is created in the order it
+// is read, so the state re-saves as loaded, in creation order or in any
+// other, and the load leaves no change mark.
+func (p *FCM) LoadState(r io.Reader) error {
+	store := newFCMStore(p.order)
+	if _, err := p.apply(r, &store); err != nil {
+		return err
+	}
+	p.fcmStore = store
+	return nil
+}
+
+// apply decodes a state or delta stream into st and returns how many
+// contexts it carried; it is the FCM's one record decoder. Each record
+// finds or inserts its PC, decodes the PC's history and update count
+// into its state and rebuilds the rolling signatures from the history;
+// then each context's run and best ordinal replace the context's, each
+// value list decoded into reused scratch and reserved once (loadRun).
+// How a context is placed depends on st alone. Into a store that held no
+// PC (every load, a chain's root) contexts are pushed without probing,
+// and once the stream is read each order's slot table is built in one
+// pass (index), which rejects a context its PC lists twice at that
+// order. Into a store that holds PCs each context is found or inserted
+// with one probe; a delta lists a PC's changed contexts in creation
+// order, so the contexts it adds follow the PC's others in the order the
+// saving predictor created them.
+func (p *FCM) apply(r io.Reader, st *fcmStore) (int, error) {
 	d := newStateDecoder(r)
 	if err := p.checkHeader(d); err != nil {
 		return 0, err
 	}
+	empty := st.idx.len() == 0
 	npc := d.uvarint()
 	records := 0
 	var run fcmRun
@@ -1025,96 +1053,19 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 	var pc uint64
 	for i := uint64(0); i < npc && d.err == nil; i++ {
 		next := pc + d.uvarint()
-		if d.err == nil && i > 0 && next <= pc {
-			return 0, errState(p.Name(), errDeltaOrder)
+		if d.err != nil {
+			break
+		}
+		if i > 0 && next <= pc {
+			return 0, errState(p.Name(), errPCOrder)
 		}
 		pc = next
-		var hist [MaxFCMOrder]uint64
-		n := int(d.count(uint64(p.order)))
-		for j := 0; j < n; j++ {
-			hist[j] = d.uvarint()
-		}
-		updates := d.uvarint()
-		if d.err != nil {
-			break
-		}
-		pcIdx, ok := p.idx.lookup(pc)
+		pcIdx, ok := st.idx.lookup(pc)
 		if !ok {
-			pcIdx = p.idx.insert(pc)
-			p.pcs = append(p.pcs, fcmPCState{pc: pc, ctx0: -1})
+			pcIdx = st.idx.insert(pc)
+			st.pcs = append(st.pcs, fcmPCState{pc: pc, ctx0: -1})
 		}
-		s := &p.pcs[pcIdx]
-		s.hist, s.n, s.updates = hist, int32(n), updates
-		for o := 1; o <= n; o++ {
-			s.sigs[o] = sigOf(hist[n-o : n])
-		}
-		for o := 0; o <= p.order && d.err == nil; o++ {
-			nctx := d.uvarint()
-			if d.err == nil && o == 0 && nctx > 1 {
-				return 0, errState(p.Name(), fmt.Errorf("pc %#x has %d order-0 contexts", pc, nctx))
-			}
-			for k := uint64(0); k < nctx && d.err == nil; k++ {
-				for j := 0; j < o; j++ {
-					key[j] = d.le64()
-				}
-				best := run.decode(d, pc)
-				if d.err != nil {
-					break
-				}
-				st := &p.ords[o]
-				var hnd int32
-				if o == 0 {
-					if s.ctx0 < 0 {
-						s.ctx0 = st.insertPlain(pcIdx)
-					}
-					hnd = s.ctx0
-				} else {
-					hnd, _ = st.findOrInsert(pcIdx, sigOf(key[:o]), key[:o])
-				}
-				if !p.loadRun(st.ctx(hnd), run.vals, run.cnts, best) {
-					return 0, errState(p.Name(), errRepeatedValue(pc))
-				}
-				records++
-			}
-		}
-	}
-	if err := d.expectEOF(); err != nil {
-		return 0, errState(p.Name(), err)
-	}
-	return records, nil
-}
-
-// LoadState implements Stateful. The stream is decoded into a fresh store
-// (swapped in only on success, so a failed load leaves the receiver
-// untouched) and the rolling signatures are rebuilt from each restored
-// history. Each context is created in the order it is read, so the state
-// re-saves as loaded, in creation order or in any other. Contexts are
-// pushed without probing; once the stream is read, each order's slot
-// table is built in one pass (index), which rejects a context its PC
-// lists twice at that order. Each value list is decoded into reused
-// scratch and reserved once (loadRun), and the load leaves no change
-// mark.
-func (p *FCM) LoadState(r io.Reader) error {
-	d := newStateDecoder(r)
-	if err := p.checkHeader(d); err != nil {
-		return err
-	}
-	npc := d.uvarint()
-	store := newFCMStore(p.order)
-	var run fcmRun
-	var key [MaxFCMOrder]uint64
-	var pc uint64
-	for i := uint64(0); i < npc && d.err == nil; i++ {
-		pc += d.uvarint()
-		if d.err != nil {
-			break
-		}
-		if _, dup := store.idx.lookup(pc); dup {
-			return errState(p.Name(), errDuplicatePC(pc))
-		}
-		pcIdx := store.idx.insert(pc)
-		store.pcs = append(store.pcs, fcmPCState{pc: pc, ctx0: -1})
-		s := &store.pcs[pcIdx]
+		s := &st.pcs[pcIdx]
 		s.n = int32(d.count(uint64(p.order)))
 		for j := 0; j < int(s.n); j++ {
 			s.hist[j] = d.uvarint()
@@ -1125,42 +1076,46 @@ func (p *FCM) LoadState(r io.Reader) error {
 		}
 		for o := 0; o <= p.order && d.err == nil; o++ {
 			nctx := d.uvarint()
-			st := &store.ords[o]
+			if d.err == nil && o == 0 && nctx > 1 {
+				return 0, errState(p.Name(), fmt.Errorf("pc %#x has %d order-0 contexts", pc, nctx))
+			}
+			ords := &st.ords[o]
 			for k := uint64(0); k < nctx && d.err == nil; k++ {
-				var hnd int32
-				if o == 0 {
-					if s.ctx0 >= 0 {
-						return errState(p.Name(), fmt.Errorf("pc %#x has %d order-0 contexts", pc, nctx))
-					}
-					s.ctx0 = st.insertPlain(pcIdx)
-					hnd = s.ctx0
-				} else {
-					for j := 0; j < o; j++ {
-						key[j] = d.le64()
-					}
-					if d.err != nil {
-						break
-					}
-					hnd = st.push(pcIdx, key[:o])
+				for j := 0; j < o; j++ {
+					key[j] = d.le64()
 				}
 				best := run.decode(d, pc)
-				if d.err == nil && !store.loadRun(st.ctx(hnd), run.vals, run.cnts, best) {
-					return errState(p.Name(), errRepeatedValue(pc))
+				if d.err != nil {
+					break
 				}
+				var hnd int32
+				switch {
+				case o == 0:
+					if s.ctx0 < 0 {
+						s.ctx0 = ords.insertPlain(pcIdx)
+					}
+					hnd = s.ctx0
+				case empty:
+					hnd = ords.push(pcIdx, key[:o])
+				default:
+					hnd, _ = ords.findOrInsert(pcIdx, sigOf(key[:o]), key[:o])
+				}
+				if !st.loadRun(ords.ctx(hnd), run.vals, run.cnts, best) {
+					return 0, errState(p.Name(), errRepeatedValue(pc))
+				}
+				records++
 			}
 		}
 	}
 	if err := d.expectEOF(); err != nil {
-		return errState(p.Name(), err)
+		return 0, errState(p.Name(), err)
 	}
-	for o := 1; o <= p.order; o++ {
-		st := &store.ords[o]
-		if h := st.index(o); h >= 0 {
-			return errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, store.pcs[st.ctx(h).pcIdx].pc))
+	for o := 1; o <= p.order && empty; o++ {
+		if h := st.ords[o].index(o); h >= 0 {
+			return 0, errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, st.pcs[st.ords[o].ctx(h).pcIdx].pc))
 		}
 	}
-	p.fcmStore = store
-	return nil
+	return records, nil
 }
 
 // PCEntries implements PerPC: contexts held across all orders per static

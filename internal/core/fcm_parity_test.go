@@ -555,12 +555,18 @@ func fcm1State(keys ...uint64) []byte {
 // [5,3,4,3] where no ascending run precedes the repeat, so a load that
 // checks only the previous key, or only keys that arrive out of order,
 // accepts one of them. Distinct keys out of key order ([5,3,4]) are
-// valid and must save back as loaded.
+// valid and must save back as loaded. A full state is the delta from the
+// empty state, so ApplyDelta into an empty FCM must give the same
+// verdicts, the same error and the same saved state.
 func TestFCMLoadStateRejectsDuplicateContexts(t *testing.T) {
 	for _, keys := range [][]uint64{{1, 1}, {3, 5, 3}, {5, 3, 5}, {4, 3, 4}, {5, 3, 4, 3}} {
 		err := NewFCM(1).LoadState(bytes.NewReader(fcm1State(keys...)))
 		if err == nil || !strings.Contains(err.Error(), "duplicate order-1 context") {
 			t.Errorf("keys %v: LoadState = %v, want a duplicate-context error", keys, err)
+		}
+		_, aerr := NewFCM(1).ApplyDelta(bytes.NewReader(fcm1State(keys...)))
+		if aerr == nil || err == nil || aerr.Error() != err.Error() {
+			t.Errorf("keys %v: ApplyDelta into an empty FCM = %v, want LoadState's error %v", keys, aerr, err)
 		}
 	}
 	p := NewFCM(1)
@@ -569,6 +575,13 @@ func TestFCMLoadStateRejectsDuplicateContexts(t *testing.T) {
 	}
 	if got, want := saveBytes(t, p), fcm1State(5, 3, 4); !bytes.Equal(got, want) {
 		t.Fatalf("save after loading keys [5 3 4] is not as loaded:\n got %x\nwant %x", got, want)
+	}
+	q := NewFCM(1)
+	if _, err := q.ApplyDelta(bytes.NewReader(fcm1State(5, 3, 4))); err != nil {
+		t.Fatalf("keys [5 3 4] applied to an empty FCM: %v", err)
+	}
+	if got, want := saveBytes(t, q), fcm1State(5, 3, 4); !bytes.Equal(got, want) {
+		t.Fatalf("save after applying keys [5 3 4] to an empty FCM is not as applied:\n got %x\nwant %x", got, want)
 	}
 }
 

@@ -97,13 +97,14 @@ func (p *LastValue) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements Stateful.
+// LoadState implements Stateful: the state applied to empty tables,
+// which replace p's on success.
 func (p *LastValue) LoadState(r io.Reader) error {
-	idx, pcs, vals, err := loadRecords(r, p.Name(), decodeLastValue)
-	if err != nil {
+	var q LastValue
+	if _, err := q.ApplyDelta(r); err != nil {
 		return err
 	}
-	p.idx, p.pcs, p.vals = idx, pcs, vals
+	p.idx, p.pcs, p.vals = q.idx, q.pcs, q.vals
 	clear(p.marks)
 	return nil
 }

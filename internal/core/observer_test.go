@@ -1,38 +1,37 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
-// recordingObserver reassembles, per PC, the value subsequence and each
-// predictor's hit bytes as delivered run by run.
+// recordingObserver reassembles, per PC, the value subsequence as
+// delivered run by run, and keeps each run's length and per-predictor hit
+// counts.
 type recordingObserver struct {
 	vals map[uint64][]uint64
-	hits map[uint64][][]byte // per PC: one hit slice per predictor
-	runs int
+	runs map[uint64][]observedRun
+	n    int
 }
 
-func newRecordingObserver(npred int) *recordingObserver {
+// observedRun is one delivered run: its length and each predictor's hit
+// count, copied out of the bank's reused arena.
+type observedRun struct {
+	len  int
+	hits []uint64
+}
+
+func newRecordingObserver() *recordingObserver {
 	return &recordingObserver{
 		vals: make(map[uint64][]uint64),
-		hits: make(map[uint64][][]byte),
+		runs: make(map[uint64][]observedRun),
 	}
 }
 
-func (o *recordingObserver) ObserveRun(pc uint64, values []uint64, hits [][]byte) {
-	o.runs++
+func (o *recordingObserver) ObserveRun(pc uint64, values []uint64, hits []uint64) {
+	o.n++
 	o.vals[pc] = append(o.vals[pc], values...)
-	rows := o.hits[pc]
-	if rows == nil {
-		rows = make([][]byte, len(hits))
-		o.hits[pc] = rows
-	}
-	for i, h := range hits {
-		if len(h) != len(values) {
-			panic("observer: hit row length != run length")
-		}
-		rows[i] = append(rows[i], h...)
-	}
+	o.runs[pc] = append(o.runs[pc], observedRun{len(values), slices.Clone(hits)})
 }
 
 // observerStream builds a mixed stream over a few PCs: strides, constants
@@ -57,8 +56,9 @@ func observerStream(n int) (pcs, vals []uint64) {
 
 // TestBankObserverParity pins three properties of the observer tap: it
 // does not change any predictor's tallies, it sees every PC's exact value
-// subsequence in stream order, and its hit bytes agree event-for-event
-// with an independent per-event reference run.
+// subsequence in stream order, and each run's hit count from each
+// predictor equals an independent per-event reference run's hits summed
+// over the same events.
 func TestBankObserverParity(t *testing.T) {
 	mk := func() []Predictor {
 		return []Predictor{
@@ -71,7 +71,7 @@ func TestBankObserverParity(t *testing.T) {
 
 	plain := NewBank(mk()...)
 	observed := NewBank(mk()...)
-	obs := newRecordingObserver(3)
+	obs := newRecordingObserver()
 	observed.SetObserver(obs)
 
 	for _, batch := range []int{1, 3, 64, 1000} {
@@ -88,7 +88,7 @@ func TestBankObserverParity(t *testing.T) {
 			t.Errorf("predictor %d: observer changed tally: %d vs %d", i, oc[i], pc[i])
 		}
 	}
-	if obs.runs == 0 {
+	if obs.n == 0 {
 		t.Fatal("observer saw no runs")
 	}
 
@@ -121,13 +121,22 @@ func TestBankObserverParity(t *testing.T) {
 				t.Fatalf("pc %d event %d: observer value %d, want %d", pcv, k, got[k], want[k])
 			}
 		}
-		for i := range refPreds {
-			gh, wh := obs.hits[pcv][i], refHits[pcv][i]
-			for k := range wh {
-				if gh[k] != wh[k] {
-					t.Fatalf("pc %d pred %d event %d: observer hit %d, want %d", pcv, i, k, gh[k], wh[k])
+		at := 0
+		for r, run := range obs.runs[pcv] {
+			if len(run.hits) != len(refPreds) {
+				t.Fatalf("pc %d run %d: %d hit counts, want one per predictor (%d)", pcv, r, len(run.hits), len(refPreds))
+			}
+			for i, got := range run.hits {
+				var want uint64
+				for _, h := range refHits[pcv][i][at : at+run.len] {
+					want += uint64(h)
+				}
+				if got != want {
+					t.Fatalf("pc %d run %d (events %d..%d) pred %d: observer counted %d hits, per event %d",
+						pcv, r, at, at+run.len, i, got, want)
 				}
 			}
+			at += run.len
 		}
 	}
 }

@@ -28,6 +28,12 @@ import (
 // so it allocates in proportion to the input, and beyond that in
 // proportion to the entries it decodes from it.
 //
+// A full state is the delta from the empty state (DeltaStateful): each
+// predictor decodes both with one record decoder, and LoadState applies
+// the stream into empty tables that replace the receiver's only once the
+// whole stream is read. It therefore accepts exactly the streams that
+// ApplyDelta into a fresh predictor accepts, and leaves the same state.
+//
 // The encoding is a varint-packed stream private to each predictor type;
 // framing, versioning and checksums live one layer up in
 // internal/snapshot. Every Predictor is Stateful, through its embedded
@@ -48,14 +54,6 @@ type PerPC interface {
 // errState wraps state-decoding failures with the predictor name.
 func errState(name string, err error) error {
 	return fmt.Errorf("core: %s state: %w", name, err)
-}
-
-// errDuplicatePC flags a state stream whose delta-encoded PC sequence
-// revisits a PC. Saves iterate strictly ascending PCs, so this
-// only appears in corrupt or hand-built input; the flat tables reject it
-// rather than silently keeping one of the records.
-func errDuplicatePC(pc uint64) error {
-	return fmt.Errorf("duplicate pc %#x in state", pc)
 }
 
 // stateEncoder accumulates a varint-packed state stream and writes it out

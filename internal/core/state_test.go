@@ -33,7 +33,7 @@ func trainStream(n int) []struct{ PC, Value uint64 } {
 }
 
 // saveBytes encodes p's state or fails the test.
-func saveBytes(t *testing.T, p Predictor) []byte {
+func saveBytes(t testing.TB, p Predictor) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := p.SaveState(&buf); err != nil {
@@ -125,9 +125,31 @@ func TestLoadStateReplacesExisting(t *testing.T) {
 	}
 }
 
+// wrappedPCState hand-builds a two-record state for fac's predictor: PC
+// 0x10, then a PC delta of 2^64-8, which wraps to the new, smaller PC
+// 0x8. Both records carry the fields of a predictor that saw the value 7
+// once at PC 0x10: its save after the header an empty save has, the
+// record count and the PC.
+func wrappedPCState(t testing.TB, fac NamedFactory) []byte {
+	empty := saveBytes(t, fac.New())
+	one := fac.New()
+	one.Update(0x10, 7)
+	fields := saveBytes(t, one)[len(empty)+1:]
+	var e stateEncoder
+	e.bytes(empty[:len(empty)-1])
+	e.uvarint(2)
+	e.uvarint(0x10)
+	e.bytes(fields)
+	e.uvarint(1<<64 - 8)
+	e.bytes(fields)
+	return e.buf
+}
+
 // TestLoadStateRejectsCorrupt feeds every predictor truncations and
 // bit-flips of a valid state: the decoder must return an error or, for
-// mutations that still parse, at minimum never panic.
+// mutations that still parse, at minimum never panic. A state whose
+// second PC delta wraps past 2^64 to a new, smaller PC must fail with
+// the PC-order error, from LoadState and from ApplyDelta alike.
 func TestLoadStateRejectsCorrupt(t *testing.T) {
 	evs := trainStream(3000)
 	for _, fac := range KnownFactories() {
@@ -155,6 +177,13 @@ func TestLoadStateRejectsCorrupt(t *testing.T) {
 			huge := append([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, state...)
 			if err := fac.New().LoadState(bytes.NewReader(huge)); err == nil {
 				t.Fatal("absurd element count accepted")
+			}
+			wrapped := wrappedPCState(t, fac)
+			if err := fac.New().LoadState(bytes.NewReader(wrapped)); !errors.Is(err, errPCOrder) {
+				t.Fatalf("LoadState of a PC delta that wraps to a smaller PC: %v, want %v", err, errPCOrder)
+			}
+			if _, err := fac.New().ApplyDelta(bytes.NewReader(wrapped)); !errors.Is(err, errPCOrder) {
+				t.Fatalf("ApplyDelta of a PC delta that wraps to a smaller PC: %v, want %v", err, errPCOrder)
 			}
 			// Deterministic bit flips: must never panic.
 			rng := rand.New(rand.NewSource(7))

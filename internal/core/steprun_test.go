@@ -196,78 +196,123 @@ func FuzzStepRunParity(f *testing.F) {
 	})
 }
 
-// FuzzLoadedStepParity steps predictors from loaded state: the fuzzed
-// state bytes are loaded into two instances of every registry predictor
-// that accepts them, and one steps through StepRun, a call per same-PC
-// run of each batch, the other event by event (stepOne). The stream
-// starts, at every PC a loaded FCM holds, with a constant stretch of
-// the PC's newest history value, so the constant-stretch path runs on
-// the loaded counts; the fuzzed events follow. Each event's hit and the
-// re-saved state bytes must match. The seeds are a trained FCM(3) state
-// and a state whose context lists a value twice, which a load must
-// reject.
+// FuzzLoadedStepParity steps predictors from loaded and from applied
+// state. The fuzzed state bytes go to every registry predictor through
+// LoadState into a fresh instance and through ApplyDelta into another:
+// a full state is the delta from the empty state, so both must accept or
+// both reject it, and when they accept, save the same bytes. A state
+// that loads is loaded into two instances, and one that applies as a
+// delta onto an instance holding what the seed stream trains (loaded
+// from its save) is applied onto two such instances; each pair then
+// steps the same events, one through
+// StepRun, a call per same-PC run of each batch, the other event by
+// event (stepOne). The stream starts, at every PC an FCM of the pair
+// holds, with a constant stretch of the PC's newest history value, so
+// the constant-stretch path runs on the loaded counts; the fuzzed events
+// follow. Each event's hit and the re-saved state bytes must match. The
+// seeds are a trained FCM(3) state; a state whose context lists a value
+// twice, which a load must reject; and two FCM(1) states that the load
+// and the apply must both reject: one whose second PC delta wraps past
+// 2^64 to a smaller PC, and one that lists an order-1 context twice.
 func FuzzLoadedStepParity(f *testing.F) {
-	trained := NewFCM(3)
-	for i, ev := range trainStream(400) {
-		trained.Update(0x400+ev.PC%32, ev.Value+uint64(i%3))
+	// trained holds each registry predictor's state after the seed
+	// stream; loading it gives an instance trained on that stream.
+	trained := make(map[string][]byte)
+	for _, fac := range KnownFactories() {
+		p := fac.New()
+		for i, ev := range trainStream(400) {
+			p.Update(0x400+ev.PC%32, ev.Value+uint64(i%3))
+		}
+		trained[fac.Name] = saveBytes(f, p)
 	}
-	var state bytes.Buffer
-	if err := trained.SaveState(&state); err != nil {
-		f.Fatal(err)
+	train := func(fac NamedFactory) Predictor {
+		p := fac.New()
+		if err := p.LoadState(bytes.NewReader(trained[fac.Name])); err != nil {
+			f.Fatal(err)
+		}
+		return p
 	}
-	f.Add(state.Bytes(), stepRunSeed(9))
+	fcm1, _ := FactoryByName("fcm1")
+	f.Add(trained["fcm3"], stepRunSeed(9))
 	f.Add(fcm1RunState([]uint64{9, 9}, []uint64{1, 3}, 1), stepRunSeed(9))
+	f.Add(wrappedPCState(f, fcm1), stepRunSeed(9))
+	f.Add(fcm1State(1, 1), stepRunSeed(9))
 	f.Fuzz(func(t *testing.T, state, events []byte) {
 		for _, fac := range KnownFactories() {
-			runner, twin := fac.New(), fac.New()
-			if runner.LoadState(bytes.NewReader(state)) != nil {
+			runner, twin, applied := fac.New(), fac.New(), fac.New()
+			lerr := runner.LoadState(bytes.NewReader(state))
+			_, aerr := applied.ApplyDelta(bytes.NewReader(state))
+			if (lerr == nil) != (aerr == nil) {
+				t.Fatalf("%s: LoadState says %v, ApplyDelta into a fresh instance %v", fac.Name, lerr, aerr)
+			}
+			if lerr == nil {
+				if err := twin.LoadState(bytes.NewReader(state)); err != nil {
+					t.Fatalf("%s: the second load of one state failed: %v", fac.Name, err)
+				}
+				if !bytes.Equal(saveBytes(t, applied), saveBytes(t, runner)) {
+					t.Fatalf("%s: the state applied to a fresh instance saves differently from the loaded one", fac.Name)
+				}
+				stepParity(t, fac.Name, runner, twin, events)
+			}
+			runner = train(fac)
+			if _, err := runner.ApplyDelta(bytes.NewReader(state)); err != nil {
 				continue
 			}
-			if err := twin.LoadState(bytes.NewReader(state)); err != nil {
-				t.Fatalf("%s: the second load of one state failed: %v", fac.Name, err)
+			twin = train(fac)
+			if _, err := twin.ApplyDelta(bytes.NewReader(state)); err != nil {
+				t.Fatalf("%s: the second apply of one delta failed: %v", fac.Name, err)
 			}
-			var pcs, vals []uint64
-			var ends []int
-			if p, ok := runner.(*FCM); ok {
-				for i := range p.pcs {
-					s := &p.pcs[i]
-					if s.n == 0 {
-						continue
-					}
-					for range p.order + 4 {
-						pcs = append(pcs, s.pc)
-						vals = append(vals, s.hist[s.n-1])
-					}
-					ends = append(ends, len(pcs))
-				}
-			}
-			fpcs, fvals, fends := fuzzEvents(events)
-			pcs, vals = append(pcs, fpcs...), append(vals, fvals...)
-			for _, e := range fends {
-				ends = append(ends, len(pcs)-len(fpcs)+e)
-			}
-			hits := make([]byte, len(pcs))
-			start := 0
-			for _, end := range ends {
-				for j := start; j < end; {
-					k := j + 1
-					for k < end && pcs[k] == pcs[j] {
-						k++
-					}
-					runner.StepRun(pcs[j], vals[j:k], hits[j:k])
-					j = k
-				}
-				start = end
-			}
-			for j := range pcs {
-				if hit := stepOne(twin, pcs[j], vals[j]); uint64(hits[j]) != hit {
-					t.Fatalf("%s event %d (pc %#x, value %#x): StepRun hit %d, per event %d",
-						fac.Name, j, pcs[j], vals[j], hits[j], hit)
-				}
-			}
-			if !bytes.Equal(saveBytes(t, runner), saveBytes(t, twin)) {
-				t.Fatalf("%s: SaveState after StepRun diverged from the per-event twin", fac.Name)
-			}
+			stepParity(t, fac.Name+" (trained, then the state applied)", runner, twin, events)
 		}
 	})
+}
+
+// stepParity steps runner through StepRun and twin, which holds the same
+// state, event by event over the fuzzed events, after a constant stretch
+// at every PC an FCM runner holds (FuzzLoadedStepParity), and fails on
+// the first event whose hits differ or when the re-saved states differ.
+func stepParity(t *testing.T, name string, runner, twin Predictor, events []byte) {
+	t.Helper()
+	var pcs, vals []uint64
+	var ends []int
+	if p, ok := runner.(*FCM); ok {
+		for i := range p.pcs {
+			s := &p.pcs[i]
+			if s.n == 0 {
+				continue
+			}
+			for range p.order + 4 {
+				pcs = append(pcs, s.pc)
+				vals = append(vals, s.hist[s.n-1])
+			}
+			ends = append(ends, len(pcs))
+		}
+	}
+	fpcs, fvals, fends := fuzzEvents(events)
+	pcs, vals = append(pcs, fpcs...), append(vals, fvals...)
+	for _, e := range fends {
+		ends = append(ends, len(pcs)-len(fpcs)+e)
+	}
+	hits := make([]byte, len(pcs))
+	start := 0
+	for _, end := range ends {
+		for j := start; j < end; {
+			k := j + 1
+			for k < end && pcs[k] == pcs[j] {
+				k++
+			}
+			runner.StepRun(pcs[j], vals[j:k], hits[j:k])
+			j = k
+		}
+		start = end
+	}
+	for j := range pcs {
+		if hit := stepOne(twin, pcs[j], vals[j]); uint64(hits[j]) != hit {
+			t.Fatalf("%s event %d (pc %#x, value %#x): StepRun hit %d, per event %d",
+				name, j, pcs[j], vals[j], hits[j], hit)
+		}
+	}
+	if !bytes.Equal(saveBytes(t, runner), saveBytes(t, twin)) {
+		t.Fatalf("%s: SaveState after StepRun diverged from the per-event twin", name)
+	}
 }

@@ -128,13 +128,14 @@ func (p *StrideSimple) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements Stateful.
+// LoadState implements Stateful: the state applied to empty tables,
+// which replace p's on success.
 func (p *StrideSimple) LoadState(r io.Reader) error {
-	idx, pcs, entries, err := loadRecords(r, p.Name(), decodeStrideSimple)
-	if err != nil {
+	var q StrideSimple
+	if _, err := q.ApplyDelta(r); err != nil {
 		return err
 	}
-	p.idx, p.pcs, p.entries = idx, pcs, entries
+	p.idx, p.pcs, p.entries = q.idx, q.pcs, q.entries
 	clear(p.marks)
 	return nil
 }
@@ -344,13 +345,14 @@ func (p *Stride2Delta) SaveState(w io.Writer) error {
 	return err
 }
 
-// LoadState implements Stateful.
+// LoadState implements Stateful: the state applied to empty tables,
+// which replace p's on success.
 func (p *Stride2Delta) LoadState(r io.Reader) error {
-	idx, pcs, entries, err := loadRecords(r, p.Name(), decodeStride2Delta)
-	if err != nil {
+	var q Stride2Delta
+	if _, err := q.ApplyDelta(r); err != nil {
 		return err
 	}
-	p.idx, p.pcs, p.entries = idx, pcs, entries
+	p.idx, p.pcs, p.entries = q.idx, q.pcs, q.entries
 	clear(p.marks)
 	return nil
 }

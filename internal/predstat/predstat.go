@@ -5,7 +5,7 @@
 // predictor hit" but "how often could any predictor of this class hit".
 //
 // A Tracker attaches to a core.Bank through the RunObserver hook and sees
-// every same-PC value run together with each predictor's hit bits. Per PC
+// every same-PC value run together with each predictor's hit count. Per PC
 // it maintains, on the flat-slab idiom of internal/core:
 //
 //   - order-0..MaxOrder conditional entropy rates and ideal-predictor
@@ -282,9 +282,9 @@ func (t *Tracker) table(h int32, order int) []ctxEntry {
 }
 
 // ObserveRun implements core.RunObserver: values is one same-PC run in
-// stream order, hits one row per predictor. Allocation-free once a PC's
-// slabs exist.
-func (t *Tracker) ObserveRun(pc uint64, values []uint64, hits [][]byte) {
+// stream order, hits each predictor's correct predictions over it.
+// Allocation-free once a PC's slabs exist.
+func (t *Tracker) ObserveRun(pc uint64, values []uint64, hits []uint64) {
 	if len(values) == 0 {
 		return
 	}
@@ -297,11 +297,7 @@ func (t *Tracker) ObserveRun(pc uint64, values []uint64, hits [][]byte) {
 	}
 	h := t.handle(pc)
 	for i := 0; i < t.npred && i < len(hits); i++ {
-		sum := uint64(0)
-		for _, b := range hits[i] {
-			sum += uint64(b)
-		}
-		t.predHits[int(h)*t.npred+i] += sum
+		t.predHits[int(h)*t.npred+i] += hits[i]
 	}
 
 	s := &t.st[h]

@@ -187,12 +187,12 @@ func TestMergeDisjointMatchesSingle(t *testing.T) {
 		for i := range vals {
 			vals[i] = uint64(rng.Intn(4))
 		}
-		hits := [][]byte{make([]byte, n)}
-		for i := range hits[0] {
-			hits[0][i] = byte(rng.Intn(2))
+		var hit uint64
+		for range n {
+			hit += uint64(rng.Intn(2))
 		}
-		one.ObserveRun(pc, vals, hits)
-		parts[pc%2].ObserveRun(pc, vals, hits)
+		one.ObserveRun(pc, vals, []uint64{hit})
+		parts[pc%2].ObserveRun(pc, vals, []uint64{hit})
 	}
 	merged := &Report{}
 	for _, p := range parts {
@@ -227,9 +227,8 @@ func TestGapEvent(t *testing.T) {
 	ring := obs.NewRing(16)
 	tr := NewTracker(Config{PredNames: []string{"l"}, Ring: ring, MinEvents: 256, GapThreshold: 0.25})
 	vals := seqclass.Take(seqclass.RepeatedGen([]uint64{5, 1, 9, 2}), 2048)
-	miss := make([]byte, 64)
 	for off := 0; off < len(vals); off += 64 {
-		tr.ObserveRun(7, vals[off:off+64], [][]byte{miss[:64]})
+		tr.ObserveRun(7, vals[off:off+64], []uint64{0})
 	}
 	evs := ring.Events()
 	n := 0
@@ -255,8 +254,7 @@ func TestBoundedMemory(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint64(i) * 2654435761
 	}
-	hits := make([]byte, len(vals))
-	tr.ObserveRun(9, vals, [][]byte{hits})
+	tr.ObserveRun(9, vals, []uint64{0})
 	r := tr.Report(5)
 	if r.Reported != 1 || r.Events != 4096 {
 		t.Fatalf("report: %+v", r)
@@ -282,11 +280,7 @@ func TestObserveRunZeroAlloc(t *testing.T) {
 	tr := NewTracker(Config{PredNames: []string{"l", "fcm3"}, Ring: ring, MinEvents: 256})
 	const batch = 256
 	vals := make([]uint64, batch)
-	hit := make([]byte, batch)
-	for i := range hit {
-		hit[i] = 1
-	}
-	rows := [][]byte{hit, hit}
+	hits := []uint64{batch, batch} // both predictors predict every value
 	period := []uint64{3, 1, 4, 7}
 	fill := func(base int) {
 		for j := range vals {
@@ -296,14 +290,14 @@ func TestObserveRunZeroAlloc(t *testing.T) {
 	for it := 0; it < 8; it++ {
 		fill(it)
 		for pc := uint64(0); pc < 16; pc++ {
-			tr.ObserveRun(pc, vals, rows)
+			tr.ObserveRun(pc, vals, hits)
 		}
 	}
 	it := 8
 	allocs := testing.AllocsPerRun(50, func() {
 		fill(it)
 		for pc := uint64(0); pc < 16; pc++ {
-			tr.ObserveRun(pc, vals, rows)
+			tr.ObserveRun(pc, vals, hits)
 		}
 		it++
 	})

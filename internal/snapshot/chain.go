@@ -2,10 +2,11 @@ package snapshot
 
 // Loading: turning checkpoint bytes into live predictors. A root's blobs
 // are full state streams; a delta holds, per shard and predictor, only
-// the records that changed since its parent. Load is the one place either
-// is decoded: each predictor comes from the registry, loads the root's
-// blob and applies every delta's blob in chain order, so it ends up with
-// exactly the state the live predictor had at the tip's cut. ResolveChain
+// the records that changed since its parent. A full state is the delta
+// from the empty state, so Load, the one place either is decoded, treats
+// every link alike: each predictor comes fresh from the registry and
+// applies the root's blob and then every delta's in chain order, ending
+// with exactly the state the live predictor had at the tip's cut. ResolveChain
 // reads a chain from disk for it: it walks parent IDs back to the root,
 // and every file on the way is CRC-verified when read. Every load and
 // apply validates its input, so a corrupt or incomplete chain is rejected
@@ -67,11 +68,13 @@ func (l *Loaded) Take() ([][]core.Predictor, error) {
 // by the deltas on it in order, each naming the one before it as its
 // parent (ResolveChain reads such a chain from disk). Each name is looked
 // up in the registry once, and every (shard, predictor) loads on its own
-// goroutine, so the largest blob, not the largest shard, bounds the load.
-// Each load decodes from one copy of its blob. Load also returns how
-// many records each delta carried (records[i] for chain[i+1]). A delta
-// given as the root is refused: its blobs hold only what changed since
-// its parent. Nothing is returned unless every predictor loaded.
+// goroutine, so the largest blob, not the largest shard, bounds the load:
+// a fresh predictor applies each link's blob, the root's included, with
+// ApplyDelta, which decodes from one copy of the blob. Load also returns
+// how many records each delta carried (records[i] for chain[i+1]). A
+// delta given as the root is refused, by its parent ID: its blobs hold
+// only what changed since its parent. Nothing is returned unless every
+// predictor loaded.
 func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 	t0 := time.Now()
 	root, tip := chain[0], chain[len(chain)-1]
@@ -111,7 +114,7 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 		l.Preds[si] = make([]core.Predictor, len(facs))
 		for pi, fac := range facs {
 			k := si*len(facs) + pi
-			jobRecords[k] = make([]int, len(chain)-1)
+			jobRecords[k] = make([]int, len(chain))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -127,7 +130,7 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 	}
 	records = make([]int, len(chain)-1)
 	for _, rs := range jobRecords {
-		for i, n := range rs {
+		for i, n := range rs[1:] {
 			records[i] += n
 		}
 	}
@@ -135,24 +138,17 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 	return l, records, nil
 }
 
-// loadPred builds predictor pi of shard si: it loads the root's blob and
-// applies every delta's in order, adding the records each carried to
-// records.
+// loadPred builds predictor pi of shard si: a fresh predictor applies
+// every link's blob in chain order, the root's first, and records[i] is
+// how many records chain[i] carried.
 func loadPred(chain []*Snapshot, fac core.NamedFactory, si, pi int, records []int) (core.Predictor, error) {
 	p := fac.New()
 	for li, c := range chain {
-		r := bytes.NewReader(c.Shards[si].Preds[pi].State)
-		var err error
-		if li == 0 {
-			err = p.LoadState(r)
-		} else {
-			var n int
-			n, err = p.ApplyDelta(r)
-			records[li-1] += n
-		}
+		n, err := p.ApplyDelta(bytes.NewReader(c.Shards[si].Preds[pi].State))
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: checkpoint %s shard %d %q: %w", c.Meta.ID, si, fac.Name, err)
 		}
+		records[li] = n
 	}
 	return p, nil
 }

@@ -555,6 +555,32 @@ func TestLoadRefusesDeltaAsRoot(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRootListingAContextTwice: Load applies a root's blobs
+// as it applies a delta's, into fresh predictors, so a root whose fcm1
+// blob lists one order-1 context twice is refused as a load refuses it,
+// and the error names the checkpoint, the shard and the predictor.
+func TestLoadRejectsRootListingAContextTwice(t *testing.T) {
+	// Order 1, blended, one PC (0x40) with history [7] and 3 updates; its
+	// order-0 context holds 7 twice, and its order-1 context [1], listed
+	// twice, holds 101 once.
+	ctx := []byte{1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 101, 1}
+	blob := append([]byte{1, 1, 1, 0x40, 1, 7, 3, 1, 1, 0, 7, 2, 2}, append(ctx, ctx...)...)
+	root := &Snapshot{
+		Meta: Meta{CreatedUnixNano: 1, Predictors: []string{"l", "fcm1"}},
+		Shards: []ShardState{
+			{Shard: 0, Preds: []PredState{{Name: "l", State: []byte{0}}, {Name: "fcm1", State: []byte{1, 1, 0}}}},
+			{Shard: 1, Preds: []PredState{{Name: "l", State: []byte{0}}, {Name: "fcm1", State: blob}}},
+		},
+	}
+	id, _ := encodeOK(t, root)
+	_, _, err := Load(root)
+	for _, want := range []string{"checkpoint " + id, "shard 1", `"fcm1"`, "duplicate order-1 context"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Load of a root listing a context twice: %v, want an error naming %s", err, want)
+		}
+	}
+}
+
 func TestLatestAndSweepSuperseded(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Latest(dir); !errors.Is(err, fs.ErrNotExist) {

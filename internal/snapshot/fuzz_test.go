@@ -175,7 +175,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Encode of valid snapshot: %v", err)
 		}
-		out, err := Decode(bytes.NewReader(buf.Bytes()))
+		out, err := DecodeBytes(buf.Bytes())
 		if err != nil {
 			t.Fatalf("Decode of just-encoded snapshot: %v", err)
 		}

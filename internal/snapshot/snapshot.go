@@ -27,9 +27,10 @@
 // delta's are core.DeltaStateful.SaveDelta streams, which hold only what
 // changed since the parent. Everything inside a blob is private to the
 // predictor type; this package frames, versions and checksums it, and
-// Load (chain.go) is the one place blobs become live predictors: a root's
-// loaded and every delta's applied, through the predictor registry, into
-// the predictors a server, a warm bank or vpstate then takes over.
+// Load (chain.go) is the one place blobs become live predictors: a fresh
+// predictor from the registry applies the root's blob, the delta from the
+// empty state, and then every delta's, and a server, a warm bank or
+// vpstate takes the result over.
 // Version 1 payloads, written before checkpoints could name a parent,
 // lack the parent and depth fields and decode as roots.
 //
@@ -238,28 +239,9 @@ func Encode(w io.Writer, s *Snapshot) (string, error) {
 	return id, nil
 }
 
-// Decode reads and verifies one snapshot. Malformed input yields an
-// error, never a panic, and allocations stay proportional to the bytes
-// actually present.
-func Decode(r io.Reader) (*Snapshot, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("snapshot: reading magic: %w", err)
-	}
-	if string(magic[:]) != Magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q", magic[:])
-	}
-	rest, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	return decodePayload(rest)
-}
-
-// DecodeBytes decodes a snapshot from an in-memory image.
+// DecodeBytes decodes and verifies a snapshot from an in-memory image.
+// Malformed input yields an error, never a panic, and allocations stay
+// proportional to the bytes actually present.
 func DecodeBytes(data []byte) (*Snapshot, error) {
 	if len(data) < len(Magic) {
 		return nil, fmt.Errorf("snapshot: %w", io.ErrUnexpectedEOF)

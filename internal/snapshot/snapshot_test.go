@@ -63,7 +63,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if s.Meta.Events != 1250 || s.Meta.Shards != 2 || s.Meta.ID != id {
 		t.Fatalf("Encode did not normalize meta: %+v", s.Meta)
 	}
-	got, err := Decode(bytes.NewReader(data))
+	got, err := DecodeBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
