@@ -106,19 +106,19 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 
 	l := &Loaded{Meta: tip.Meta, Shards: tip.Shards, Preds: make([][]core.Predictor, len(tip.Shards))}
 	l.Meta.ParentID, l.Meta.Depth = "", 0
-	// Job k is shard k/len(facs), predictor k%len(facs).
-	jobRecords := make([][]int, len(tip.Shards)*len(facs))
-	errs := make([]error, len(jobRecords))
+	// Job k is shard k/len(facs), predictor k%len(facs); how many records
+	// each link carried for it is jobRecords[k*len(chain):][:len(chain)].
+	errs := make([]error, len(tip.Shards)*len(facs))
+	jobRecords := make([]int, len(errs)*len(chain))
 	var wg sync.WaitGroup
 	for si := range tip.Shards {
 		l.Preds[si] = make([]core.Predictor, len(facs))
 		for pi, fac := range facs {
 			k := si*len(facs) + pi
-			jobRecords[k] = make([]int, len(chain))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				l.Preds[si][pi], errs[k] = loadPred(chain, fac, si, pi, jobRecords[k])
+				l.Preds[si][pi], errs[k] = loadPred(chain, fac, si, pi, jobRecords[k*len(chain):][:len(chain)])
 			}()
 		}
 	}
@@ -129,9 +129,9 @@ func Load(chain ...*Snapshot) (_ *Loaded, records []int, _ error) {
 		}
 	}
 	records = make([]int, len(chain)-1)
-	for _, rs := range jobRecords {
-		for i, n := range rs[1:] {
-			records[i] += n
+	for i, n := range jobRecords {
+		if li := i % len(chain); li > 0 {
+			records[li-1] += n
 		}
 	}
 	l.Dur = time.Since(t0)
