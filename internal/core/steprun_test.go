@@ -204,9 +204,9 @@ func FuzzStepRunParity(f *testing.F) {
 // that loads is loaded into two instances, and one that applies as a
 // delta onto an instance holding what the seed stream trains (loaded
 // from its save) is applied onto two such instances; each pair then
-// steps the same events, one through
-// StepRun, a call per same-PC run of each batch, the other event by
-// event (stepOne). The stream starts, at every PC an FCM of the pair
+// steps the same events, one through StepRun, a call per same-PC run of
+// each batch, the other event by event (stepOne). The stream starts, at
+// every PC an FCM of the pair
 // holds, with a constant stretch of the PC's newest history value, so
 // the constant-stretch path runs on the loaded counts; the fuzzed events
 // follow. Each event's hit and the re-saved state bytes must match. The
