@@ -6,9 +6,9 @@ package snapshot
 // from the empty state, so Load, the one place either is decoded, treats
 // every link alike: each predictor comes fresh from the registry and
 // applies the root's blob and then every delta's in chain order, ending
-// with exactly the state the live predictor had at the tip's cut. ResolveChain
-// reads a chain from disk for it: it walks parent IDs back to the root,
-// and every file on the way is CRC-verified when read. Every load and
+// with exactly the state the live predictor had at the tip's cut.
+// ResolveChain reads a chain from disk for it: it walks parent IDs back
+// to the root, and every file on the way is CRC-verified when read. Every
 // apply validates its input, so a corrupt or incomplete chain is rejected
 // rather than restored.
 
