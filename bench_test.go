@@ -196,11 +196,12 @@ func BenchmarkBankStepBatch(b *testing.B) {
 // BenchmarkBankStepBatchObserved is BenchmarkBankStepBatch with a
 // predictability tracker attached through the bank's run-observer hook —
 // the configuration every vpserve shard runs by default. CI gates
-// allocs/op == 0 here too; the ns/op delta against BenchmarkBankStepBatch
-// prices online predictability analytics (entropy tables at four orders,
-// ceilings, window upkeep), payable per shard, removable with -predstat
-// false. The plain benchmark itself must stay within 10% of its history:
-// a detached observer is one nil check.
+// allocs/op == 0 here and ratchets its ns/op. The ns/op delta against
+// BenchmarkBankStepBatch prices online predictability analytics, payable
+// per shard and removable with -predstat false: the tracker's per-event
+// last-value and stride counters and window upkeep. No event ring is
+// attached here, so the gap check a shard runs every 256 events of a PC,
+// which reads the FCM's per-PC top-order sums, does not run.
 func BenchmarkBankStepBatchObserved(b *testing.B) {
 	pcs, vals := bankBenchStream()
 	nb := len(pcs) / bankBenchBatch

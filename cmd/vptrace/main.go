@@ -13,7 +13,9 @@
 // predictor configuration — the decoupling the paper's trace-driven
 // methodology relies on. analyze replays with a predictability tracker
 // attached and reports the paper-style per-class accuracy-vs-ceiling
-// tables plus the hardest and easiest PCs. drive replays a trace (or a
+// tables plus the hardest and easiest PCs; its context ceilings and
+// entropies are exact, read from the bank's own FCM tables, so a -pred
+// list without an FCM reports neither. drive replays a trace (or a
 // live benchmark simulation) against a running vpserve as load
 // generation, and with -verify checks the server's tallies against an
 // offline replay of the same stream.
@@ -66,6 +68,10 @@ func usage() {
   vptrace analyze [-pred %[1]s] [-top N] [-min-events N] [-log-level LVL] FILE
   vptrace drive -addr HOST:PORT [-clients N] [-batch N] [-verify [-warm SNAP]] FILE
   vptrace drive -addr HOST:PORT -bench NAME [-opt N] [-scale N] [-events N]
+
+analyze's order-k context ceilings and conditional entropy are exact: each
+comes from the top-order counts of the -pred list's order-k FCM, so a list
+without an FCM yields no context ceiling and no entropy.
 
 known predictors: %[2]s
 `, defaultPreds, strings.Join(core.KnownNames(), ","))
@@ -234,9 +240,9 @@ func replay(args []string) {
 }
 
 // analyze replays a trace through a predictor bank with a predictability
-// tracker attached and reports per-class accuracy versus the entropy
-// ceilings the streams themselves permit, plus the hardest and easiest
-// PCs and per-predictor ceiling-gap attribution.
+// tracker attached and reports per-class accuracy versus the exact
+// ceilings the streams themselves permit, read from the bank's FCMs, plus
+// the hardest and easiest PCs and per-predictor ceiling-gap attribution.
 func analyze(args []string) {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	preds := fs.String("pred", defaultPreds, "comma-separated predictors")

@@ -123,6 +123,8 @@ type countingObserver struct {
 	runs, events, hits uint64
 }
 
+func (o *countingObserver) Bind([]Predictor) {}
+
 func (o *countingObserver) ObserveRun(pc uint64, values []uint64, hits []uint64) {
 	o.runs++
 	o.events += uint64(len(values))

@@ -30,13 +30,26 @@ package core
 // during the call and retain nothing. Observation rides inside the
 // zero-alloc batch path (see TestBankObserverZeroAlloc), so ObserveRun
 // implementations are expected to be allocation-free in steady state too.
+//
+// Bind hands the observer the bank's predictors, in bank order, when the
+// observer is attached, so it can read what their tables already hold
+// instead of keeping tables of its own. Like ObserveRun it runs on the
+// goroutine that steps the bank, and the predictors may be read only
+// there.
 type RunObserver interface {
+	Bind(preds []Predictor)
 	ObserveRun(pc uint64, values []uint64, hits []uint64)
 }
 
-// SetObserver attaches (or, with nil, detaches) a run observer. Not safe
-// to call concurrently with StepBatch.
-func (b *Bank) SetObserver(o RunObserver) { b.obs = o }
+// SetObserver attaches (or, with nil, detaches) a run observer and binds
+// it to the bank's predictors. Not safe to call concurrently with
+// StepBatch.
+func (b *Bank) SetObserver(o RunObserver) {
+	b.obs = o
+	if o != nil {
+		o.Bind(b.preds)
+	}
+}
 
 // Observer returns the attached run observer, nil when none.
 func (b *Bank) Observer() RunObserver { return b.obs }

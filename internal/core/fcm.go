@@ -64,16 +64,26 @@ type fcmStore struct {
 
 // fcmPCState is the per-static-instruction state: the value history, the
 // incrementally maintained rolling signature of each order's context, the
-// handle of this PC's order-0 context (-1 until first update) and the
-// PC's change mark.
+// two sums over the PC's top-order contexts, the handle of this PC's
+// order-0 context (-1 until first update) and the PC's change mark.
+//
+// The top order is updated on every event once the history is full, so
+// its runs are the exact counts of (order-k context, next value) at this
+// PC. topHits sums each top-order context's highest count, the hits of
+// a predictor that knew every context's final counts in hindsight, and
+// topEvents sums every top-order count, the events those hits are out
+// of. Both move with each count update and are never saved: apply
+// rebuilds them from the runs it places.
 type fcmPCState struct {
-	hist    [MaxFCMOrder]uint64     // most recent values, hist[0] oldest kept
-	sigs    [MaxFCMOrder + 1]uint64 // sigs[o] = signature of the last o values (valid for o <= n)
-	pc      uint64
-	updates uint64 // total updates at this PC (for reporting)
-	ctx0    int32  // handle of the order-0 context in ords[0], -1 if none
-	n       int32  // how many history values are valid (<= order)
-	changed bool   // stepped since the last save
+	hist      [MaxFCMOrder]uint64     // most recent values, hist[0] oldest kept
+	sigs      [MaxFCMOrder + 1]uint64 // sigs[o] = signature of the last o values (valid for o <= n)
+	pc        uint64
+	updates   uint64 // total updates at this PC (for reporting)
+	topHits   uint64 // Σ over top-order contexts of the context's highest count
+	topEvents uint64 // Σ over top-order contexts of all the context's counts
+	ctx0      int32  // handle of the order-0 context in ords[0], -1 if none
+	n         int32  // how many history values are valid (<= order)
+	changed   bool   // stepped since the last save
 }
 
 // fcmOrderStore holds every context of one order across all PCs: an
@@ -526,7 +536,11 @@ func (p *FCM) updateCtxs(s *fcmPCState, pcIdx int32, value uint64, matched int, 
 		default:
 			hnd, _ = p.ords[o].findOrInsert(pcIdx, s.sigs[o], s.hist[int(s.n)-o:s.n])
 		}
-		p.addValue(p.ords[o].ctx(hnd), value)
+		grew := p.addValue(p.ords[o].ctx(hnd), value)
+		if o == p.order {
+			s.topHits += grew
+			s.topEvents++
+		}
 	}
 	s.pushValue(value, p.order)
 	s.updates++
@@ -594,6 +608,8 @@ func (p *FCM) StepRun(pc uint64, values []uint64, hits []byte) uint64 {
 			p.vals.cnts[c.valOff>>pageShift][c.valOff&pageMask+c.best] += uint32(m)
 			c.vh |= ctxDirty
 			s.updates += uint64(m)
+			s.topHits += uint64(m) // each bump of best raises the context's highest count
+			s.topEvents += uint64(m)
 			n += uint64(m)
 			k = j
 			continue
@@ -624,59 +640,80 @@ func histConst(s *fcmPCState, v uint64, order int) bool {
 // sight), maintains the max-count prediction and marks c changed; a
 // just-updated value wins ties, giving most-recently-seen tie-breaks.
 // Small runs are scanned; promoted contexts go through their value index.
-func (st *fcmStore) addValue(c *fcmCtxEnt, v uint64) {
+// It returns 1 when the update raised c's highest count, 0 otherwise.
+func (st *fcmStore) addValue(c *fcmCtxEnt, v uint64) uint64 {
 	vh := c.vh &^ ctxDirty
 	c.vh |= ctxDirty
 	if vh != 0 {
 		if ord, ok := st.vidx[vh-1].lookup(v); ok {
-			st.bumpValue(c, ord)
-			return
+			return st.bumpValue(c, ord)
 		}
-		st.appendNewValue(c, v)
+		grew := st.appendNewValue(c, v)
 		st.vidx[vh-1].insert(v, c.nvals-1)
-		return
+		return grew
 	}
 	if c.nvals > 0 {
 		for i, x := range st.vals.values(c.valOff, c.nvals) {
 			if x == v {
-				st.bumpValue(c, int32(i))
-				return
+				return st.bumpValue(c, int32(i))
 			}
 		}
 	}
-	st.appendNewValue(c, v)
+	grew := st.appendNewValue(c, v)
 	if c.nvals >= fcmHashThreshold {
 		st.promote(c)
 	}
+	return grew
 }
 
 // bumpValue increments the count at run ordinal ord and moves the
 // prediction there when it now reaches the predicted value's count (the
-// most-recently-updated tie-break).
-func (st *fcmStore) bumpValue(c *fcmCtxEnt, ord int32) {
+// most-recently-updated tie-break). The predicted value's count is the
+// run's highest, so the update raises it exactly when ord's count
+// equalled it, which bumpValue reports as 1.
+func (st *fcmStore) bumpValue(c *fcmCtxEnt, ord int32) uint64 {
 	cnts := st.vals.cnts[c.valOff>>pageShift]
 	i := c.valOff & pageMask
-	cnts[i+ord]++
-	if cnts[i+ord] >= cnts[i+c.best] {
+	old, top := cnts[i+ord], cnts[i+c.best]
+	cnts[i+ord] = old + 1
+	if old+1 >= top {
 		c.best = ord
 	}
+	return uint64(b2u8(old == top))
 }
 
 // appendNewValue appends a first-sighting (count 1) value to c's run. A
-// run is full exactly when nvals is 0 or a power of two.
-func (st *fcmStore) appendNewValue(c *fcmCtxEnt, v uint64) {
+// run is full exactly when nvals is 0 or a power of two. It returns 1
+// when the new count is the run's first nonzero one, which raises the
+// run's highest count, 0 otherwise.
+func (st *fcmStore) appendNewValue(c *fcmCtxEnt, v uint64) uint64 {
 	if c.nvals&(c.nvals-1) == 0 {
 		st.relocateRun(c)
 	}
 	d, i := c.valOff>>pageShift, c.valOff&pageMask
 	st.vals.vals[d][i+c.nvals] = v
 	cnts := st.vals.cnts[d]
+	grew := c.nvals == 0 || cnts[i+c.best] == 0
 	cnts[i+c.nvals] = 1
 	c.nvals++
 	st.vals.live++
-	if c.nvals == 1 || cnts[i+c.best] <= 1 {
+	if grew || cnts[i+c.best] <= 1 {
 		c.best = c.nvals - 1
 	}
+	return uint64(b2u8(grew))
+}
+
+// runSums returns c's highest count, which ordinal best holds, and the
+// sum of its counts: the context's share of its PC's top-order sums.
+func (st *fcmStore) runSums(c *fcmCtxEnt) (top, total uint64) {
+	if c.nvals == 0 {
+		return 0, 0
+	}
+	cnts := st.vals.counts(c.valOff, c.nvals)
+	for _, n := range cnts {
+		total += uint64(n)
+	}
+	return uint64(cnts[c.best]), total
 }
 
 // promote builds c's value index from its current run, reporting false
@@ -967,18 +1004,21 @@ func (p *FCM) checkHeader(d *stateDecoder) error {
 	return nil
 }
 
-// fcmRun is a decoded value list: the values and their counts. Its
-// storage is reused from context to context and grows only with decoded
-// input.
+// fcmRun is a decoded value list: the values, their counts, and the
+// highest count and the counts' sum. Its storage is reused from context
+// to context and grows only with decoded input.
 type fcmRun struct {
-	vals []uint64
-	cnts []uint32
+	vals     []uint64
+	cnts     []uint32
+	top, sum uint64
 }
 
 // decode reads one context's value list and best ordinal (encodeCtx's
 // layout), at PC pc, into r. A run shorter than fcmHashThreshold that
 // lists a value twice is rejected here; a longer one, when loadRun
-// builds its value index.
+// builds its value index. A run whose best ordinal does not hold its
+// highest count is rejected too: every count update keeps the
+// prediction there, and the top-order sums count on it.
 func (r *fcmRun) decode(d *stateDecoder, pc uint64) int32 {
 	nv := d.uvarint()
 	best := d.uvarint()
@@ -986,6 +1026,7 @@ func (r *fcmRun) decode(d *stateDecoder, pc uint64) int32 {
 		d.err = fmt.Errorf("best index %d out of range for %d values", best, nv)
 	}
 	r.vals, r.cnts = r.vals[:0], r.cnts[:0]
+	r.top, r.sum = 0, 0
 	for vi := uint64(0); vi < nv && d.err == nil; vi++ {
 		value := d.uvarint()
 		count := d.count(1<<32 - 1)
@@ -994,6 +1035,12 @@ func (r *fcmRun) decode(d *stateDecoder, pc uint64) int32 {
 		}
 		r.vals = append(r.vals, value)
 		r.cnts = append(r.cnts, uint32(count))
+		r.top = max(r.top, count)
+		r.sum += count
+	}
+	if d.err == nil && nv > 0 && uint64(r.cnts[best]) != r.top {
+		d.err = fmt.Errorf("pc %#x has a context whose best ordinal %d holds count %d, not its highest, %d",
+			pc, best, r.cnts[best], r.top)
 	}
 	return int32(best)
 }
@@ -1007,8 +1054,13 @@ func errRepeatedValue(pc uint64) error {
 }
 
 // ApplyDelta implements DeltaStateful: the stream is applied to p's own
-// store (apply). No change mark is set.
+// store (apply), or, when p holds no PC, loaded as LoadState loads it, so
+// a failed apply into an empty FCM leaves it empty. No change mark is
+// set.
 func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
+	if p.idx.len() == 0 {
+		return p.load(r)
+	}
 	return p.apply(r, &p.fcmStore)
 }
 
@@ -1018,12 +1070,19 @@ func (p *FCM) ApplyDelta(r io.Reader) (int, error) {
 // is read, so the state re-saves as loaded, in creation order or in any
 // other, and the load leaves no change mark.
 func (p *FCM) LoadState(r io.Reader) error {
+	_, err := p.load(r)
+	return err
+}
+
+// load applies the stream to a fresh store and swaps it in on success.
+func (p *FCM) load(r io.Reader) (int, error) {
 	store := newFCMStore(p.order)
-	if _, err := p.apply(r, &store); err != nil {
-		return err
+	records, err := p.apply(r, &store)
+	if err != nil {
+		return 0, err
 	}
 	p.fcmStore = store
-	return nil
+	return records, nil
 }
 
 // apply decodes a state or delta stream into st and returns how many
@@ -1031,15 +1090,18 @@ func (p *FCM) LoadState(r io.Reader) error {
 // finds or inserts its PC, decodes the PC's history and update count
 // into its state and rebuilds the rolling signatures from the history;
 // then each context's run and best ordinal replace the context's, each
-// value list decoded into reused scratch and reserved once (loadRun).
-// How a context is placed depends on st alone. Into a store that held no
-// PC (every load, a chain's root) contexts are pushed without probing,
-// and once the stream is read each order's slot table is built in one
-// pass (index), which rejects a context its PC lists twice at that
-// order. Into a store that holds PCs each context is found or inserted
-// with one probe; a delta lists a PC's changed contexts in creation
-// order, so the contexts it adds follow the PC's others in the order the
-// saving predictor created them.
+// value list decoded into reused scratch and reserved once (loadRun),
+// and a top-order context's old run leaves the PC's top-order sums as
+// its new one joins them. How a context is placed depends on st alone.
+// Into a store that held no PC (every load, a chain's root) contexts are
+// pushed without probing, and once the stream is read each order's slot
+// table is built in one pass (index), which rejects a context its PC
+// lists twice at that order. Into a store that holds PCs each context is
+// found or inserted with one probe, and the handles a PC's record lists
+// at an order are checked for a repeat once that order is read; a delta
+// lists a PC's changed contexts in creation order, so the contexts it
+// adds follow the PC's others in the order the saving predictor created
+// them.
 func (p *FCM) apply(r io.Reader, st *fcmStore) (int, error) {
 	d := newStateDecoder(r)
 	if err := p.checkHeader(d); err != nil {
@@ -1050,6 +1112,7 @@ func (p *FCM) apply(r io.Reader, st *fcmStore) (int, error) {
 	records := 0
 	var run fcmRun
 	var key [MaxFCMOrder]uint64
+	var listed []int32 // handles one record lists at one order, into a store that holds PCs
 	var pc uint64
 	for i := uint64(0); i < npc && d.err == nil; i++ {
 		next := pc + d.uvarint()
@@ -1080,6 +1143,7 @@ func (p *FCM) apply(r io.Reader, st *fcmStore) (int, error) {
 				return 0, errState(p.Name(), fmt.Errorf("pc %#x has %d order-0 contexts", pc, nctx))
 			}
 			ords := &st.ords[o]
+			listed = listed[:0]
 			for k := uint64(0); k < nctx && d.err == nil; k++ {
 				for j := 0; j < o; j++ {
 					key[j] = d.le64()
@@ -1099,11 +1163,22 @@ func (p *FCM) apply(r io.Reader, st *fcmStore) (int, error) {
 					hnd = ords.push(pcIdx, key[:o])
 				default:
 					hnd, _ = ords.findOrInsert(pcIdx, sigOf(key[:o]), key[:o])
+					listed = append(listed, hnd)
 				}
-				if !st.loadRun(ords.ctx(hnd), run.vals, run.cnts, best) {
+				c := ords.ctx(hnd)
+				if o == p.order {
+					top, sum := st.runSums(c)
+					s.topHits += run.top - top
+					s.topEvents += run.sum - sum
+				}
+				if !st.loadRun(c, run.vals, run.cnts, best) {
 					return 0, errState(p.Name(), errRepeatedValue(pc))
 				}
 				records++
+			}
+			slices.Sort(listed)
+			if len(slices.Compact(listed)) < len(listed) {
+				return 0, errState(p.Name(), errDuplicateContext(o, pc))
 			}
 		}
 	}
@@ -1112,10 +1187,71 @@ func (p *FCM) apply(r io.Reader, st *fcmStore) (int, error) {
 	}
 	for o := 1; o <= p.order && empty; o++ {
 		if h := st.ords[o].index(o); h >= 0 {
-			return 0, errState(p.Name(), fmt.Errorf("duplicate order-%d context at pc %#x", o, st.pcs[st.ords[o].ctx(h).pcIdx].pc))
+			return 0, errState(p.Name(), errDuplicateContext(o, st.pcs[st.ords[o].ctx(h).pcIdx].pc))
 		}
 	}
 	return records, nil
+}
+
+// errDuplicateContext flags a record that lists one of its PC's order-o
+// contexts twice. No save writes one.
+func errDuplicateContext(o int, pc uint64) error {
+	return fmt.Errorf("duplicate order-%d context at pc %#x", o, pc)
+}
+
+// TopOrderSums returns the PC's two top-order sums: over the PC's
+// contexts of the FCM's top order k, the sum of each context's highest
+// count and the sum of all its counts. Their ratio is the PC's exact
+// order-k ceiling, the hit rate of an order-k context predictor that
+// knew each context's final counts in hindsight, over every event the
+// top order has counted, restored ones included. Both are 0 for a PC the
+// FCM has not seen.
+func (p *FCM) TopOrderSums(pc uint64) (hits, events uint64) {
+	h, ok := p.idx.lookup(pc)
+	if !ok {
+		return 0, 0
+	}
+	s := &p.pcs[h]
+	return s.topHits, s.topEvents
+}
+
+// TopOrderEntropy returns, per PC with top-order events, the plug-in
+// conditional entropy of its next value given its order-k context in
+// bits: (Σ n·log n − Σ c·log c) / N over the PC's top-order contexts,
+// where n is a context's count total, c each of its counts and N the
+// PC's top-order events. It walks every top-order context once.
+func (p *FCM) TopOrderEntropy() map[uint64]float64 {
+	acc := make([]float64, len(p.pcs))
+	st := &p.ords[p.order]
+	for pg := range st.pages() {
+		for _, c := range st.page(pg) {
+			if c.nvals < 2 {
+				continue // n·log n − n·log n: one value adds nothing
+			}
+			var n uint64
+			var cLogC float64
+			for _, x := range p.vals.counts(c.valOff, c.nvals) {
+				n += uint64(x)
+				cLogC += xLog2x(uint64(x))
+			}
+			acc[c.pcIdx] += xLog2x(n) - cLogC
+		}
+	}
+	out := make(map[uint64]float64, len(p.pcs))
+	for h := range p.pcs {
+		if s := &p.pcs[h]; s.topEvents > 0 {
+			out[s.pc] = acc[h] / float64(s.topEvents)
+		}
+	}
+	return out
+}
+
+// xLog2x is x·log2(x), 0 at x <= 1.
+func xLog2x(x uint64) float64 {
+	if x <= 1 {
+		return 0
+	}
+	return float64(x) * math.Log2(float64(x))
 }
 
 // PCEntries implements PerPC: contexts held across all orders per static

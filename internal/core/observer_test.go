@@ -28,6 +28,8 @@ func newRecordingObserver() *recordingObserver {
 	}
 }
 
+func (o *recordingObserver) Bind([]Predictor) {}
+
 func (o *recordingObserver) ObserveRun(pc uint64, values []uint64, hits []uint64) {
 	o.n++
 	o.vals[pc] = append(o.vals[pc], values...)

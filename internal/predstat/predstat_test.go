@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/seqclass"
 )
@@ -68,36 +69,104 @@ func bruteForce(values []uint64, order int) (entropyBits, ceiling float64) {
 	return (sumC - sumV) / float64(tot), float64(sumMax) / float64(tot)
 }
 
-// TestStreamingEntropyExact pins the streaming estimator to the exact
-// empirical conditional entropy (and ideal-predictor ceiling) on small
-// alphabets, where nothing escapes or overflows: randomized sequences
-// over alphabets of size 2..5, checked at every order.
+// exactStream returns n values for one PC: an order-2 recurrence over
+// 100 symbols broken by noise and by constant stretches, which the FCMs
+// step in bulk. The PC sees more than 64 distinct values and more than
+// 64 contexts at every order from 1 up.
+func exactStream(rng *rand.Rand, n int) []uint64 {
+	vals := make([]uint64, 0, n+40)
+	a, b := uint64(0), uint64(1)
+	for len(vals) < n {
+		switch r := rng.Intn(20); {
+		case r == 0:
+			v := uint64(rng.Intn(100)) * 977
+			for range 5 + rng.Intn(30) {
+				vals = append(vals, v)
+			}
+		case r < 6:
+			vals = append(vals, uint64(rng.Intn(100))*977)
+		default:
+			c := (a*7 + b*3 + 1) % 100
+			vals = append(vals, c*977)
+			a, b = b, c
+		}
+	}
+	return vals[:n]
+}
+
+// TestStreamingEntropyExact pins the tracker's context ceilings and
+// entropies to the exact empirical ones of each PC's stream (bruteForce).
+// Banks of blended FCMs of orders 0 to 3, and of no-blend FCMs of orders
+// 1 to 3, step four PCs whose streams hold more than 64 distinct values
+// and contexts each, interleaved in uneven runs and batches. Every PC's
+// order-k ceiling must equal the map reference's for each order the bank
+// holds, and its entropy the reference's at the highest order.
 func TestStreamingEntropyExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		alpha := 2 + trial%4
-		n := 100 + rng.Intn(400)
-		values := make([]uint64, n)
-		for i := range values {
-			values[i] = uint64(rng.Intn(alpha)) * 1000003 // non-trivial values
-		}
-		tr := NewTracker(Config{MaxOrder: 3, MaxValues: 8, MaxCtx: 2048, MinEvents: 1})
-		feed(tr, 0x40, values)
-		h, ok := tr.idx.Lookup(0x40)
-		if !ok {
-			t.Fatal("pc not tracked")
-		}
-		for order := 0; order <= 3; order++ {
-			wantH, wantC := bruteForce(values, order)
-			gotH, gotC, tot := tr.orderStats(h, order)
-			if want := uint64(n - order); tot != want {
-				t.Fatalf("trial %d order %d: tabled %d events, want %d", trial, order, tot, want)
+	for _, bankOf := range []func() []core.Predictor{
+		func() []core.Predictor {
+			return []core.Predictor{core.NewFCM(0), core.NewFCM(1), core.NewFCM(2), core.NewFCM(3)}
+		},
+		func() []core.Predictor {
+			return []core.Predictor{core.NewFCMNoBlend(1), core.NewFCMNoBlend(2), core.NewFCMNoBlend(3)}
+		},
+	} {
+		preds := bankOf()
+		rng := rand.New(rand.NewSource(7))
+		const npc, n = 4, 3000
+		streams := make([][]uint64, npc)
+		for i := range streams {
+			streams[i] = exactStream(rng, n)
+			distinct, ctxs := map[uint64]bool{}, map[[2]uint64]bool{}
+			for j, v := range streams[i] {
+				distinct[v] = true
+				if j >= 2 {
+					ctxs[[2]uint64{streams[i][j-2], streams[i][j-1]}] = true
+				}
 			}
-			if math.Abs(gotH-wantH) > 1e-9 {
-				t.Errorf("trial %d order %d: entropy %.12f, want %.12f", trial, order, gotH, wantH)
+			if len(distinct) <= 64 || len(ctxs) <= 64 {
+				t.Fatalf("pc %d: %d values and %d order-2 contexts, want more than 64 of each", i, len(distinct), len(ctxs))
 			}
-			if math.Abs(gotC-wantC) > 1e-9 {
-				t.Errorf("trial %d order %d: ceiling %.12f, want %.12f", trial, order, gotC, wantC)
+		}
+		var pcs, vals []uint64
+		next := make([]int, npc)
+		for len(pcs) < npc*n {
+			i := rng.Intn(npc)
+			k := min(next[i]+1+rng.Intn(40), n)
+			for _, v := range streams[i][next[i]:k] {
+				pcs, vals = append(pcs, uint64(0x100+4*i)), append(vals, v)
+			}
+			next[i] = k
+		}
+		bank := core.NewBank(preds...)
+		tr := NewTracker(Config{MinEvents: 1})
+		bank.SetObserver(tr)
+		for off := 0; off < len(pcs); {
+			end := min(off+1+rng.Intn(900), len(pcs))
+			bank.StepBatch(pcs[off:end], vals[off:end])
+			off = end
+		}
+		rep := tr.Report(npc)
+		if rep.Reported != npc || len(rep.Hardest) != npc {
+			t.Fatalf("%s: %d PCs reported, %d ranked, want %d", preds[0].Name(), rep.Reported, len(rep.Hardest), npc)
+		}
+		top := preds[len(preds)-1].(*core.FCM).Order()
+		for _, pr := range rep.Hardest {
+			values := streams[(pr.PC-0x100)/4]
+			if pr.Events != n || pr.CeilEvents != uint64(n-top) {
+				t.Errorf("pc %#x: %d events, ceilings over %d, want %d and %d", pr.PC, pr.Events, pr.CeilEvents, n, n-top)
+			}
+			if len(pr.CeilOrder) != len(preds) {
+				t.Errorf("pc %#x: ceilings for orders %v, want one per FCM", pr.PC, pr.CeilOrder)
+			}
+			for _, p := range preds {
+				order := p.(*core.FCM).Order()
+				wantH, wantC := bruteForce(values, order)
+				if got := pr.CeilOrder[order]; math.Abs(got-wantC) > 1e-9 {
+					t.Errorf("%s pc %#x: order-%d ceiling %.12f, want %.12f", p.Name(), pr.PC, order, got, wantC)
+				}
+				if order == top && math.Abs(pr.EntropyBits-wantH) > 1e-9 {
+					t.Errorf("%s pc %#x: entropy %.12f, want %.12f", p.Name(), pr.PC, pr.EntropyBits, wantH)
+				}
 			}
 		}
 	}
@@ -111,7 +180,7 @@ func TestLastValueStrideCeilings(t *testing.T) {
 	vals := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 8, 8}
 	feed(tr, 1, vals)
 	h, _ := tr.idx.Lookup(1)
-	lv, st, _, _ := tr.pcCeilings(h)
+	lv, st := tr.st[h].ceilings()
 	// value==prev at the two trailing repeats: 2/9.
 	if want := 2.0 / 9.0; math.Abs(lv-want) > 1e-12 {
 		t.Errorf("last-value ceiling %.6f, want %.6f", lv, want)
@@ -175,24 +244,28 @@ func sameReport(t *testing.T, got, want *Report) {
 
 // TestMergeDisjointMatchesSingle: the reports of trackers over disjoint
 // PC sets, merged with Report.Merge as the server merges its shards',
-// equal the report of one tracker that saw every PC.
+// equal the report of one tracker that saw every PC. Each tracker
+// observes its own bank, as each shard's does.
 func TestMergeDisjointMatchesSingle(t *testing.T) {
-	cfg := Config{MinEvents: 1, PredNames: []string{"l"}}
+	observed := func() (*core.Bank, *Tracker) {
+		b := core.NewBank(core.NewLastValue(), core.NewFCM(2))
+		tr := NewTracker(Config{MinEvents: 1})
+		b.SetObserver(tr)
+		return b, tr
+	}
 	rng := rand.New(rand.NewSource(3))
-	one := NewTracker(cfg)
-	parts := []*Tracker{NewTracker(cfg), NewTracker(cfg)}
+	oneBank, one := observed()
+	bank0, part0 := observed()
+	bank1, part1 := observed()
+	banks, parts := []*core.Bank{bank0, bank1}, []*Tracker{part0, part1}
 	for pc := uint64(0); pc < 6; pc++ {
 		n := 50 + rng.Intn(100)
-		vals := make([]uint64, n)
+		pcs, vals := make([]uint64, n), make([]uint64, n)
 		for i := range vals {
-			vals[i] = uint64(rng.Intn(4))
+			pcs[i], vals[i] = pc, uint64(rng.Intn(4))
 		}
-		var hit uint64
-		for range n {
-			hit += uint64(rng.Intn(2))
-		}
-		one.ObserveRun(pc, vals, []uint64{hit})
-		parts[pc%2].ObserveRun(pc, vals, []uint64{hit})
+		oneBank.StepBatch(pcs, vals)
+		banks[pc%2].StepBatch(pcs, vals)
 	}
 	merged := &Report{}
 	for _, p := range parts {
@@ -222,12 +295,17 @@ func TestClassLabeling(t *testing.T) {
 
 // TestGapEvent: a highly predictable stream served only by a predictor
 // that always misses must fire a predictability_gap ring event once past
-// MinEvents, and only once (hysteresis latch).
+// MinEvents, and only once (hysteresis latch). The context ceiling comes
+// from an FCM(3) bound to the tracker and stepped over the same stream.
 func TestGapEvent(t *testing.T) {
 	ring := obs.NewRing(16)
-	tr := NewTracker(Config{PredNames: []string{"l"}, Ring: ring, MinEvents: 256, GapThreshold: 0.25})
+	tr := NewTracker(Config{PredNames: []string{"l"}, Ring: ring, MinEvents: 256})
+	fcm := core.NewFCM(3)
+	tr.Bind([]core.Predictor{fcm})
 	vals := seqclass.Take(seqclass.RepeatedGen([]uint64{5, 1, 9, 2}), 2048)
+	hits := make([]byte, 64)
 	for off := 0; off < len(vals); off += 64 {
+		fcm.StepRun(7, vals[off:off+64], hits)
 		tr.ObserveRun(7, vals[off:off+64], []uint64{0})
 	}
 	evs := ring.Events()
@@ -242,29 +320,6 @@ func TestGapEvent(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("got %d gap events, want exactly 1 (latched): %+v", n, evs)
-	}
-}
-
-// TestBoundedMemory floods one PC with distinct values under a tiny
-// config: the alphabet escapes, tables overflow, and nothing grows or
-// panics; the report stays sane.
-func TestBoundedMemory(t *testing.T) {
-	tr := NewTracker(Config{MaxValues: 4, MaxCtx: 8, Window: 8, MinEvents: 16, PredNames: []string{"l"}})
-	vals := make([]uint64, 4096)
-	for i := range vals {
-		vals[i] = uint64(i) * 2654435761
-	}
-	tr.ObserveRun(9, vals, []uint64{0})
-	r := tr.Report(5)
-	if r.Reported != 1 || r.Events != 4096 {
-		t.Fatalf("report: %+v", r)
-	}
-	pr := r.Hardest[0]
-	if pr.Ceiling < 0 || pr.Ceiling > 1 || math.IsNaN(pr.EntropyBits) {
-		t.Fatalf("bad pc report: %+v", pr)
-	}
-	if got := len(tr.cnt); got != (tr.cfg.MaxOrder+1)*tr.cfg.MaxCtx {
-		t.Fatalf("count slab grew: %d entries", got)
 	}
 }
 

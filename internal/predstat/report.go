@@ -5,22 +5,33 @@ import (
 	"strings"
 )
 
-// PCReport is one PC's predictability summary.
+// PCReport is one PC's predictability summary. Events, the last-value
+// and stride ceilings and the realized accuracy cover the events the
+// tracker observed; the context ceilings and the entropy cover every
+// event the bank's FCMs have counted, history restored from a checkpoint
+// included (CeilEvents).
 type PCReport struct {
 	PC     uint64 `json:"pc"`
 	Events uint64 `json:"events"`
 	// Class is the paper's sequence-class label of the trailing window
 	// (C, S, NS, RS, RNS or ?).
 	Class string `json:"class"`
-	// EntropyBits is the order-MaxOrder conditional entropy rate in
-	// bits/value: 0 means perfectly predictable given context.
+	// EntropyBits is the plug-in conditional entropy of the next value
+	// given its context at the top order of the bank's highest-order FCM,
+	// in bits/value: 0 means perfectly predictable given context.
 	EntropyBits float64 `json:"entropy_bits"`
 	// Ceiling is the best achievable hit rate across all tracked
-	// predictor classes (last-value, stride, order-0..MaxOrder context).
-	Ceiling    float64   `json:"ceiling"`
-	CeilLast   float64   `json:"ceil_last_value"`
-	CeilStride float64   `json:"ceil_stride"`
-	CeilOrder  []float64 `json:"ceil_order"`
+	// predictor classes (last-value, stride, each order-k context).
+	Ceiling    float64 `json:"ceiling"`
+	CeilLast   float64 `json:"ceil_last_value"`
+	CeilStride float64 `json:"ceil_stride"`
+	// CeilOrder holds the exact order-k context ceiling for each order k
+	// the bank has an FCM for, keyed by k.
+	CeilOrder map[int]float64 `json:"ceil_order"`
+	// CeilEvents is the number of events the highest-order FCM's top
+	// order has counted at this PC, which its ceiling and EntropyBits
+	// cover; a lower order-k ceiling covers up to K−k more.
+	CeilEvents uint64 `json:"ceil_events"`
 	// BestPred and BestAccuracy identify the realized winner.
 	BestPred     string  `json:"best_pred"`
 	BestAccuracy float64 `json:"best_accuracy"`
@@ -30,8 +41,8 @@ type PCReport struct {
 
 // PredGap attributes the ceiling-gap to one predictor: its realized hits
 // versus the ceiling of its own class (last-value predictors against the
-// last-value ceiling, stride against stride, order-N FCMs against the
-// order-min(N,MaxOrder) context ceiling, other names against the best).
+// last-value ceiling, stride against stride, order-k FCMs against the
+// order-k context ceiling, other names against the best).
 type PredGap struct {
 	Name   string `json:"name"`
 	Events uint64 `json:"events"`
@@ -51,7 +62,7 @@ type ClassStat struct {
 	Events uint64 `json:"events"`
 	// Ceiling, Accuracy and EntropyBits are events-weighted means over
 	// the class's reported PCs (each PC contributes its best ceiling, its
-	// best realized predictor accuracy, and its order-MaxOrder entropy).
+	// best realized predictor accuracy, and its top-order entropy).
 	Ceiling     float64 `json:"ceiling"`
 	Accuracy    float64 `json:"accuracy"`
 	EntropyBits float64 `json:"entropy_bits"`
@@ -80,8 +91,8 @@ type Report struct {
 	// Hardest and Easiest rank reported PCs by conditional entropy.
 	Hardest []PCReport `json:"hardest"`
 	Easiest []PCReport `json:"easiest"`
-	// EntropyBits holds one order-MaxOrder entropy sample per reported
-	// PC, for histogram exposition; excluded from JSON.
+	// EntropyBits holds one top-order entropy sample per reported PC,
+	// for histogram exposition; excluded from JSON.
 	EntropyBits []float64 `json:"-"`
 }
 
@@ -90,7 +101,7 @@ var ClassLabels = []string{"C", "S", "NS", "RS", "RNS", "?"}
 
 // ceilingIndex classifies a predictor name into the ceiling it should be
 // judged against: 0 last-value, 1 stride, 2+o order-o context, -1 best.
-func ceilingIndex(name string, maxOrder int) int {
+func ceilingIndex(name string) int {
 	switch {
 	case strings.HasPrefix(name, "fcm"):
 		d := 0
@@ -99,9 +110,6 @@ func ceilingIndex(name string, maxOrder int) int {
 				d = d*10 + int(r-'0')
 				break // first digit run is the order
 			}
-		}
-		if d > maxOrder {
-			d = maxOrder
 		}
 		return 2 + d
 	case strings.HasPrefix(name, "l"):
@@ -114,7 +122,9 @@ func ceilingIndex(name string, maxOrder int) int {
 }
 
 // Report builds a summary, ranking at most topN hardest and easiest PCs.
-// Cold path: allocates freely.
+// The context ceilings are read from each bound FCM's per-PC sums, and
+// the entropies from one pass over the highest-order FCM's top-order
+// contexts. Cold path: allocates freely.
 func (t *Tracker) Report(topN int) *Report {
 	if topN <= 0 {
 		topN = 10
@@ -130,30 +140,38 @@ func (t *Tracker) Report(topN int) *Report {
 	for i, n := range t.names {
 		r.GapByPred[i].Name = n
 	}
+	var entropy map[uint64]float64
+	if len(t.fcms) > 0 {
+		entropy = t.fcms[len(t.fcms)-1].TopOrderEntropy()
+	}
 	var all []PCReport
 	for h := int32(0); int(h) < len(t.pcs); h++ {
 		s := &t.st[h]
-		r.ClassEvents[t.classOf(h).String()] += s.events
+		class := t.classOf(h).String()
+		r.ClassEvents[class] += s.events
 		if s.events < t.cfg.MinEvents {
 			continue
 		}
-		ceilLV, ceilSt, ceilOrder, entropy := t.pcCeilings(h)
+		pc := t.pcs[h]
+		ceilLV, ceilSt := s.ceilings()
 		pr := PCReport{
-			PC:          t.pcs[h],
+			PC:          pc,
 			Events:      s.events,
-			Class:       t.classOf(h).String(),
-			EntropyBits: entropy,
+			Class:       class,
+			EntropyBits: entropy[pc],
+			Ceiling:     max(ceilLV, ceilSt),
 			CeilLast:    ceilLV,
 			CeilStride:  ceilSt,
-			CeilOrder:   ceilOrder,
+			CeilOrder:   make(map[int]float64, len(t.fcms)),
 		}
-		pr.Ceiling = ceilLV
-		if ceilSt > pr.Ceiling {
-			pr.Ceiling = ceilSt
-		}
-		for _, c := range ceilOrder {
-			if c > pr.Ceiling {
-				pr.Ceiling = c
+		for i, f := range t.fcms {
+			c, events, ok := orderCeiling(f, pc)
+			if ok {
+				pr.CeilOrder[f.Order()] = c
+				pr.Ceiling = max(pr.Ceiling, c)
+			}
+			if i == len(t.fcms)-1 {
+				pr.CeilEvents = events
 			}
 		}
 		for i := 0; i < t.npred; i++ {
@@ -166,13 +184,15 @@ func (t *Tracker) Report(topN int) *Report {
 			g.Events += s.events
 			g.Hits += hits
 			ceil := pr.Ceiling
-			switch ci := ceilingIndex(t.names[i], t.cfg.MaxOrder); {
+			switch ci := ceilingIndex(t.names[i]); {
 			case ci == 0:
 				ceil = ceilLV
 			case ci == 1:
 				ceil = ceilSt
 			case ci >= 2:
-				ceil = ceilOrder[ci-2]
+				if c, ok := pr.CeilOrder[ci-2]; ok {
+					ceil = c
+				}
 			}
 			g.CeilWeighted += ceil * float64(s.events)
 		}
@@ -186,9 +206,9 @@ func (t *Tracker) Report(topN int) *Report {
 		cs.Events += s.events
 		cs.CeilW += pr.Ceiling * float64(s.events)
 		cs.AccW += pr.BestAccuracy * float64(s.events)
-		cs.EntW += entropy * float64(s.events)
+		cs.EntW += pr.EntropyBits * float64(s.events)
 		r.Reported++
-		r.EntropyBits = append(r.EntropyBits, entropy)
+		r.EntropyBits = append(r.EntropyBits, pr.EntropyBits)
 		all = append(all, pr)
 	}
 	for i := range r.GapByPred {

@@ -145,7 +145,7 @@ func newServerMetrics(start time.Time, nshards int, predNames []string) *serverM
 		return time.Since(start).Seconds()
 	})
 	m.pcEntropy = r.Histogram("vp_pc_entropy_bits",
-		"per-PC conditional entropy rate in millibits/value (order-k ceiling estimate), rebuilt each scrape")
+		"per-PC conditional entropy in millibits/value, exact from the top-order counts of the bank's highest-order FCM, rebuilt each scrape")
 	m.seqclassEvents = make(map[string]*obs.Gauge, len(predstat.ClassLabels))
 	for _, cls := range predstat.ClassLabels {
 		m.seqclassEvents[cls] = r.Gauge("vp_seqclass_events",

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/predstat"
+	"repro/internal/snapshot"
 )
 
 // TestEventsEndpointQueryParams pins the /events query surface: ?kind=
@@ -223,5 +226,142 @@ func TestPredictabilityDisabled(t *testing.T) {
 	}
 	if out.Enabled || out.Report.Events != 0 {
 		t.Fatalf("disabled server reported: %+v", out)
+	}
+}
+
+// pcHits is a run observer that tallies each PC's events and each
+// predictor's hits at it.
+type pcHits struct {
+	events map[uint64]uint64
+	hits   map[uint64][]uint64
+}
+
+func (o *pcHits) Bind([]core.Predictor) {}
+
+func (o *pcHits) ObserveRun(pc uint64, values []uint64, hits []uint64) {
+	o.events[pc] += uint64(len(values))
+	if o.hits[pc] == nil {
+		o.hits[pc] = make([]uint64, len(hits))
+	}
+	for i, h := range hits {
+		o.hits[pc][i] += h
+	}
+}
+
+// TestPredictabilityAfterRestore: a warm restart restarts the trackers'
+// live counters, but the FCMs carry the restored history. A server
+// restored from a checkpoint and then fed more traffic must report, per
+// PC, an order-3 ceiling equal to a map reference over the history plus
+// the live events, over that many top-order events, while its events and
+// best accuracy count only the live traffic (an offline replay of the
+// remainder through the checkpoint's predictors gives the reference).
+// ceil_order lists the orders the bank has an FCM for.
+func TestPredictabilityAfterRestore(t *testing.T) {
+	evs, _ := capturedStream(t)
+	cut := len(evs) * 3 / 5
+	a, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	driveAll(t, a, evs[:cut], 2)
+	ck, err := a.WriteCheckpoint(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	snap, err := snapshot.ReadFile(ck.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Shards: 2, Predstat: predstat.Config{MinEvents: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	driveAll(t, s, evs[cut:], 2)
+	rep := s.PredictabilityReport(len(evs))
+
+	// Offline references: the order-3 counts over every event, and each
+	// predictor's hits over the live events, stepped through the
+	// checkpoint's own predictors.
+	type ctx struct{ pc, a, b, c uint64 }
+	hist := map[uint64][]uint64{}
+	counts := map[ctx]map[uint64]uint64{}
+	for _, ev := range evs {
+		if h := hist[ev.PC]; len(h) >= 3 {
+			k := ctx{ev.PC, h[len(h)-3], h[len(h)-2], h[len(h)-1]}
+			if counts[k] == nil {
+				counts[k] = map[uint64]uint64{}
+			}
+			counts[k][ev.Value]++
+		}
+		hist[ev.PC] = append(hist[ev.PC], ev.Value)
+	}
+	top, total := map[uint64]uint64{}, map[uint64]uint64{}
+	for k, vs := range counts {
+		mx := uint64(0)
+		for _, n := range vs {
+			mx = max(mx, n)
+			total[k.pc] += n
+		}
+		top[k.pc] += mx
+	}
+	l, _, err := snapshot.Load(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds, err := l.Take()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := &pcHits{events: map[uint64]uint64{}, hits: map[uint64][]uint64{}}
+	banks := make([]*core.Bank, len(preds))
+	for i, ps := range preds {
+		banks[i] = core.NewBank(ps...)
+		banks[i].SetObserver(live)
+	}
+	for _, ev := range evs[cut:] {
+		banks[ShardOf(ev.PC, len(banks))].StepBatch([]uint64{ev.PC}, []uint64{ev.Value})
+	}
+
+	if rep.Events != uint64(len(evs)-cut) || rep.Reported != len(live.events) || len(rep.Hardest) != rep.Reported {
+		t.Fatalf("report covers %d events and %d PCs (%d ranked), want %d and %d",
+			rep.Events, rep.Reported, len(rep.Hardest), len(evs)-cut, len(live.events))
+	}
+	for _, pr := range rep.Hardest {
+		if pr.Events != live.events[pr.PC] {
+			t.Errorf("pc %#x: %d events, %d live", pr.PC, pr.Events, live.events[pr.PC])
+		}
+		best := 0.0
+		for _, h := range live.hits[pr.PC] {
+			best = max(best, float64(h)/float64(live.events[pr.PC]))
+		}
+		if math.Abs(pr.BestAccuracy-best) > 1e-9 {
+			t.Errorf("pc %#x: best accuracy %.6f, live replay %.6f", pr.PC, pr.BestAccuracy, best)
+		}
+		if n := uint64(len(hist[pr.PC])); pr.CeilEvents != n-min(n, 3) || total[pr.PC] != pr.CeilEvents {
+			t.Errorf("pc %#x: ceilings over %d events, %d values of history and live traffic", pr.PC, pr.CeilEvents, n)
+		}
+		if pr.CeilEvents == 0 {
+			continue
+		}
+		if want := float64(top[pr.PC]) / float64(total[pr.PC]); math.Abs(pr.CeilOrder[3]-want) > 1e-9 {
+			t.Errorf("pc %#x: order-3 ceiling %.9f, map reference %.9f", pr.PC, pr.CeilOrder[3], want)
+		}
+		_, ok1 := pr.CeilOrder[1]
+		_, ok2 := pr.CeilOrder[2]
+		if !ok1 || !ok2 || len(pr.CeilOrder) != 3 {
+			t.Errorf("pc %#x: ceilings for orders %v, want 1, 2 and 3", pr.PC, pr.CeilOrder)
+		}
 	}
 }

@@ -353,9 +353,9 @@ func (sh *shard) install(st snapshot.ShardState, preds []core.Predictor, pcs cor
 	sh.bank = core.NewBank(preds...)
 	sh.ewmaReady = false // the EWMA reseeds from live traffic, not history
 	if sh.pstat != nil {
-		// Predictability estimates describe observed live traffic, which a
-		// restore replaces wholesale: restart them from scratch and keep
-		// the tracker attached to the rebuilt bank.
+		// The tracker's own counters describe observed live traffic: restart
+		// them, and bind the tracker to the restored predictors, whose FCM
+		// tables carry the restored history into the context ceilings.
 		sh.pstat.Reset()
 		sh.bank.SetObserver(sh.pstat)
 	}
